@@ -2,8 +2,8 @@
 
 Computes and assesses the rotationally-invariant trace-norm steering
 parameter and the two-setting steering parameter, decides local-hidden-
-state membership of correlation matrices by linear programming, and
-simulates finite-statistics photon-counting runs of the corresponding
+state membership of correlation matrices exactly through their LHS gauge,
+and simulates finite-statistics photon-counting runs of the corresponding
 experiment.
 """
 
@@ -21,16 +21,11 @@ from .frames import (
     tilted_pair,
 )
 from .lhs import (
-    IndeterminateResolutionError,
     LhsModel,
     MembershipVerdict,
-    SphereGrid,
-    circle_grid,
     evaluate_lhs_model,
-    fibonacci_sphere_grid,
-    lhs_extreme_points,
+    lhs_gauge,
     lhs_membership,
-    max_lhs_trace_norm,
 )
 from .simulate import (
     CountsRecord,
@@ -76,28 +71,23 @@ __all__ = [
     "BlochMarginals",
     "CountsRecord",
     "EstimatedCorrelation",
-    "IndeterminateResolutionError",
     "LhsModel",
     "MeasurementFrame",
     "MembershipVerdict",
     "ScenarioRow",
     "SourceModel",
-    "SphereGrid",
     "StateDiagnostics",
     "SteeringAssessment",
     "assess_nss",
     "assess_ris",
-    "circle_grid",
     "closest_werner_parameter",
     "estimate_correlation",
     "evaluate_lhs_model",
-    "fibonacci_sphere_grid",
     "fidelity_with_pure",
     "frame_from_spec",
-    "lhs_extreme_points",
+    "lhs_gauge",
     "lhs_membership",
     "marginals",
-    "max_lhs_trace_norm",
     "min_nss_over_rotations",
     "misaligned_triad",
     "nss_parameter",

@@ -5,9 +5,10 @@ sweep (finite-statistics alpha sweep to CSV/JSON), lhs (membership
 oracle with certificates), simulate (one finite-statistics run), and
 reproduce (comparison table against the reference experiment).
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure,
-4 indeterminate membership verdict.  Angles are degrees at this surface;
-printed numbers carry 6 significant digits, JSON full precision.
+Exit codes: 0 success, 2 configuration error, 3 numeric failure (including
+a membership verdict that neither certificate settles).  Angles are
+degrees at this surface; printed numbers carry 6 significant digits, JSON
+full precision.
 """
 
 from __future__ import annotations
@@ -20,16 +21,7 @@ import sys
 import numpy as np
 
 from .frames import frame_from_spec
-from .lhs import (
-    DEFAULT_TOL,
-    IndeterminateResolutionError,
-    MembershipVerdict,
-    circle_grid,
-    default_grid,
-    fibonacci_sphere_grid,
-    interval_grid,
-    lhs_membership,
-)
+from .lhs import MembershipVerdict, lhs_membership
 from .reproduce import DEFAULT_SEED, build_report, format_report, report_to_dicts
 from .simulate import (
     DEFAULT_PAIRS_PER_SETTING,
@@ -48,7 +40,8 @@ from .steering import assess_nss, assess_ris, nss_parameter, predicted_correlati
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-EXIT_INDETERMINATE = 4
+# Largest entry of G_B - I, for Bob's Gram matrix G_B, that lhs accepts.
+BOB_GRAM_TOL = 1e-9
 
 EXAMPLE_CONFIGS = {
     "predict": {
@@ -218,33 +211,16 @@ def cmd_lhs(args) -> int:
         rho = state_from_spec(_config_value(config, "state"))
         alice = frame_from_spec(_config_value(config, "alice_frame"))
         bob = frame_from_spec(_config_value(config, "bob_frame"))
+        # Bob's local states fill the unit ball of his setting space only
+        # for orthonormal directions; for any other frame the verdict
+        # would be unsound.
+        if np.abs(bob.gram() - np.eye(bob.size)).max() > BOB_GRAM_TOL:
+            raise ValueError(
+                "bob_frame must be orthonormal for the membership oracle: "
+                f"its Gram matrix differs from the identity by more than {BOB_GRAM_TOL:g}"
+            )
         matrix = predicted_correlation(spin_correlation_matrix(rho), alice, bob)
-    if matrix.ndim != 2:
-        raise ValueError(f"membership needs a 2-d matrix, got shape {matrix.shape}")
-
-    n = matrix.shape[1]
-    if n == 1:
-        grid = interval_grid()
-    elif n == 2:
-        grid = circle_grid(args.grid_deg) if args.grid_deg is not None else default_grid(2)
-    else:
-        grid = (
-            fibonacci_sphere_grid(args.sphere_points)
-            if args.sphere_points is not None
-            else default_grid(3)
-        )
-    try:
-        verdict = lhs_membership(matrix, grid, tol=args.tol)
-    except IndeterminateResolutionError as exc:
-        payload = {
-            "status": "indeterminate",
-            "residual": exc.residual,
-            "separator_score": exc.score,
-            "true_support": exc.true_support,
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-        sys.stderr.write(str(exc) + "\n")
-        return EXIT_INDETERMINATE
+    verdict = lhs_membership(matrix)
     _emit(json.dumps(_verdict_dict(verdict), indent=2), args.out)
     return EXIT_OK
 
@@ -351,9 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lhs", help="local-hidden-state membership oracle")
     add_common(p, ("json",), "json")
-    p.add_argument("--grid-deg", type=float, help="circle grid step in degrees (n=2)")
-    p.add_argument("--sphere-points", type=int, help="sphere grid size (n=3)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="LP residual tolerance")
     p.set_defaults(handler=cmd_lhs)
 
     p = sub.add_parser("simulate", help="one finite-statistics run")
@@ -377,9 +350,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except IndeterminateResolutionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INDETERMINATE
     except ArithmeticError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERIC

@@ -1,117 +1,62 @@
-"""Local-hidden-state membership oracle via discretized linear programming.
+"""Exact local-hidden-state membership oracle.
 
 A correlation matrix M admits a local-hidden-state model exactly when it
 lies in the convex hull of the rank-1 matrices a c^T, where a runs over
 deterministic +-1 response vectors for Alice and c over the unit ball of
-Bob's setting space.  Discretizing c to a finite grid of unit vectors
-turns membership into a linear program over mixture weights.
+Bob's setting space (his measurement directions are taken as orthonormal
+axes).  Grouping the atoms of a mixture by Alice's response, up to a
+global sign, turns membership into a gauge: M is LHS exactly when
 
-Verdicts are certified either way: a feasible verdict carries an explicit
-mixture (pruned to at most m*n + 1 atoms) that reproduces M within the
-tolerance; an infeasible verdict carries a separating matrix G whose
-score on M exceeds its maximum over the true (continuous) extreme set,
-which for this polytope is computable exactly as max_a |G^T a|.  When the
-grid is too coarse to certify either way the oracle raises instead of
-guessing.
+    min  sum_a |v_a|   over decompositions   M = sum_a a v_a^T
+
+is at most 1, with a over the 2^(m-1) sign vectors whose first entry is
++1 (Cavalcanti, Jones, Wiseman & Reid, PRA 80, 032112, 2009).  Writing S
+for the matrix of those sign vectors, S^T S = K I with K = 2^(m-1), so
+V0 = S M / K is one decomposition:
+
+- m = 1, 2: S is square and V0 is the only decomposition.  For m = 2
+  the gauge is the two-setting parameter divided by sqrt(2).
+- m = 3: every decomposition is V0 + z t^T with z = (1, -1, -1, 1) the
+  null vector of S^T, and the gauge is the Fermat-Weber problem
+  min_t sum_k |t - p_k| over the four points p_k = -z_k V0_k (Weiszfeld
+  1937; Vardi & Zhang, PNAS 97, 1423, 2000).
+
+Verdicts are certified either way.  A feasible verdict carries the
+mixture of atoms (a, v_a/|v_a|) with weights |v_a|, plus a zero-mean pair
+that takes up the slack, and its reconstruction residual is re-checked.
+An infeasible verdict carries the dual functional G = S^T U / K built
+from the unit directions u_a of the v_a, scaled so that its exact support
+max_a |G^T a| over the LHS set is 1, and it is issued only when <G, M>
+clears that support.  A matrix that neither certificate settles raises
+instead of guessing.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import linprog
 
-DEFAULT_TOL = 1e-7
-DEFAULT_CIRCLE_STEP_DEG = 1.0
-DEFAULT_SPHERE_POINTS = 10_000
+# A feasible certificate must reproduce M within this L1 residual.
+RESIDUAL_TOL = 1e-7
+# Both verdicts must clear the gauge's boundary value 1 by this margin:
+# mixtures of unit Bob vectors sit exactly on it, and rounding moves them
+# by a few ulps either way.
+BOUNDARY_MARGIN = 1e-9
+# Points of the Fermat-Weber problem closer than this, relative to the
+# largest distance between them, are treated as one point.
+COINCIDENT_TOL = 1e-12
+# Smoothing levels eps of the Newton continuation, relative to that
+# distance.  The solve at each level stops once |grad f_eps| falls below
+# max(eps, GRADIENT_TOL), or after NEWTON_STEPS steps.
+SMOOTHING_LEVELS = 10.0 ** -np.arange(1, 17)
+GRADIENT_TOL = 1e-14
+NEWTON_STEPS = 50
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
-
-
-class IndeterminateResolutionError(RuntimeError):
-    """The grid is too coarse to certify membership either way."""
-
-    def __init__(self, residual: float, score: float, true_support: float):
-        super().__init__(
-            "indeterminate at this resolution: "
-            f"LP residual {residual:.3e} exceeds tolerance, but the separator "
-            f"score {score:.6f} does not exceed the exact support {true_support:.6f}; "
-            "refine the grid or relax the tolerance"
-        )
-        self.residual = residual
-        self.score = score
-        self.true_support = true_support
-
-
-@dataclass(frozen=True)
-class SphereGrid:
-    """Finite set of unit vectors discretizing Bob's hidden Bloch directions."""
-
-    points: NDArray[np.float64]
-    description: str
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError(f"grid points must form a nonempty 2-d array, got shape {pts.shape}")
-        norms = np.linalg.norm(pts, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise ValueError("grid points must be unit vectors within 1e-12")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-
-def circle_grid(step_deg: float = DEFAULT_CIRCLE_STEP_DEG) -> SphereGrid:
-    """Evenly spaced unit vectors on the circle (n = 2)."""
-    if not 0.0 < step_deg <= 120.0:
-        raise ValueError(f"circle step must lie in (0, 120] degrees, got {step_deg}")
-    angles = np.deg2rad(np.arange(0.0, 360.0, step_deg))
-    pts = np.column_stack([np.cos(angles), np.sin(angles)])
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
-    return SphereGrid(pts, f"circle at {step_deg} degree steps")
-
-
-def fibonacci_sphere_grid(n_points: int = DEFAULT_SPHERE_POINTS) -> SphereGrid:
-    """Fibonacci lattice of unit vectors on the sphere (n = 3)."""
-    if n_points < 4:
-        raise ValueError(f"sphere grid needs at least 4 points, got {n_points}")
-    i = np.arange(n_points)
-    z = 1.0 - 2.0 * (i + 0.5) / n_points
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    golden_angle = math.pi * (3.0 - math.sqrt(5.0))
-    phi = golden_angle * i
-    pts = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
-    return SphereGrid(pts, f"fibonacci sphere with {n_points} points")
-
-
-def interval_grid() -> SphereGrid:
-    """The two endpoints of the unit interval (n = 1)."""
-    return SphereGrid(np.array([[1.0], [-1.0]]), "interval endpoints")
-
-
-def default_grid(n_settings: int) -> SphereGrid:
-    """Default grid for Bob's setting-space dimension."""
-    if n_settings == 1:
-        return interval_grid()
-    if n_settings == 2:
-        return circle_grid()
-    if n_settings == 3:
-        return fibonacci_sphere_grid()
-    raise ValueError(f"bob setting count must be 1 to 3, got {n_settings}")
 
 
 def alice_sign_vectors(m: int) -> np.ndarray:
@@ -119,18 +64,6 @@ def alice_sign_vectors(m: int) -> np.ndarray:
     if not 1 <= m <= 3:
         raise ValueError(f"alice setting count must be 1 to 3, got {m}")
     return np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
-
-
-def lhs_extreme_points(m: int, grid: SphereGrid) -> np.ndarray:
-    """Extreme points a c^T of the discretized polytope, shape (K, m, n).
-
-    Ordered with the sign vector as the slow index and the grid point as
-    the fast index, so runs are exactly reproducible.
-    """
-    signs = alice_sign_vectors(m)
-    return np.einsum("sj,ck->scjk", signs, grid.points).reshape(
-        signs.shape[0] * grid.size, m, grid.dimension
-    )
 
 
 @dataclass(frozen=True)
@@ -197,9 +130,8 @@ class MembershipVerdict:
 
     For feasible verdicts gap is the L1 reconstruction residual and model
     holds the certifying mixture.  For infeasible verdicts separator holds
-    G normalized so its maximum score over the grid's extreme points is 1,
-    and gap = <G, M> - 1 > 0; the verdict is only issued once the score
-    also clears the exact (grid-free) support function.
+    G normalized so its exact maximum max_a |G^T a| over the LHS set is 1,
+    and gap = <G, M> - 1 > 0.
     """
 
     status: str
@@ -208,43 +140,8 @@ class MembershipVerdict:
     separator: NDArray[np.float64] | None = None
 
 
-def _embed_bloch(c: np.ndarray) -> np.ndarray:
-    out = np.zeros(3)
-    out[: len(c)] = c
-    return out
-
-
-def _prune_mixture(columns: np.ndarray, weights: np.ndarray, max_atoms: int):
-    """Reduce a mixture to at most max_atoms atoms without moving its mean.
-
-    columns is (d, K); weights are nonnegative and sum to 1.  Standard
-    Caratheodory descent: while more than d+1 atoms are active, step along
-    a null direction of the active columns (with the normalization row
-    appended) until a weight hits zero.
-    """
-    active = np.flatnonzero(weights > 1e-12)
-    w = weights[active].astype(float)
-    while len(active) > max_atoms:
-        block = np.vstack([columns[:, active], np.ones(len(active))])
-        _, svals, vt = np.linalg.svd(block)
-        null = vt[-1]
-        if svals[-1] > 1e-10 * max(1.0, svals[0]):
-            break
-        if null.max() <= 0.0:
-            null = -null
-        positive = null > 1e-14
-        steps = w[positive] / null[positive]
-        t = steps.min()
-        w = w - t * null
-        w[w < 1e-14] = 0.0
-        keep = w > 0.0
-        active = active[keep]
-        w = w[keep]
-    return active, w / w.sum()
-
-
 def _true_support(g: np.ndarray) -> float:
-    """Exact support function of the continuous extreme set at G.
+    """Exact support function of the LHS set at G.
 
     max over a in {-1,+1}^m, |c| <= 1 of <G, a c^T> = max_a |G^T a|.
     """
@@ -252,107 +149,197 @@ def _true_support(g: np.ndarray) -> float:
     return float(np.linalg.norm(signs @ g, axis=1).max())
 
 
-def lhs_membership(matrix, grid: SphereGrid | None = None, tol: float = DEFAULT_TOL) -> MembershipVerdict:
-    """Decide whether M lies in the discretized local-hidden-state polytope.
+def _unit_rows(x: np.ndarray):
+    """Lengths and unit vectors of the rows of x; zero rows stay zero.
 
-    Solves min ||sum_i w_i X_i - M||_1 over mixture weights w; a residual
-    within tol certifies feasibility.  Otherwise a separating matrix is
-    recovered from the complementary program and certified against the
-    exact (grid-free) support function.
-
-    Raises:
-        IndeterminateResolutionError: when neither certificate holds at
-            this grid resolution.
+    Each row is scaled by its largest entry first, so that the units stay
+    accurate at magnitudes whose squares would underflow.
     """
+    scale = np.abs(x).max(axis=1, keepdims=True)
+    scaled = np.divide(x, scale, out=np.zeros_like(x), where=scale > 0.0)
+    lengths = np.linalg.norm(scaled, axis=1, keepdims=True)
+    units = np.divide(scaled, lengths, out=np.zeros_like(x), where=lengths > 0.0)
+    return (lengths * scale)[:, 0], units
+
+
+def _unit_directions(points: np.ndarray, t: np.ndarray):
+    """Unit vectors e_k = (t - p_k)/|t - p_k|, completed at the points near t.
+
+    The near points are those within COINCIDENT_TOL of t, and always the
+    closest one.  Their directions are set to -r/c, where r sums the other
+    directions and c counts the near points, so that sum_k e_k = 0: a
+    subgradient of sum_k |t - p_k| at t.  They are shortened to -r/|r|
+    when that would exceed unit length.  Completing at the closest point
+    keeps the directions accurate when t lies close to a point, where
+    (t - p_k)/|t - p_k| is sensitive to small errors in t.  Returns the
+    directions and whether t is optimal, |r| <= c up to COINCIDENT_TOL.
+    """
+    dist, e = _unit_rows(t - points)
+    is_near = dist <= COINCIDENT_TOL
+    is_near[np.argmin(dist)] = True
+    r = e[~is_near].sum(axis=0)
+    r_norm = float(np.linalg.norm(r))
+    count = int(is_near.sum())
+    e[is_near] = -r / max(count, r_norm)
+    return e, r_norm <= count * (1.0 + COINCIDENT_TOL)
+
+
+def _smoothed_gradient(points: np.ndarray, t: np.ndarray, eps: float):
+    """Offsets t - p_k, smoothed distances s_k and the gradient sum_k (t - p_k)/s_k."""
+    d = t - points
+    s = np.sqrt(np.einsum("ki,ki->k", d, d) + eps * eps)
+    return d, s, (d / s[:, None]).sum(axis=0)
+
+
+def _smoothed_newton(points: np.ndarray) -> np.ndarray:
+    """Minimizer of sum_k |t - p_k| by Newton continuation, for unit spread.
+
+    Solves grad f_eps(t) = 0 for f_eps(t) = sum_k sqrt(|t - p_k|^2 + eps^2),
+    with eps falling from 1e-1 to 1e-16 and each solve warm started from
+    the last.  The smoothing keeps the Hessian positive definite when the
+    optimum lies at or near a point, where plain Weiszfeld iteration
+    stalls.  Steps backtrack on |grad f_eps|, which, unlike f_eps itself,
+    still resolves progress once t is within sqrt(machine epsilon) of the
+    optimum.
+    """
+    t = points.mean(axis=0)
+    eye = np.eye(points.shape[1])
+    for eps in SMOOTHING_LEVELS:
+        d, s, grad = _smoothed_gradient(points, t, eps)
+        size = float(np.linalg.norm(grad))
+        for _ in range(NEWTON_STEPS):
+            if size <= max(GRADIENT_TOL, eps):
+                break
+            hess = eye * (1.0 / s).sum() - np.einsum("k,ki,kj->ij", s**-3, d, d)
+            step = np.linalg.solve(hess, grad)
+            alpha = 1.0
+            while alpha > 1e-12:
+                trial = t - alpha * step
+                d_new, s_new, grad_new = _smoothed_gradient(points, trial, eps)
+                size_new = float(np.linalg.norm(grad_new))
+                if size_new <= (1.0 - 1e-4 * alpha) * size:
+                    break
+                alpha *= 0.5
+            else:
+                break
+            t, d, s, grad, size = trial, d_new, s_new, grad_new, size_new
+    return t
+
+
+def _fermat_weber(points: np.ndarray):
+    """Minimizer t of sum_k |t - p_k| and the unit directions at it.
+
+    The points are shifted and scaled to unit spread first.  A vertex p_j
+    is optimal exactly when the other points' unit directions sum to at
+    most the number of points coincident with p_j; this settles n = 1,
+    where the optimum is a median.  Otherwise the optimum is found by
+    smoothed Newton continuation.
+    """
+    origin = points[0]
+    spread = _unit_rows((points[:, None] - points[None]).reshape(-1, points.shape[1]))[0].max()
+    if spread == 0.0:
+        return origin, np.zeros_like(points)
+    q = (points - origin) / spread
+    for vertex in q:
+        e, optimal = _unit_directions(q, vertex)
+        if optimal:
+            return origin + spread * vertex, e
+    t = _smoothed_newton(q)
+    return origin + spread * t, _unit_directions(q, t)[0]
+
+
+def _optimal_decomposition(m_mat: np.ndarray):
+    """Sign vectors S, a minimizing V with M = S^T V, and dual directions U.
+
+    Rows of U are unit vectors along the rows of V (a subgradient where a
+    row vanishes), so that G = S^T U / K satisfies <G, M> = sum_a |v_a|
+    at the optimum.
+    """
+    m = m_mat.shape[0]
+    signs = alice_sign_vectors(m)[2 ** (m - 1):]
+    v = signs @ m_mat / len(signs)
+    if m < 3:
+        return signs, v, _unit_rows(v)[1]
+    z = signs.prod(axis=1)  # (1, -1, -1, 1): S^T z = 0
+    t, e = _fermat_weber(-z[:, None] * v)
+    return signs, v + np.outer(z, t), z[:, None] * e
+
+
+def _validated(matrix) -> np.ndarray:
     m_mat = np.asarray(matrix, dtype=float)
     if m_mat.ndim != 2:
         raise ValueError(f"expected a 2-d correlation matrix, got shape {m_mat.shape}")
     m, n = m_mat.shape
     if not (1 <= m <= 3 and 1 <= n <= 3):
         raise ValueError(f"correlation matrix must be at most 3x3, got {m}x{n}")
-    if np.abs(m_mat).max(initial=0.0) > 1.0 + 1e-9:
+    if not np.all(np.isfinite(m_mat)):
+        raise ValueError("correlation entries must be finite")
+    if np.abs(m_mat).max() > 1.0 + 1e-9:
         raise ValueError("correlation entries must lie in [-1, 1]")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if grid is None:
-        grid = default_grid(n)
-    if grid.dimension != n:
-        raise ValueError(
-            f"grid dimension {grid.dimension} does not match bob setting count {n}"
-        )
-
-    points = lhs_extreme_points(m, grid)
-    k = points.shape[0]
-    d = m * n
-    columns = points.reshape(k, d).T
-    target = m_mat.reshape(d)
-
-    # Phase-1 style program: minimize the L1 mismatch via split slacks.
-    a_eq = np.zeros((d + 1, k + 2 * d))
-    a_eq[:d, :k] = columns
-    a_eq[:d, k : k + d] = np.eye(d)
-    a_eq[:d, k + d :] = -np.eye(d)
-    a_eq[d, :k] = 1.0
-    b_eq = np.concatenate([target, [1.0]])
-    cost = np.concatenate([np.zeros(k), np.ones(2 * d)])
-    primal = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
-    if not primal.success:
-        raise ArithmeticError(f"membership LP failed: {primal.message}")
-    residual = float(primal.fun)
-
-    if residual <= tol:
-        weights = primal.x[:k]
-        weights = np.clip(weights, 0.0, None)
-        weights /= weights.sum()
-        active, w = _prune_mixture(columns, weights, max_atoms=d + 1)
-        signs = alice_sign_vectors(m)
-        responses = signs[active // grid.size]
-        blochs = np.array([_embed_bloch(grid.points[i % grid.size]) for i in active])
-        model = LhsModel(w, responses, blochs, n_settings=n)
-        check = float(np.abs(evaluate_lhs_model(model) - m_mat).sum())
-        if check > tol + 1e-9:
-            raise ArithmeticError(
-                f"pruned certificate residual {check:.3e} exceeds tolerance {tol:.3e}"
-            )
-        return MembershipVerdict(status=FEASIBLE, gap=residual, model=model)
-
-    # Separation program: maximize <G, M> - s subject to <G, X_i> <= s,
-    # entries of G in [-1, 1].
-    a_ub = np.hstack([columns.T, -np.ones((k, 1))])
-    cost_sep = np.concatenate([-target, [1.0]])
-    bounds = [(-1.0, 1.0)] * d + [(None, None)]
-    dual = linprog(cost_sep, A_ub=a_ub, b_ub=np.zeros(k), bounds=bounds, method="highs")
-    if not dual.success:
-        raise ArithmeticError(f"separation LP failed: {dual.message}")
-    g = dual.x[:d]
-    grid_support = float((columns.T @ g).max())
-    if grid_support <= 1e-12:
-        raise ArithmeticError("degenerate separator: zero support on the extreme points")
-    g = g / grid_support
-    g_mat = g.reshape(m, n)
-    score = float(np.sum(g_mat * m_mat))
-    true_support = _true_support(g_mat)
-    if score > true_support + max(tol, 1e-9):
-        g_mat.setflags(write=False)
-        return MembershipVerdict(status=INFEASIBLE, gap=score - 1.0, separator=g_mat)
-    raise IndeterminateResolutionError(residual, score, true_support)
+    return m_mat
 
 
-def max_lhs_trace_norm(m: int, n: int, grid: SphereGrid | None = None) -> float:
-    """Largest trace norm over the discretized polytope's extreme points.
+def lhs_gauge(matrix) -> float:
+    """min sum_a |v_a| over decompositions M = sum_a a v_a^T.
 
-    The trace norm is convex, so its maximum over the polytope is
-    attained at an extreme point; this probes tightness of the sqrt(m)
-    bound as the grid refines.
+    M admits a local-hidden-state model exactly when this is at most 1.
+    The value returned is attained by an explicit decomposition.
     """
-    if not (1 <= m <= 3 and 1 <= n <= 3):
-        raise ValueError(f"setting counts must be 1 to 3, got m={m}, n={n}")
-    if grid is None:
-        grid = default_grid(n)
-    if grid.dimension != n:
-        raise ValueError(
-            f"grid dimension {grid.dimension} does not match bob setting count {n}"
+    _, v, _ = _optimal_decomposition(_validated(matrix))
+    return float(_unit_rows(v)[0].sum())
+
+
+def _feasible(m_mat, signs, lengths, units) -> MembershipVerdict:
+    """Mixture certificate from the rows v_a = lengths_a * units_a of V."""
+    n = m_mat.shape[1]
+    keep = lengths > 0.0
+    weights = list(lengths[keep] / max(lengths.sum(), 1.0))
+    responses = list(signs[keep])
+    blochs = list(np.pad(units[keep], ((0, 0), (0, 3 - n))))
+    slack = 1.0 - sum(weights)
+    if slack > 0.0:
+        pole = np.eye(3)[0]
+        weights += [slack / 2.0, slack / 2.0]
+        responses += [signs[0], signs[0]]
+        blochs += [pole, -pole]
+    model = LhsModel(np.array(weights), np.array(responses), np.array(blochs), n_settings=n)
+    residual = float(np.abs(evaluate_lhs_model(model) - m_mat).sum())
+    if residual > RESIDUAL_TOL:
+        raise ArithmeticError(
+            f"certificate residual {residual:.3e} exceeds tolerance {RESIDUAL_TOL:.3e}"
         )
-    points = lhs_extreme_points(m, grid)
-    svals = np.linalg.svd(points, compute_uv=False)
-    return float(svals.sum(axis=1).max())
+    return MembershipVerdict(status=FEASIBLE, gap=residual, model=model)
+
+
+def lhs_membership(matrix) -> MembershipVerdict:
+    """Decide whether M admits a local-hidden-state model.
+
+    Feasible when the gauge is at most 1 + BOUNDARY_MARGIN, with a mixture
+    certificate; infeasible when the normalized dual functional scores
+    above 1 + BOUNDARY_MARGIN on M, with the functional as certificate.
+
+    Raises:
+        ValueError: for a matrix that is not at most 3x3 with entries in
+            [-1, 1].
+        ArithmeticError: when neither certificate holds.
+    """
+    m_mat = _validated(matrix)
+    signs, v, u = _optimal_decomposition(m_mat)
+    lengths, units = _unit_rows(v)
+    primal = float(lengths.sum())
+    if primal <= 1.0 + BOUNDARY_MARGIN:
+        return _feasible(m_mat, signs, lengths, units)
+
+    g = signs.T @ u / len(signs)
+    support = _true_support(g)
+    if support <= 1e-12:
+        raise ArithmeticError("degenerate separator: zero support on the LHS set")
+    g = g / support
+    score = float(np.sum(g * m_mat))
+    if score > 1.0 + BOUNDARY_MARGIN and score > _true_support(g) + BOUNDARY_MARGIN:
+        g.setflags(write=False)
+        return MembershipVerdict(status=INFEASIBLE, gap=score - 1.0, separator=g)
+    raise ArithmeticError(
+        f"membership undecided: the gauge lies in [{score:.12g}, {primal:.12g}], "
+        f"within {BOUNDARY_MARGIN:g} of the boundary or unresolved"
+    )

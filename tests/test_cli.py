@@ -1,13 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steerkit
 from steerkit.cli import (
     EXAMPLE_CONFIGS,
     EXIT_CONFIG,
-    EXIT_INDETERMINATE,
     EXIT_OK,
     main,
 )
@@ -186,27 +190,59 @@ class TestLhs:
             "alice_frame": {"kind": "named", "name": "standard_triad"},
             "bob_frame": {"kind": "named", "name": "standard_triad"},
         })
-        assert main(["lhs", "--config", config, "--sphere-points", "2000"]) == EXIT_OK
+        assert main(["lhs", "--config", config]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "feasible"
 
-    def test_indeterminate_exit_code(self, tmp_path, capsys):
+    def test_boundary_triad_matrix_feasible(self, tmp_path, capsys):
+        # -I/sqrt(3) lies exactly on the LHS boundary
         w = 1.0 / math.sqrt(3.0)
         config = write_config(tmp_path, {
             "matrix": [[-w, 0.0, 0.0], [0.0, -w, 0.0], [0.0, 0.0, -w]],
         })
-        assert main(["lhs", "--config", config, "--sphere-points", "2000"]) == EXIT_INDETERMINATE
-        captured = capsys.readouterr()
-        payload = json.loads(captured.out)
-        assert payload["status"] == "indeterminate"
-        assert payload["residual"] > 0.0
-        assert "indeterminate" in captured.err
-
-    def test_grid_degree_flag(self, tmp_path, capsys):
-        config = write_config(tmp_path, {"matrix": [[-0.5, 0.0], [0.0, -0.5]]})
-        assert main(["lhs", "--config", config, "--grid-deg", "3.0"]) == EXIT_OK
+        assert main(["lhs", "--config", config]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "feasible"
+        assert payload["gap"] <= 1e-9
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--grid-deg", "3.0"),
+        ("--sphere-points", "2000"),
+        ("--tol", "1e-7"),
+    ])
+    def test_removed_grid_flags_exit_config(self, tmp_path, capsys, flag, value):
+        config = write_config(tmp_path, {"matrix": [[-0.5, 0.0], [0.0, -0.5]]})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lhs", "--config", config, flag, value])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_non_orthonormal_bob_frame_rejected(self, tmp_path, capsys):
+        # One Alice setting can never demonstrate steering; with Bob's
+        # directions 60 degrees apart the oracle's unit-ball model of his
+        # states does not hold, so an "infeasible" verdict would be unsound.
+        config = write_config(tmp_path, {
+            "state": {"kind": "werner", "W": 0.9},
+            "alice_frame": {"kind": "explicit", "directions": [[0.5, 0.0, math.sqrt(3.0) / 2.0]]},
+            "bob_frame": {"kind": "explicit", "directions": [
+                [0.0, 0.0, 1.0], [math.sqrt(3.0) / 2.0, 0.0, 0.5],
+            ]},
+        })
+        assert main(["lhs", "--config", config]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bob_frame" in captured.err
+
+
+class TestImports:
+    def test_scipy_is_not_imported(self):
+        src = str(Path(steerkit.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import steerkit, steerkit.cli, sys; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestSimulate:

@@ -1,60 +1,61 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+from steerkit import lhs
 from steerkit.lhs import (
-    IndeterminateResolutionError,
     LhsModel,
     alice_sign_vectors,
-    circle_grid,
-    default_grid,
     evaluate_lhs_model,
-    fibonacci_sphere_grid,
-    interval_grid,
-    lhs_extreme_points,
+    lhs_gauge,
     lhs_membership,
-    max_lhs_trace_norm,
 )
 from steerkit.steering import nss_parameter, trace_norm
 
 SQRT2 = math.sqrt(2.0)
 
+SETTING_COUNTS = st.integers(min_value=1, max_value=3)
+UNIT_INTERVAL = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
-class TestGrids:
-    def test_circle_grid_size_and_norms(self):
-        grid = circle_grid(1.0)
-        assert grid.size == 360
-        assert grid.dimension == 2
-        assert_allclose(np.linalg.norm(grid.points, axis=1), 1.0, atol=1e-12)
 
-    def test_fibonacci_grid_norms(self):
-        grid = fibonacci_sphere_grid(500)
-        assert grid.size == 500
-        assert grid.dimension == 3
-        assert_allclose(np.linalg.norm(grid.points, axis=1), 1.0, atol=1e-12)
+def random_unit(rng, n):
+    v = rng.standard_normal(n)
+    return v / np.linalg.norm(v)
 
-    def test_fibonacci_grid_covers_both_hemispheres(self):
-        grid = fibonacci_sphere_grid(1000)
-        assert grid.points[:, 2].min() < -0.99
-        assert grid.points[:, 2].max() > 0.99
 
-    def test_interval_grid(self):
-        grid = interval_grid()
-        assert grid.dimension == 1
-        assert_allclose(grid.points, [[1.0], [-1.0]])
+@st.composite
+def correlation_matrices(draw, m=SETTING_COUNTS, n=SETTING_COUNTS):
+    """Matrices whose rows have length at most 1, so that M R stays in range."""
+    shape = (draw(m), draw(n))
+    raw = draw(hnp.arrays(np.float64, shape, elements=UNIT_INTERVAL))
+    lengths = np.linalg.norm(raw, axis=1, keepdims=True)
+    return raw / np.maximum(lengths, 1.0)
 
-    def test_default_grid_dispatch(self):
-        assert default_grid(1).dimension == 1
-        assert default_grid(2).dimension == 2
-        assert default_grid(3).dimension == 3
-        with pytest.raises(ValueError):
-            default_grid(4)
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            circle_grid(0.0)
+@st.composite
+def explicit_mixtures(draw):
+    """Mixtures of 1-7 atoms whose Bob vectors all have length 1."""
+    m, n = draw(SETTING_COUNTS), draw(SETTING_COUNTS)
+    atoms = draw(st.integers(min_value=1, max_value=7))
+    weights = draw(hnp.arrays(np.float64, atoms, elements=st.floats(0.01, 1.0)))
+    signs = draw(hnp.arrays(np.float64, (atoms, m), elements=st.sampled_from((-1.0, 1.0))))
+    blochs = draw(hnp.arrays(np.float64, (atoms, n), elements=UNIT_INTERVAL))
+    lengths = np.linalg.norm(blochs, axis=1)
+    assume(lengths.min() > 1e-3)
+    weights = weights / weights.sum()
+    blochs = blochs / lengths[:, None]
+    return np.einsum("i,ij,ik->jk", weights, signs, blochs)
+
+
+def haar_rotation(rng):
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    return q * np.sign(np.diag(r))
 
 
 class TestExtremePoints:
@@ -62,21 +63,13 @@ class TestExtremePoints:
         signs = alice_sign_vectors(2)
         assert_allclose(signs, [[-1, -1], [-1, 1], [1, -1], [1, 1]])
 
-    def test_extreme_point_count_and_shape(self):
-        grid = circle_grid(10.0)
-        points = lhs_extreme_points(2, grid)
-        assert points.shape == (4 * 36, 2, 2)
-
     def test_trace_norm_bound_on_extreme_points(self):
-        for m, grid in ((1, circle_grid(7.0)), (2, circle_grid(7.0)), (3, circle_grid(7.0))):
-            points = lhs_extreme_points(m, grid)
-            norms = np.linalg.svd(points, compute_uv=False).sum(axis=1)
-            assert norms.max() <= math.sqrt(m) + 1e-12
-
-    def test_first_block_is_first_sign_vector(self):
-        grid = circle_grid(90.0)
-        points = lhs_extreme_points(2, grid)
-        assert_allclose(points[0], np.outer([-1.0, -1.0], grid.points[0]))
+        rng = np.random.default_rng(7)
+        for m, n in itertools.product((1, 2, 3), repeat=2):
+            for a in alice_sign_vectors(m):
+                point = np.outer(a, random_unit(rng, n))
+                assert trace_norm(point) <= math.sqrt(m) + 1e-12
+                assert lhs_membership(point).status == "feasible"
 
 
 class TestLhsModel:
@@ -112,99 +105,100 @@ class TestLhsModel:
 
 class TestMembership:
     def test_zero_matrix_feasible(self):
-        verdict = lhs_membership(np.zeros((2, 2)), grid=circle_grid(5.0))
+        verdict = lhs_membership(np.zeros((2, 2)))
         assert verdict.status == "feasible"
         assert verdict.gap <= 1e-9
         assert verdict.model is not None
 
     def test_sub_boundary_diagonal_feasible_with_certificate(self):
         m = -(1.0 / SQRT2 - 0.05) * np.eye(2)
-        verdict = lhs_membership(m, grid=circle_grid(1.0))
+        verdict = lhs_membership(m)
         assert verdict.status == "feasible"
         model = verdict.model
         assert len(model.weights) <= 2 * 2 + 1
         assert_allclose(model.weights.sum(), 1.0, atol=1e-9)
-        assert np.abs(evaluate_lhs_model(model) - m).sum() <= 1e-6
+        assert np.abs(evaluate_lhs_model(model) - m).sum() <= 1e-9
 
     def test_super_boundary_diagonal_infeasible_with_certificate(self):
         m = -0.8 * np.eye(2)
-        grid = circle_grid(1.0)
-        verdict = lhs_membership(m, grid=grid)
+        verdict = lhs_membership(m)
         assert verdict.status == "infeasible"
         g = verdict.separator
-        # scores at most 1 on every grid extreme point, above 1 on m
-        scores = np.einsum("kij,ij->k", lhs_extreme_points(2, grid), g)
-        assert scores.max() <= 1.0 + 1e-9
-        score_on_m = float(np.sum(g * m))
-        assert_allclose(score_on_m, 1.0 + verdict.gap, atol=1e-12)
-        # and clears the exact grid-free support, so the verdict holds
-        # for the continuous polytope too
+        # the exact support over the LHS set is 1, and M scores above it
         signs = alice_sign_vectors(2)
         true_support = np.linalg.norm(signs @ g, axis=1).max()
+        assert_allclose(true_support, 1.0, atol=1e-12)
+        score_on_m = float(np.sum(g * m))
+        assert_allclose(score_on_m, 1.0 + verdict.gap, atol=1e-12)
         assert score_on_m > true_support
 
     def test_matches_two_setting_predicate_away_from_boundary(self):
         rng = np.random.default_rng(59)
-        grid = circle_grid(1.0)
         checked = 0
         while checked < 30:
             raw = rng.uniform(-1.0, 1.0, size=(2, 2))
             target = rng.uniform(1.2, 1.6)
             m = raw * (target / nss_parameter(raw))
-            if np.abs(m).max() > 1.0 or abs(target - SQRT2) <= 0.02:
+            if np.abs(m).max() > 1.0 or abs(target - SQRT2) <= 1e-9:
                 continue
-            verdict = lhs_membership(m, grid=grid)
+            verdict = lhs_membership(m)
             if target > SQRT2:
                 assert verdict.status == "infeasible", f"nss={target}"
             else:
                 assert verdict.status == "feasible", f"nss={target}"
             checked += 1
 
-    def test_refining_grid_preserves_feasible(self):
-        rng = np.random.default_rng(61)
-        # nested grids: every 4-degree point is also a 2- and 1-degree point
-        coarse, mid, fine = circle_grid(4.0), circle_grid(2.0), circle_grid(1.0)
-        found = 0
-        while found < 8:
-            raw = rng.uniform(-1.0, 1.0, size=(2, 2))
-            m = raw * (rng.uniform(0.6, 1.3) / nss_parameter(raw))
-            if np.abs(m).max() > 1.0:
-                continue
-            try:
-                first = lhs_membership(m, grid=coarse)
-            except IndeterminateResolutionError:
-                continue
-            if first.status == "feasible":
-                assert lhs_membership(m, grid=mid).status == "feasible"
-                assert lhs_membership(m, grid=fine).status == "feasible"
-            found += 1
-
     def test_three_setting_diagonal_cases(self):
-        grid = fibonacci_sphere_grid(2000)
-        assert lhs_membership(-0.5 * np.eye(3), grid=grid).status == "feasible"
-        assert lhs_membership(-0.9 * np.eye(3), grid=grid).status == "infeasible"
+        assert lhs_membership(-0.5 * np.eye(3)).status == "feasible"
+        assert lhs_membership(-0.9 * np.eye(3)).status == "infeasible"
 
-    def test_boundary_indeterminate_at_coarse_sphere(self):
+    def test_boundary_diagonal_feasible(self):
+        # -I/sqrt(3) lies exactly on the boundary: the mixture of the four
+        # atoms (a, -a/sqrt(3)) with weight 1/4 reproduces it.
         m = -(1.0 / math.sqrt(3.0)) * np.eye(3)
-        with pytest.raises(IndeterminateResolutionError) as info:
-            lhs_membership(m, grid=fibonacci_sphere_grid(2000), tol=1e-7)
-        err = info.value
-        assert err.residual > 1e-7
-        assert err.score <= err.true_support + 1e-7
-        assert "refine the grid" in str(err)
+        assert_allclose(lhs_gauge(m), 1.0, atol=1e-12)
+        verdict = lhs_membership(m)
+        assert verdict.status == "feasible"
+        assert np.abs(evaluate_lhs_model(verdict.model) - m).max() <= 1e-12
+
+    def test_just_outside_boundary_infeasible(self):
+        m = -(1.0 + 1e-6) / math.sqrt(3.0) * np.eye(3)
+        verdict = lhs_membership(m)
+        assert verdict.status == "infeasible"
+        assert_allclose(verdict.gap, 1e-6, rtol=1e-6)
+
+    def test_undecided_matrix_raises(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        raw = rng.uniform(-1.0, 1.0, size=(3, 3))
+        m = raw / lhs_gauge(raw)
+        # a solver stopped at the starting point leaves the gauge bracketed
+        # around 1, which neither certificate may settle
+        monkeypatch.setattr(lhs, "_smoothed_newton", lambda points: points.mean(axis=0))
+        with pytest.raises(ArithmeticError, match="undecided"):
+            lhs_membership(m)
 
     def test_single_setting_cases(self):
-        verdict = lhs_membership(np.array([[0.7]]), grid=interval_grid())
+        verdict = lhs_membership(np.array([[0.7]]))
         assert verdict.status == "feasible"
         assert_allclose(evaluate_lhs_model(verdict.model), [[0.7]], atol=1e-9)
+        row = np.array([[0.6, 0.0, 0.8]])
+        assert_allclose(lhs_gauge(row), 1.0, atol=1e-15)
+        assert lhs_membership(row).status == "feasible"
+        assert lhs_membership(np.array([[0.6, 0.1, 0.8]])).status == "infeasible"
 
     def test_rejects_out_of_range_entries(self):
         with pytest.raises(ValueError):
-            lhs_membership(np.array([[1.2]]), grid=interval_grid())
+            lhs_membership(np.array([[1.2]]))
 
-    def test_rejects_mismatched_grid(self):
+    def test_rejects_non_finite_entries(self):
         with pytest.raises(ValueError):
-            lhs_membership(np.zeros((2, 3)), grid=circle_grid(5.0))
+            lhs_membership(np.array([[np.nan, 0.0]]))
+
+    def test_rejects_grid_and_tolerance_arguments(self):
+        with pytest.raises(TypeError):
+            lhs_membership(np.zeros((2, 3)), grid=None)
+        with pytest.raises(TypeError):
+            lhs_membership(np.zeros((2, 3)), tol=1e-7)
 
     def test_rejects_oversized_matrix(self):
         with pytest.raises(ValueError):
@@ -212,23 +206,79 @@ class TestMembership:
 
 
 class TestMaxTraceNorm:
+    """The RIS bound sqrt(m) is attained by the extreme point 1 c^T."""
+
     def test_circle_reaches_sqrt2(self):
-        assert_allclose(max_lhs_trace_norm(2, 2, circle_grid(1.0)), SQRT2, atol=1e-6)
+        c = np.array([math.cos(0.3), math.sin(0.3)])
+        point = np.outer(np.ones(2), c)
+        assert_allclose(trace_norm(point), SQRT2, atol=1e-12)
+        assert lhs_membership(point).status == "feasible"
 
     def test_sphere_reaches_sqrt3(self):
-        value = max_lhs_trace_norm(3, 3, fibonacci_sphere_grid(10_000))
-        assert_allclose(value, math.sqrt(3.0), atol=1e-3)
+        c = random_unit(np.random.default_rng(3), 3)
+        point = np.outer(np.ones(3), c)
+        assert_allclose(trace_norm(point), math.sqrt(3.0), atol=1e-12)
+        assert lhs_membership(point).status == "feasible"
+        assert lhs_membership((1.0 + 1e-6) * point).status == "infeasible"
 
     def test_single_setting_value(self):
-        assert_allclose(max_lhs_trace_norm(1, 1, interval_grid()), 1.0, atol=1e-12)
+        assert_allclose(trace_norm(np.array([[1.0]])), 1.0, atol=1e-12)
+        assert lhs_membership(np.array([[1.0]])).status == "feasible"
 
     def test_never_exceeds_bound(self):
-        for m in (1, 2, 3):
-            value = max_lhs_trace_norm(m, 2, circle_grid(3.0))
-            assert value <= math.sqrt(m) + 1e-12
+        rng = np.random.default_rng(11)
+        for m, n in itertools.product((1, 2, 3), repeat=2):
+            for _ in range(20):
+                matrix = rng.uniform(-1.0, 1.0, size=(m, n)) * rng.uniform(0.2, 1.0)
+                if lhs_membership(matrix).status == "feasible":
+                    assert trace_norm(matrix) <= math.sqrt(m) + 1e-12
 
-    def test_refinement_increases_value(self):
-        coarse = max_lhs_trace_norm(2, 2, circle_grid(8.0))
-        fine = max_lhs_trace_norm(2, 2, circle_grid(1.0))
-        assert fine >= coarse - 1e-15
-        assert fine > SQRT2 - 1e-6
+
+class TestProperties:
+    @settings(deadline=None)
+    @given(explicit_mixtures())
+    def test_explicit_mixture_is_feasible(self, matrix):
+        verdict = lhs_membership(matrix)
+        assert verdict.status == "feasible"
+        assert np.abs(evaluate_lhs_model(verdict.model) - matrix).max() <= 1e-9
+
+    @settings(deadline=None)
+    @given(correlation_matrices(m=st.just(2)))
+    def test_two_setting_gauge_is_nss_over_sqrt2(self, matrix):
+        assert abs(lhs_gauge(matrix) - nss_parameter(matrix) / SQRT2) <= 1e-12
+
+    @settings(deadline=None)
+    @given(
+        correlation_matrices(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=2),
+        st.permutations(range(3)),
+    )
+    def test_verdict_invariant_under_symmetries(self, matrix, seed, flipped, order):
+        m, n = matrix.shape
+        gauge = lhs_gauge(matrix)
+        flips = np.ones((m, 1))
+        flips[min(flipped, m - 1)] = -1.0
+        images = [(flips * matrix)[[i for i in order if i < m]]]
+        if n == 3:
+            images.append(matrix @ haar_rotation(np.random.default_rng(seed)))
+        for image in images:
+            assert abs(lhs_gauge(image) - gauge) <= 1e-12 * max(1.0, gauge)
+            if abs(gauge - 1.0) > 1e-8:
+                assert lhs_membership(image).status == lhs_membership(matrix).status
+
+    @settings(deadline=None)
+    @given(correlation_matrices())
+    def test_infeasible_separator_passes_independent_check(self, matrix):
+        verdict = lhs_membership(matrix)
+        if verdict.status != "infeasible":
+            return
+        g = verdict.separator
+        support = max(
+            math.sqrt(sum(sum(a[j] * g[j, k] for j in range(len(a))) ** 2 for k in range(g.shape[1])))
+            for a in itertools.product((-1.0, 1.0), repeat=g.shape[0])
+        )
+        score = float(np.sum(g * matrix))
+        assert support <= 1.0 + 1e-12
+        assert score > support
+        assert_allclose(score, 1.0 + verdict.gap, atol=1e-12)
