@@ -194,19 +194,28 @@ class TestLhs:
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "feasible"
 
-    def test_boundary_triad_matrix_feasible(self, tmp_path, capsys):
-        # -I/sqrt(3) lies exactly on the LHS boundary
+    def test_indeterminate_exit_code(self, tmp_path, capsys):
+        # -I/sqrt(3) lies exactly on the LHS boundary; the exact oracle
+        # decides it, so there is no indeterminate verdict or exit code
         w = 1.0 / math.sqrt(3.0)
         config = write_config(tmp_path, {
             "matrix": [[-w, 0.0, 0.0], [0.0, -w, 0.0], [0.0, 0.0, -w]],
         })
         assert main(["lhs", "--config", config]) == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
         assert payload["status"] == "feasible"
         assert payload["gap"] <= 1e-9
+        assert "indeterminate" not in captured.err
+
+    def test_grid_degree_flag(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"matrix": [[-0.5, 0.0], [0.0, -0.5]]})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lhs", "--config", config, "--grid-deg", "3.0"])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --grid-deg" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
-        ("--grid-deg", "3.0"),
         ("--sphere-points", "2000"),
         ("--tol", "1e-7"),
     ])

@@ -63,6 +63,36 @@ class TestExtremePoints:
         signs = alice_sign_vectors(2)
         assert_allclose(signs, [[-1, -1], [-1, 1], [1, -1], [1, 1]])
 
+    def test_extreme_point_count_and_shape(self):
+        # a feasible certificate is a convex combination of extreme points
+        # a u^T: at most 2^(m-1) sign-vector atoms plus the +-e1 slack pair
+        rng = np.random.default_rng(13)
+        for m, n in itertools.product((1, 2, 3), repeat=2):
+            matrix = rng.uniform(-1.0, 1.0, size=(m, n))
+            matrix *= 0.9 / lhs_gauge(matrix)
+            model = lhs_membership(matrix).model
+            count = len(model.weights)
+            assert 1 <= count <= 2 ** (m - 1) + 2
+            assert model.alice_responses.shape == (count, m)
+            assert model.bob_blochs.shape == (count, 3)
+            assert_allclose(np.abs(model.alice_responses), 1.0)
+            assert_allclose(np.linalg.norm(model.bob_blochs, axis=1), 1.0, atol=1e-12)
+
+    def test_first_block_is_first_sign_vector(self):
+        # the extreme points built on the first sign vector (all -1) have
+        # gauge 1 and are certified by a single atom
+        rng = np.random.default_rng(17)
+        for m, n in itertools.product((1, 2, 3), repeat=2):
+            first = alice_sign_vectors(m)[0]
+            assert_allclose(first, -np.ones(m))
+            point = np.outer(first, random_unit(rng, n))
+            assert_allclose(lhs_gauge(point), 1.0, atol=1e-12)
+            model = lhs_membership(point).model
+            top = int(np.argmax(model.weights))
+            assert model.weights[top] >= 1.0 - 1e-12
+            atom = np.outer(model.alice_responses[top], model.bob_blochs[top, :n])
+            assert_allclose(atom, point, atol=1e-12)
+
     def test_trace_norm_bound_on_extreme_points(self):
         rng = np.random.default_rng(7)
         for m, n in itertools.product((1, 2, 3), repeat=2):
@@ -194,7 +224,8 @@ class TestMembership:
         with pytest.raises(ValueError):
             lhs_membership(np.array([[np.nan, 0.0]]))
 
-    def test_rejects_grid_and_tolerance_arguments(self):
+    def test_rejects_mismatched_grid(self):
+        # the oracle is exact: a grid or a tolerance is no longer accepted
         with pytest.raises(TypeError):
             lhs_membership(np.zeros((2, 3)), grid=None)
         with pytest.raises(TypeError):
