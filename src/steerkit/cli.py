@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .frames import frame_from_spec
+from .frames import frame_from_spec, require_orthonormal_bob
 from .lhs import MembershipVerdict, lhs_membership
 from .reproduce import DEFAULT_SEED, build_report, format_report, report_to_dicts
 from .simulate import (
@@ -40,8 +40,6 @@ from .steering import assess_nss, assess_ris, nss_parameter, predicted_correlati
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-# Largest entry of G_B - I, for Bob's Gram matrix G_B, that lhs accepts.
-BOB_GRAM_TOL = 1e-9
 
 EXAMPLE_CONFIGS = {
     "predict": {
@@ -92,6 +90,15 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
+def _state_and_frames(config: dict):
+    """The config's state and frames; Bob's frame must be orthonormal."""
+    rho = state_from_spec(_config_value(config, "state"))
+    alice = frame_from_spec(_config_value(config, "alice_frame"))
+    bob = frame_from_spec(_config_value(config, "bob_frame"))
+    require_orthonormal_bob(bob)
+    return rho, alice, bob
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -134,9 +141,7 @@ def cmd_predict(args) -> int:
     if _maybe_example(args):
         return EXIT_OK
     config = _load_config(args.config)
-    rho = state_from_spec(_config_value(config, "state"))
-    alice = frame_from_spec(_config_value(config, "alice_frame"))
-    bob = frame_from_spec(_config_value(config, "bob_frame"))
+    rho, alice, bob = _state_and_frames(config)
     t = spin_correlation_matrix(rho)
     m = predicted_correlation(t, alice, bob)
     ris = assess_ris(m)
@@ -208,17 +213,7 @@ def cmd_lhs(args) -> int:
     if "matrix" in config:
         matrix = np.asarray(config["matrix"], dtype=float)
     else:
-        rho = state_from_spec(_config_value(config, "state"))
-        alice = frame_from_spec(_config_value(config, "alice_frame"))
-        bob = frame_from_spec(_config_value(config, "bob_frame"))
-        # Bob's local states fill the unit ball of his setting space only
-        # for orthonormal directions; for any other frame the verdict
-        # would be unsound.
-        if np.abs(bob.gram() - np.eye(bob.size)).max() > BOB_GRAM_TOL:
-            raise ValueError(
-                "bob_frame must be orthonormal for the membership oracle: "
-                f"its Gram matrix differs from the identity by more than {BOB_GRAM_TOL:g}"
-            )
+        rho, alice, bob = _state_and_frames(config)
         matrix = predicted_correlation(spin_correlation_matrix(rho), alice, bob)
     verdict = lhs_membership(matrix)
     _emit(json.dumps(_verdict_dict(verdict), indent=2), args.out)
@@ -229,9 +224,7 @@ def cmd_simulate(args) -> int:
     if _maybe_example(args):
         return EXIT_OK
     config = _load_config(args.config)
-    rho = state_from_spec(_config_value(config, "state"))
-    alice = frame_from_spec(_config_value(config, "alice_frame"))
-    bob = frame_from_spec(_config_value(config, "bob_frame"))
+    rho, alice, bob = _state_and_frames(config)
     pairs = args.pairs if args.pairs is not None else int(
         config.get("pairs_per_setting", DEFAULT_PAIRS_PER_SETTING)
     )

@@ -21,16 +21,24 @@ from numpy.typing import NDArray
 UNIT_TOL = 1e-6
 ORTHONORMAL_TOL = 1e-10
 ROTATION_TOL = 1e-10
+# Largest entry of G_B - I, for Bob's Gram matrix G_B, that the steering
+# criteria accept.
+BOB_GRAM_TOL = 1e-9
 
 
 def unit(v) -> np.ndarray:
-    """Normalize a 3-vector, rejecting near-zero input."""
+    """Normalize a 3-vector, rejecting near-zero and non-finite input."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"direction must be finite, got {v}")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
     if norm < 1e-12:
         raise ValueError("cannot normalize a zero vector")
+    if norm == math.inf:
+        raise ValueError(f"direction {v} is too long to normalize")
     return v / norm
 
 
@@ -49,6 +57,8 @@ class MeasurementFrame:
         m = arr.shape[0]
         if not 1 <= m <= 3:
             raise ValueError(f"a frame holds 1 to 3 directions, got {m}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"directions must be finite, got {arr.tolist()}")
         norms = np.linalg.norm(arr, axis=1)
         if np.any(np.abs(norms - 1.0) > UNIT_TOL):
             raise ValueError(f"directions must be unit vectors, got norms {norms}")
@@ -75,6 +85,20 @@ class MeasurementFrame:
     def __repr__(self) -> str:
         rows = ", ".join(np.array2string(d, precision=6) for d in self._directions)
         return f"MeasurementFrame([{rows}])"
+
+
+def require_orthonormal_bob(bob: MeasurementFrame) -> None:
+    """Reject a Bob frame whose directions are not orthonormal.
+
+    The steering bounds and the LHS oracle take Bob's local states to fill
+    the unit ball of his setting space, which holds only for orthonormal
+    directions; for any other frame their verdicts would be unsound.
+    """
+    if np.abs(bob.gram() - np.eye(bob.size)).max() > BOB_GRAM_TOL:
+        raise ValueError(
+            "bob_frame must be orthonormal for the steering criteria: "
+            f"its Gram matrix differs from the identity by more than {BOB_GRAM_TOL:g}"
+        )
 
 
 def projection_matrix(frame: MeasurementFrame) -> np.ndarray:

@@ -20,16 +20,23 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .frames import MeasurementFrame, frame_from_spec, tilted_pair, unit
+from .frames import MeasurementFrame, frame_from_spec, require_orthonormal_bob, tilted_pair, unit
 from .states import (
-    PAULI,
-    _require_state,
+    _expectation_table,
     spin_correlation_matrix,
     state_from_spec,
     validate_state,
     werner_state,
 )
-from .steering import assess_nss, assess_ris, nss_parameter, predicted_correlation, trace_norm
+from .steering import (
+    _nss_parameters,
+    _trace_norms,
+    assess_nss,
+    assess_ris,
+    nss_parameter,
+    predicted_correlation,
+    trace_norm,
+)
 
 DEFAULT_SYS_ANGLE = math.radians(0.5)
 DEFAULT_PAIRS_PER_SETTING = 100_000
@@ -75,27 +82,35 @@ class SourceModel:
         return cls(np.asarray(rho, dtype=complex), pairs_per_setting)
 
 
+# Outcome signs (s, t) in the order (++, +-, -+, --).
+_SIGN_A = np.array([1.0, 1.0, -1.0, -1.0])
+_SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def _born_probabilities(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Born probabilities p(s, t) = (1 + s a.r_A + t b.r_B + s t a^T T b)/4.
+
+    table is the state's expectation table (E_00 = 1, Bloch vectors in its
+    first column and row, T in the lower-right block); a and b are unit
+    directions of shape (..., 3) that broadcast against each other.  The
+    last axis of the result holds (p++, p+-, p-+, p--).
+    """
+    a_dot = (a @ table[1:, 0])[..., None]
+    b_dot = (b @ table[0, 1:])[..., None]
+    corr = np.einsum("...i,ij,...j->...", a, table[1:, 1:], b)[..., None]
+    probs = np.clip(
+        (1.0 + _SIGN_A * a_dot + _SIGN_B * b_dot + _SIGN_A * _SIGN_B * corr) / 4.0, 0.0, None
+    )
+    # Written so that a NaN deviation fails the check too.
+    deviation = float(np.abs(probs.sum(axis=-1) - 1.0).max())
+    if not deviation <= 1e-12:
+        raise ArithmeticError(f"outcome probabilities miss a unit sum by {deviation!r}")
+    return probs
+
+
 def outcome_probabilities(rho, a, b) -> np.ndarray:
     """Born probabilities (p++, p+-, p-+, p--) for spin measurements a, b."""
-    rho = _require_state(rho)
-    a = unit(a)
-    b = unit(b)
-    eye = np.eye(2, dtype=complex)
-    spin_a = sum(a[i] * PAULI[i] for i in range(3))
-    spin_b = sum(b[i] * PAULI[i] for i in range(3))
-    probs = np.empty(4)
-    idx = 0
-    for sa in (1.0, -1.0):
-        proj_a = (eye + sa * spin_a) / 2.0
-        for sb in (1.0, -1.0):
-            proj_b = (eye + sb * spin_b) / 2.0
-            val = complex(np.trace(rho @ np.kron(proj_a, proj_b)))
-            probs[idx] = max(0.0, val.real)
-            idx += 1
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-12:
-        raise ArithmeticError(f"outcome probabilities sum to {total!r}")
-    return probs
+    return _born_probabilities(_expectation_table(rho), unit(a), unit(b))
 
 
 @dataclass(frozen=True)
@@ -120,13 +135,15 @@ def simulate_counts(
     """Draw Poisson totals and multinomial outcome splits for every setting pair."""
     rng = np.random.default_rng(seed)
     m, n = alice.size, bob.size
+    probs = _born_probabilities(
+        _expectation_table(source.state), alice.directions[:, None, :], bob.directions[None, :, :]
+    )
     counts = np.zeros((m, n, 4), dtype=np.int64)
     for j in range(m):
         for k in range(n):
-            probs = outcome_probabilities(source.state, alice.directions[j], bob.directions[k])
             total = rng.poisson(source.pairs_per_setting)
             if total > 0:
-                counts[j, k] = rng.multinomial(total, probs / probs.sum())
+                counts[j, k] = rng.multinomial(total, probs[j, k] / probs[j, k].sum())
     counts.setflags(write=False)
     return CountsRecord(counts, seed, source.state, alice, bob)
 
@@ -197,22 +214,21 @@ def propagate_uncertainty(
     """Parametric bootstrap of a steering parameter over the entry errors.
 
     Resamples each entry from a normal of width delta (clamped to
-    [-1, 1]), evaluates the parameter, and returns (mean, standard
-    deviation) over n_resamples.
+    [-1, 1]), evaluates the parameter on all resamples at once, and
+    returns (mean, standard deviation) over n_resamples.
     """
     if inequality == "ris":
-        evaluate = trace_norm
+        evaluate = _trace_norms
     elif inequality == "nss":
-        evaluate = nss_parameter
+        evaluate = _nss_parameters
     else:
         raise ValueError(f"inequality must be 'ris' or 'nss', got {inequality!r}")
     if n_resamples < 2:
         raise ValueError(f"n_resamples must be >= 2, got {n_resamples}")
     rng = np.random.default_rng(seed)
-    values = np.empty(n_resamples)
-    for i in range(n_resamples):
-        draw = est.matrix + rng.standard_normal(est.matrix.shape) * est.delta
-        values[i] = evaluate(np.clip(draw, -1.0, 1.0))
+    # One (R, m, n) draw is the same normal stream as R draws of shape (m, n).
+    noise = rng.standard_normal((n_resamples, *est.matrix.shape))
+    values = evaluate(np.clip(est.matrix + noise * est.delta, -1.0, 1.0))
     return float(values.mean()), float(values.std())
 
 
@@ -259,6 +275,7 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
         source = SourceModel.from_state(rho, pairs)
 
     bob = frame_from_spec(scenario["bob_frame"])
+    require_orthonormal_bob(bob)
     alice_spec = scenario["alice_frame"]
     sweep = scenario.get("sweep")
     if sweep is not None:

@@ -3,8 +3,10 @@
 Density matrices are plain complex (4, 4) arrays over the product basis
 {HH, HV, VH, VV} with Alice's qubit first; H is the +1 eigenstate of the
 third Pauli operator.  The functions here build the reference states,
-extract the 3x3 spin-correlation matrix T_pq = Tr[rho (sigma_p x sigma_q)]
-and the local Bloch vectors, and validate physicality.
+validate physicality, and extract the Bloch data: the 3x3 spin-correlation
+matrix T_pq = Tr[rho (sigma_p x sigma_q)] and the local Bloch vectors, all
+read from one expectation table.  Downstream code reads states only
+through this Bloch data.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ PAULI = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
+# (I, sigma_x, sigma_y, sigma_z) stacked along the first axis.
+_PAULI_BASIS = np.stack((np.eye(2, dtype=complex),) + PAULI)
 
 SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
@@ -85,21 +89,26 @@ def _require_state(rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return rho
 
 
-def spin_correlation_matrix(rho: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """Spin-correlation matrix T_pq = Tr[rho (sigma_p x sigma_q)].
+def _expectation_table(rho: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """Real table E_pq = Tr[rho (sigma_p x sigma_q)] for p, q in 0..3, sigma_0 = I.
 
-    The traces are real for any physical state; the imaginary residue is
+    E_00 = 1, the first column and row hold the Bloch vectors r_A and r_B,
+    and the lower-right 3x3 block is the spin-correlation matrix T.  The
+    traces are real for any physical state; the imaginary residue is
     checked against IMAG_RESIDUE_TOL and discarded.
     """
     rho = _require_state(rho)
-    t = np.empty((3, 3))
-    for p in range(3):
-        for q in range(3):
-            val = complex(np.trace(rho @ np.kron(PAULI[p], PAULI[q])))
-            if abs(val.imag) > IMAG_RESIDUE_TOL:
-                raise ValueError(f"correlation trace has imaginary residue {val.imag:.2e}")
-            t[p, q] = val.real
-    return t
+    # Tr[rho (A x B)] = sum rho[(i,k),(j,l)] A[j,i] B[l,k]
+    table = np.einsum("ikjl,pji,qlk->pq", rho.reshape(2, 2, 2, 2), _PAULI_BASIS, _PAULI_BASIS)
+    residue = float(np.abs(table.imag).max())
+    if residue > IMAG_RESIDUE_TOL:
+        raise ValueError(f"correlation trace has imaginary residue {residue:.2e}")
+    return table.real
+
+
+def spin_correlation_matrix(rho: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """Spin-correlation matrix T_pq = Tr[rho (sigma_p x sigma_q)]."""
+    return _expectation_table(rho)[1:, 1:]
 
 
 class BlochMarginals(NamedTuple):
@@ -109,14 +118,8 @@ class BlochMarginals(NamedTuple):
 
 def marginals(rho: NDArray[np.complex128]) -> BlochMarginals:
     """Local Bloch vectors <sigma_p x I> and <I x sigma_q>."""
-    rho = _require_state(rho)
-    eye = np.eye(2, dtype=complex)
-    alice = np.empty(3)
-    bob = np.empty(3)
-    for p in range(3):
-        alice[p] = np.trace(rho @ np.kron(PAULI[p], eye)).real
-        bob[p] = np.trace(rho @ np.kron(eye, PAULI[p])).real
-    return BlochMarginals(alice, bob)
+    table = _expectation_table(rho)
+    return BlochMarginals(table[1:, 0], table[0, 1:])
 
 
 def fidelity_with_pure(rho: NDArray[np.complex128], psi: NDArray[np.complex128]) -> float:

@@ -22,7 +22,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .frames import MeasurementFrame, projection_matrix
-from .linalg import clamped_sqrt, jacobi_eigh, singular_values
 
 RIS = "ris"
 NSS = "nss"
@@ -59,9 +58,23 @@ def predicted_correlation(
     return alice.directions @ t @ bob.directions.T
 
 
+def _trace_norms(stack) -> np.ndarray:
+    """Sums of singular values over the last two axes."""
+    return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
+
+
 def trace_norm(matrix) -> float:
-    """Sum of singular values."""
-    return float(np.sum(singular_values(matrix)))
+    """Sum of singular values.
+
+    Raises:
+        ValueError: on non-2d or non-finite input.
+    """
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix contains non-finite entries")
+    return float(_trace_norms(m))
 
 
 def assess_ris(matrix) -> SteeringAssessment:
@@ -73,17 +86,26 @@ def assess_ris(matrix) -> SteeringAssessment:
     return SteeringAssessment(RIS, parameter, bound, margin, margin > BOUNDARY_TOL)
 
 
+# Rows u+ and u- of the two-setting parameter.
+_U_PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+
+
+def _nss_parameters(stack) -> np.ndarray:
+    """|M^T u+| + |M^T u-| for each (2, n) matrix M over the last two axes."""
+    if stack.shape[-2] != 2:
+        raise ValueError(f"the two-setting parameter requires m = 2, got shape {stack.shape}")
+    return np.linalg.norm(_U_PLUS_MINUS @ stack, axis=-1).sum(axis=-1)
+
+
 def nss_parameter(matrix) -> float:
     """Two-setting steering parameter |M^T u+| + |M^T u-|.
 
     Defined only for m = 2 Alice settings.
     """
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != 2:
+    if m.ndim != 2:
         raise ValueError(f"the two-setting parameter requires m = 2, got shape {m.shape}")
-    u_plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    u_minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
-    return float(np.linalg.norm(m.T @ u_plus) + np.linalg.norm(m.T @ u_minus))
+    return float(_nss_parameters(m))
 
 
 def assess_nss(matrix) -> SteeringAssessment:
@@ -158,7 +180,7 @@ def _plane_basis(projector) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected a (3, 3) projector, got shape {p.shape}")
     if np.abs(p - p.T).max() > 1e-10 or np.abs(p @ p - p).max() > 1e-8:
         raise ValueError("plane argument is not a projector")
-    vals, vecs = jacobi_eigh((p + p.T) / 2.0)
+    vals, vecs = np.linalg.eigh((p + p.T) / 2.0)
     if not (vals[0] < 0.5 and vals[1] > 0.5 and vals[2] > 0.5):
         raise ValueError(f"plane projector must have rank 2, eigenvalues are {vals}")
     return vecs[:, 1], vecs[:, 2]
@@ -180,8 +202,10 @@ def min_nss_over_rotations(
     Modes:
         numeric: evaluate on a 0.5-degree grid over a quarter turn, then
             refine by golden-section search to an interval of 1e-8.
-        analytic: eigen-decompose K = P_A T P_B T^T P_A restricted to the
-            plane and return sqrt(k) + sqrt(k') of its two eigenvalues.
+        analytic: the trace norm of E^T T P_B, where the columns of E are
+            an orthonormal basis of Alice's plane; its two singular values
+            are the square roots of the eigenvalues of P_A T P_B T^T P_A
+            on the plane.
     """
     t = np.asarray(t, dtype=float)
     e1, e2 = _plane_basis(alice_plane)
@@ -189,13 +213,7 @@ def min_nss_over_rotations(
     p_b = projection_matrix(bob)
 
     if mode == "analytic":
-        basis = np.column_stack([e1, e2])
-        p_a = basis @ basis.T
-        k = p_a @ t @ p_b @ t.T @ p_a
-        k_plane = basis.T @ k @ basis
-        vals, _ = jacobi_eigh((k_plane + k_plane.T) / 2.0)
-        roots = clamped_sqrt(vals)
-        return float(roots.sum())
+        return trace_norm(np.vstack([e1, e2]) @ t @ p_b)
     if mode != "numeric":
         raise ValueError(f"mode must be 'numeric' or 'analytic', got {mode!r}")
 

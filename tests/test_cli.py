@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steerkit
 from steerkit.cli import (
@@ -23,6 +28,14 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def assert_bob_frame_rejected(subcommand, tmp_path, capsys):
+    config = write_config(tmp_path, NON_ORTHONORMAL_BOB)
+    assert main([subcommand, "--config", config]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bob_frame" in captured.err
+
+
 TRIAD_PREDICT = {
     "state": {"kind": "werner", "W": 0.984},
     "alice_frame": {"kind": "named", "name": "standard_triad"},
@@ -33,6 +46,19 @@ PAIR_PREDICT = {
     "state": {"kind": "werner", "W": 0.985},
     "alice_frame": {"kind": "pair", "normal": [0, 1, 0]},
     "bob_frame": {"kind": "pair", "normal": [0, 1, 0]},
+}
+
+# One Alice setting can never demonstrate steering; with Bob's directions 60
+# degrees apart the unit-ball model of his local states does not hold, so a
+# "violated" or "infeasible" verdict on this config would be unsound.
+NON_ORTHONORMAL_BOB = {
+    "state": {"kind": "werner", "W": 0.9},
+    "alice_frame": {"kind": "explicit", "directions": [[0.5, 0.0, math.sqrt(3.0) / 2.0]]},
+    "bob_frame": {"kind": "explicit", "directions": [
+        [0.0, 0.0, 1.0], [math.sqrt(3.0) / 2.0, 0.0, 0.5],
+    ]},
+    "pairs_per_setting": 2000,
+    "n_resamples": 20,
 }
 
 SWEEP_CONFIG = {
@@ -89,6 +115,10 @@ class TestPredict:
         assert "correlation matrix (3 x 3):" in out
         assert "ris: parameter 2.952" in out
         assert "violated" in out
+
+    def test_non_orthonormal_bob_frame_rejected(self, tmp_path, capsys):
+        # printed "ris: parameter 1.10227, ..., violated" with exit 0 before
+        assert_bob_frame_rejected("predict", tmp_path, capsys)
 
     def test_out_file(self, tmp_path):
         config = write_config(tmp_path, TRIAD_PREDICT)
@@ -156,6 +186,9 @@ class TestSweep:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload) == 4
         assert abs(payload[0]["ris_pred"] - 1.97) < 1e-9
+
+    def test_non_orthonormal_bob_frame_rejected(self, tmp_path, capsys):
+        assert_bob_frame_rejected("sweep", tmp_path, capsys)
 
     def test_pairs_override(self, tmp_path, capsys):
         config = write_config(tmp_path, SWEEP_CONFIG)
@@ -227,20 +260,7 @@ class TestLhs:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_non_orthonormal_bob_frame_rejected(self, tmp_path, capsys):
-        # One Alice setting can never demonstrate steering; with Bob's
-        # directions 60 degrees apart the oracle's unit-ball model of his
-        # states does not hold, so an "infeasible" verdict would be unsound.
-        config = write_config(tmp_path, {
-            "state": {"kind": "werner", "W": 0.9},
-            "alice_frame": {"kind": "explicit", "directions": [[0.5, 0.0, math.sqrt(3.0) / 2.0]]},
-            "bob_frame": {"kind": "explicit", "directions": [
-                [0.0, 0.0, 1.0], [math.sqrt(3.0) / 2.0, 0.0, 0.5],
-            ]},
-        })
-        assert main(["lhs", "--config", config]) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "bob_frame" in captured.err
+        assert_bob_frame_rejected("lhs", tmp_path, capsys)
 
 
 class TestImports:
@@ -278,6 +298,10 @@ class TestSimulate:
         assert "nss" in payload["assessments"]
         assert payload["assessments"]["ris"]["uncertainty"] > 0.0
 
+    def test_non_orthonormal_bob_frame_rejected(self, tmp_path, capsys):
+        # reported a violated ris parameter with exit 0 before
+        assert_bob_frame_rejected("simulate", tmp_path, capsys)
+
     def test_pairs_override(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=2000,
                                              n_resamples=20, seed=3))
@@ -300,3 +324,37 @@ class TestReproduce:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload) == 11
         assert {"case", "predicted", "simulated", "reproducible"} <= set(payload[0])
+
+
+# Direction components: a few plain values, so that some frames are accepted,
+# mixed with any float, NaN and +-inf included.
+COMPONENTS = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 0.5)), st.floats())
+DIRECTIONS = st.lists(st.lists(COMPONENTS, min_size=3, max_size=3), min_size=1, max_size=3)
+
+
+class TestExplicitDirections:
+    def test_nan_bob_direction_exits_config(self, tmp_path, capsys):
+        # exited 3 ("outcome probabilities sum to 0.0") before
+        config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=100, bob_frame={
+            "kind": "explicit", "directions": [[math.nan, 0.0, 0.0], [0.0, 0.0, 1.0]],
+        }))
+        assert main(["simulate", "--config", config]) == EXIT_CONFIG
+        assert "direction must be finite" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(alice=DIRECTIONS, bob=DIRECTIONS)
+    def test_any_explicit_directions_exit_ok_or_config(self, alice, bob):
+        config = {
+            "state": {"kind": "werner", "W": 0.9},
+            "alice_frame": {"kind": "explicit", "directions": alice},
+            "bob_frame": {"kind": "explicit", "directions": bob},
+            "pairs_per_setting": 50,
+            "n_resamples": 5,
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), config)
+            out = str(Path(tmp) / "out.txt")
+            for subcommand in ("predict", "simulate"):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = main([subcommand, "--config", path, "--out", out])
+                assert code in (EXIT_OK, EXIT_CONFIG), (subcommand, config)

@@ -12,6 +12,7 @@ from steerkit.frames import (
     pair_in_plane,
     projection_matrix,
     random_rotation,
+    require_orthonormal_bob,
     rotate_frame,
     rotation_about,
     standard_triad,
@@ -35,6 +36,11 @@ class TestMeasurementFrame:
         with pytest.raises(ValueError):
             MeasurementFrame([[0.0, 0.0, 2.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="directions must be finite"):
+            MeasurementFrame([[bad, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
     def test_rejects_too_many_rows(self):
         with pytest.raises(ValueError):
             MeasurementFrame(np.vstack([np.eye(3), [1.0, 0.0, 0.0]]))
@@ -54,6 +60,17 @@ class TestMeasurementFrame:
         assert_allclose(np.diag(g), np.ones(3), atol=1e-12)
         off = g[~np.eye(3, dtype=bool)]
         assert_allclose(off, np.full(6, 0.5), atol=1e-12)
+
+
+class TestRequireOrthonormalBob:
+    def test_accepts_orthonormal_frames(self):
+        for frame in (standard_triad(), misaligned_triad(), pair_in_plane(Y, 0.3),
+                      MeasurementFrame([[0.6, 0.8, 0.0]])):
+            require_orthonormal_bob(frame)
+
+    def test_rejects_tetrahedron(self):
+        with pytest.raises(ValueError, match="bob_frame"):
+            require_orthonormal_bob(tetrahedron_frame())
 
 
 class TestProjection:
@@ -166,6 +183,11 @@ class TestFrameFromSpec:
     def test_explicit_renormalizes(self):
         frame = frame_from_spec({"kind": "explicit", "directions": [[0.0, 0.0, 5.0]]})
         assert_allclose(frame.directions, [[0.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_explicit_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="direction must be finite"):
+            frame_from_spec({"kind": "explicit", "directions": [[bad, 0.0, 0.0], [0.0, 0.0, 1.0]]})
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(ValueError, match="standard_triad"):

@@ -18,6 +18,7 @@ from steerkit.simulate import (
     simulate_counts,
 )
 from steerkit.states import singlet_state, spin_correlation_matrix, werner_state
+from steerkit.steering import nss_parameter, trace_norm
 
 Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
@@ -63,6 +64,28 @@ class TestOutcomeProbabilities:
             au = a / np.linalg.norm(a)
             bu = b / np.linalg.norm(b)
             assert_allclose(corr, au @ t @ bu, atol=1e-12)
+
+    def test_matches_projector_traces_on_random_states(self):
+        # Independent reference: Tr[rho (Pi_a x Pi_b)] with explicit
+        # Kronecker products of the outcome projectors.
+        sigma = (
+            np.array([[0.0, 1.0], [1.0, 0.0]]),
+            np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+            np.array([[1.0, 0.0], [0.0, -1.0]]),
+        )
+
+        def projectors(v):
+            spin = sum(c * s for c, s in zip(v / np.linalg.norm(v), sigma))
+            return [(np.eye(2) + sign * spin) / 2.0 for sign in (1.0, -1.0)]
+
+        rng = np.random.default_rng(73)
+        for _ in range(100):
+            rho = random_density_matrix(rng)
+            a = rng.normal(size=3)
+            b = rng.normal(size=3)
+            ref = [np.trace(rho @ np.kron(pa, pb)).real
+                   for pa in projectors(a) for pb in projectors(b)]
+            assert_allclose(outcome_probabilities(rho, a, b), ref, rtol=0.0, atol=1e-14)
 
 
 class TestSourceModel:
@@ -221,6 +244,22 @@ class TestPropagateUncertainty:
         _, std_nss = propagate_uncertainty(est, "nss", seed=1)
         assert std_ris > 0.0
         assert std_nss > 0.0
+
+    @pytest.mark.parametrize("inequality, parameter", [
+        ("ris", trace_norm),
+        ("nss", nss_parameter),
+    ])
+    def test_matches_per_draw_loop(self, inequality, parameter):
+        est = self._estimate()
+        rng = np.random.default_rng(11)
+        values = [
+            parameter(np.clip(est.matrix + rng.standard_normal(est.matrix.shape) * est.delta,
+                              -1.0, 1.0))
+            for _ in range(200)
+        ]
+        mean, std = propagate_uncertainty(est, inequality, n_resamples=200, seed=11)
+        assert_allclose(mean, np.mean(values), rtol=0.0, atol=1e-12)
+        assert_allclose(std, np.std(values), rtol=0.0, atol=1e-12)
 
     def test_rejects_unknown_inequality(self):
         with pytest.raises(ValueError):

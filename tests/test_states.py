@@ -88,6 +88,29 @@ class TestCorrelationStructure:
         with pytest.raises(ValueError):
             spin_correlation_matrix(np.eye(4, dtype=complex))
 
+    def test_matches_kronecker_traces_on_random_states(self):
+        # Independent reference: Tr[rho (sigma_p x sigma_q)] with explicit
+        # Kronecker products, sigma_0 = I.
+        sigma = [
+            np.eye(2),
+            np.array([[0.0, 1.0], [1.0, 0.0]]),
+            np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+            np.array([[1.0, 0.0], [0.0, -1.0]]),
+        ]
+        rng = np.random.default_rng(89)
+        for _ in range(100):
+            g = rng.normal(size=(4, 4)) + 1.0j * rng.normal(size=(4, 4))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho).real
+            ref = np.array([
+                [np.trace(rho @ np.kron(sigma[p], sigma[q])).real for q in range(4)]
+                for p in range(4)
+            ])
+            marg = marginals(rho)
+            assert_allclose(spin_correlation_matrix(rho), ref[1:, 1:], rtol=0.0, atol=1e-14)
+            assert_allclose(marg.alice, ref[1:, 0], rtol=0.0, atol=1e-14)
+            assert_allclose(marg.bob, ref[0, 1:], rtol=0.0, atol=1e-14)
+
 
 class TestFidelity:
     def test_werner_singlet_fidelity(self):

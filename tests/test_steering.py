@@ -41,8 +41,8 @@ def random_correlation_tensor(rng):
 
 class TestTraceNorm:
     def test_two_paths_agree_on_random_matrices(self):
-        # trace_norm goes through the in-house one-sided Jacobi; numpy's
-        # SVD is the independent second path.
+        # trace_norm wraps numpy's SVD too, so this pins its input
+        # handling and summation over every shape from 1x1 to 3x3.
         rng = np.random.default_rng(31)
         for _ in range(200):
             m = int(rng.integers(1, 4))
@@ -54,6 +54,16 @@ class TestTraceNorm:
     def test_known_values(self):
         assert_allclose(trace_norm(np.eye(3)), 3.0, atol=1e-14)
         assert_allclose(trace_norm(-0.7 * np.eye(2)), 1.4, atol=1e-14)
+
+    def test_rejects_nan_entry(self):
+        m = np.eye(2)
+        m[0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            trace_norm(m)
+
+    def test_rejects_non_2d_input(self):
+        with pytest.raises(ValueError, match="2-d"):
+            trace_norm(np.ones((2, 2, 2)))
 
 
 class TestAssessments:
