@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -27,8 +28,8 @@ from .simulate import (
     DEFAULT_PAIRS_PER_SETTING,
     DEFAULT_RESAMPLES,
     SourceModel,
+    assess_estimate,
     estimate_correlation,
-    propagate_uncertainty,
     rows_to_csv,
     rows_to_dicts,
     run_scenario,
@@ -118,21 +119,10 @@ def _format_matrix(m: np.ndarray) -> str:
     return "\n".join("  " + "  ".join(f"{x: .6g}" for x in row) for row in np.atleast_2d(m))
 
 
-def _assessment_dict(a) -> dict:
-    return {
-        "inequality": a.inequality,
-        "parameter": a.parameter,
-        "bound": a.bound,
-        "margin": a.margin,
-        "violated": a.violated,
-        "uncertainty": a.uncertainty,
-    }
-
-
-def _assessment_line(a, err: float | None = None) -> str:
+def _assessment_line(a) -> str:
     value = f"{a.parameter:.6g}"
-    if err is not None:
-        value += f" +- {err:.3g}"
+    if a.uncertainty is not None:
+        value += f" +- {a.uncertainty:.3g}"
     flag = "violated" if a.violated else "not violated"
     return f"{a.inequality}: parameter {value}, bound {a.bound:.6g}, margin {a.margin:.6g}, {flag}"
 
@@ -151,10 +141,10 @@ def cmd_predict(args) -> int:
         payload = {
             "correlation": m.tolist(),
             "spin_correlation": t.tolist(),
-            "ris": _assessment_dict(ris),
+            "ris": asdict(ris),
         }
         if nss is not None:
-            payload["nss"] = _assessment_dict(nss)
+            payload["nss"] = asdict(nss)
         _emit(json.dumps(payload, indent=2), args.out)
     else:
         lines = [f"correlation matrix ({alice.size} x {bob.size}):", _format_matrix(m)]
@@ -236,22 +226,12 @@ def cmd_simulate(args) -> int:
     )
     n_resamples = int(config.get("n_resamples", DEFAULT_RESAMPLES))
 
-    state_spec = config["state"]
-    if isinstance(state_spec, dict) and state_spec.get("kind") == "werner":
-        source = SourceModel.werner(float(state_spec["W"]), pairs)
-    else:
-        source = SourceModel.from_state(rho, pairs)
-    record = simulate_counts(source, alice, bob, seed)
+    record = simulate_counts(SourceModel.from_state(rho, pairs), alice, bob, seed)
     est = estimate_correlation(record, math.radians(sys_angle_deg))
 
-    ris = assess_ris(est.matrix)
-    _, ris_err = propagate_uncertainty(est, "ris", n_resamples, seed=(seed, 1))
-    assessments = {"ris": dict(_assessment_dict(ris), uncertainty=ris_err)}
-    nss = nss_err = None
+    assessments = {"ris": assess_estimate(est, "ris", n_resamples, seed=(seed, 1))}
     if alice.size == 2:
-        nss = assess_nss(est.matrix)
-        _, nss_err = propagate_uncertainty(est, "nss", n_resamples, seed=(seed, 2))
-        assessments["nss"] = dict(_assessment_dict(nss), uncertainty=nss_err)
+        assessments["nss"] = assess_estimate(est, "nss", n_resamples, seed=(seed, 2))
 
     if args.format == "json":
         payload = {
@@ -260,7 +240,7 @@ def cmd_simulate(args) -> int:
             "delta": est.delta.tolist(),
             "stat_component": est.stat_component.tolist(),
             "sys_component": est.sys_component.tolist(),
-            "assessments": assessments,
+            "assessments": {tag: asdict(a) for tag, a in assessments.items()},
         }
         _emit(json.dumps(payload, indent=2), args.out)
     else:
@@ -270,10 +250,8 @@ def cmd_simulate(args) -> int:
             _format_matrix(est.matrix),
             "entry uncertainties:",
             _format_matrix(est.delta),
-            _assessment_line(ris, ris_err),
+            *(_assessment_line(a) for a in assessments.values()),
         ]
-        if nss is not None:
-            lines.append(_assessment_line(nss, nss_err))
         _emit("\n".join(lines), args.out)
     return EXIT_OK
 

@@ -10,7 +10,7 @@ isotropic-noise model and are annotated as such rather than fitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .frames import (
     MeasurementFrame,
@@ -25,12 +25,12 @@ from .simulate import (
     DEFAULT_RESAMPLES,
     DEFAULT_SYS_ANGLE,
     SourceModel,
+    assess_estimate,
     estimate_correlation,
-    propagate_uncertainty,
     simulate_counts,
 )
 from .states import singlet_state, spin_correlation_matrix
-from .steering import assess_nss, assess_ris, nss_parameter, predicted_correlation, trace_norm
+from .steering import nss_parameter, predicted_correlation, trace_norm
 
 DEFAULT_SEED = 1729
 
@@ -188,14 +188,9 @@ def build_report(
         record = simulate_counts(case.source, case.alice, case.bob, seed=(seed, index))
         est = estimate_correlation(record, sys_angle)
         for tag, reported, reported_err, reproducible, note in case.entries:
-            if tag == "ris":
-                predicted = trace_norm(m_pred)
-                assessment = assess_ris(est.matrix)
-            else:
-                predicted = nss_parameter(m_pred)
-                assessment = assess_nss(est.matrix)
+            predicted = trace_norm(m_pred) if tag == "ris" else nss_parameter(m_pred)
             boot_seed = (seed, index, 1 if tag == "ris" else 2)
-            _, err = propagate_uncertainty(est, tag, n_resamples, seed=boot_seed)
+            assessment = assess_estimate(est, tag, n_resamples, seed=boot_seed)
             rows.append(ReportRow(
                 case=case.name,
                 inequality=tag,
@@ -203,7 +198,7 @@ def build_report(
                 reported_err=reported_err,
                 predicted=predicted,
                 simulated=assessment.parameter,
-                sim_err=err,
+                sim_err=assessment.uncertainty,
                 bound=assessment.bound,
                 reproducible=reproducible,
                 note=note,
@@ -212,21 +207,7 @@ def build_report(
 
 
 def report_to_dicts(rows: list[ReportRow]) -> list[dict]:
-    return [
-        {
-            "case": r.case,
-            "inequality": r.inequality,
-            "reported": r.reported,
-            "reported_err": r.reported_err,
-            "predicted": r.predicted,
-            "simulated": r.simulated,
-            "sim_err": r.sim_err,
-            "bound": r.bound,
-            "reproducible": r.reproducible,
-            "note": r.note,
-        }
-        for r in rows
-    ]
+    return [asdict(r) for r in rows]
 
 
 def format_report(rows: list[ReportRow]) -> str:

@@ -15,7 +15,7 @@ are reproducible point by point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -29,6 +29,7 @@ from .states import (
     werner_state,
 )
 from .steering import (
+    SteeringAssessment,
     _nss_parameters,
     _trace_norms,
     assess_nss,
@@ -42,25 +43,17 @@ DEFAULT_SYS_ANGLE = math.radians(0.5)
 DEFAULT_PAIRS_PER_SETTING = 100_000
 DEFAULT_RESAMPLES = 200
 
-CSV_HEADER = (
-    "alpha_deg,ris_pred,ris_sim,ris_err,nss_pred,nss_sim,nss_err,"
-    "ris_bound,nss_bound,ris_violated,nss_violated"
-)
-
 
 @dataclass(frozen=True)
 class SourceModel:
-    """Entangled-pair source: a state plus counting and drift parameters.
+    """Entangled-pair source: a state and the mean pairs per setting pair.
 
-    drift_sigma models slow source fluctuations as a per-point jitter of
-    the Werner weight; it therefore requires the state to be specified as
-    a Werner state (werner_w set).  Default off.
+    Slow source drift is not part of the source: run_scenario models it as
+    a per-point jitter of the config's Werner weight W.
     """
 
     state: NDArray[np.complex128]
     pairs_per_setting: int
-    drift_sigma: float = 0.0
-    werner_w: float | None = None
 
     def __post_init__(self):
         diag = validate_state(self.state)
@@ -68,14 +61,10 @@ class SourceModel:
             raise ValueError(f"source state is not physical: {diag}")
         if self.pairs_per_setting < 1:
             raise ValueError(f"pairs_per_setting must be >= 1, got {self.pairs_per_setting}")
-        if self.drift_sigma < 0.0:
-            raise ValueError(f"drift_sigma must be nonnegative, got {self.drift_sigma}")
-        if self.drift_sigma > 0.0 and self.werner_w is None:
-            raise ValueError("drift requires a werner-specified state")
 
     @classmethod
-    def werner(cls, w: float, pairs_per_setting: int, drift_sigma: float = 0.0) -> "SourceModel":
-        return cls(werner_state(w), pairs_per_setting, drift_sigma, werner_w=w)
+    def werner(cls, w: float, pairs_per_setting: int) -> "SourceModel":
+        return cls(werner_state(w), pairs_per_setting)
 
     @classmethod
     def from_state(cls, rho, pairs_per_setting: int) -> "SourceModel":
@@ -174,8 +163,8 @@ def estimate_correlation(
     error; sys is the worst-case response of the model correlation to
     tilting Bob's analyzer by sys_angle in either transverse direction.
     """
-    if sys_angle < 0.0:
-        raise ValueError(f"sys_angle must be nonnegative, got {sys_angle}")
+    if not 0.0 <= sys_angle < math.inf:
+        raise ValueError(f"sys_angle must be finite and nonnegative, got {sys_angle}")
     counts = record.counts
     totals = counts.sum(axis=2)
     if np.any(totals == 0):
@@ -232,6 +221,22 @@ def propagate_uncertainty(
     return float(values.mean()), float(values.std())
 
 
+def assess_estimate(
+    est: EstimatedCorrelation,
+    inequality: str,
+    n_resamples: int = DEFAULT_RESAMPLES,
+    seed=0,
+) -> SteeringAssessment:
+    """Assess an estimated correlation matrix against its LHS bound.
+
+    The parameter is evaluated on est.matrix; its uncertainty is the
+    bootstrap standard deviation from propagate_uncertainty.
+    """
+    _, std = propagate_uncertainty(est, inequality, n_resamples, seed)
+    assess = assess_ris if inequality == "ris" else assess_nss
+    return replace(assess(est.matrix), uncertainty=std)
+
+
 @dataclass(frozen=True)
 class ScenarioRow:
     """One sweep point: predictions, finite-statistics values, verdicts."""
@@ -249,6 +254,9 @@ class ScenarioRow:
     nss_violated: bool | None
 
 
+CSV_HEADER = ",".join(f.name for f in fields(ScenarioRow))
+
+
 def run_scenario(scenario: dict) -> list[ScenarioRow]:
     """Run a full sweep scenario from its config mapping.
 
@@ -257,6 +265,10 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
     the alice pair spec), "pairs_per_setting", "sys_angle_deg", "seed",
     "inequalities" (default ris, plus nss when m = 2), "drift_sigma",
     "n_resamples".
+
+    "drift_sigma" models slow source drift: each point draws its own
+    Werner weight from a normal around the config's W with that width,
+    clipped to [0, 1].  It needs a Werner state spec.
     """
     if not isinstance(scenario, dict):
         raise ValueError(f"scenario must be a mapping, got {type(scenario).__name__}")
@@ -267,12 +279,11 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
     rho = state_from_spec(state_spec)
     pairs = int(scenario.get("pairs_per_setting", DEFAULT_PAIRS_PER_SETTING))
     drift = float(scenario.get("drift_sigma", 0.0))
-    if state_spec.get("kind") == "werner":
-        source = SourceModel.werner(float(state_spec["W"]), pairs, drift)
-    else:
-        if drift > 0.0:
-            raise ValueError("drift requires a werner state spec")
-        source = SourceModel.from_state(rho, pairs)
+    if not 0.0 <= drift < math.inf:
+        raise ValueError(f"drift_sigma must be finite and nonnegative, got {drift}")
+    if drift > 0.0 and state_spec.get("kind") != "werner":
+        raise ValueError("drift_sigma requires a werner state spec")
+    source = SourceModel.from_state(rho, pairs)
 
     bob = frame_from_spec(scenario["bob_frame"])
     require_orthonormal_bob(bob)
@@ -318,7 +329,7 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
         alice = alice_at(alpha_deg)
         if drift > 0.0:
             jitter = np.random.default_rng((seed, index, 0)).normal(0.0, drift)
-            w_eff = float(np.clip(source.werner_w + jitter, 0.0, 1.0))
+            w_eff = float(np.clip(float(state_spec["W"]) + jitter, 0.0, 1.0))
             point_source = SourceModel.werner(w_eff, pairs)
         else:
             point_source = source
@@ -327,16 +338,15 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
         record = simulate_counts(point_source, alice, bob, seed=(seed, index, 1))
         est = estimate_correlation(record, sys_angle)
 
-        ris = assess_ris(est.matrix)
-        _, ris_err = propagate_uncertainty(est, "ris", n_resamples, seed=(seed, index, 2))
+        ris = assess_estimate(est, "ris", n_resamples, seed=(seed, index, 2))
         ris_pred = trace_norm(m_pred)
 
         nss_pred = nss_sim = nss_err = nss_bound = nss_violated = None
         if "nss" in inequalities:
             nss_pred = nss_parameter(m_pred)
-            nss = assess_nss(est.matrix)
-            _, nss_err = propagate_uncertainty(est, "nss", n_resamples, seed=(seed, index, 3))
+            nss = assess_estimate(est, "nss", n_resamples, seed=(seed, index, 3))
             nss_sim = nss.parameter
+            nss_err = nss.uncertainty
             nss_bound = nss.bound
             nss_violated = nss.violated
 
@@ -344,7 +354,7 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
             alpha_deg=alpha_deg,
             ris_pred=ris_pred,
             ris_sim=ris.parameter,
-            ris_err=ris_err,
+            ris_err=ris.uncertainty,
             nss_pred=nss_pred,
             nss_sim=nss_sim,
             nss_err=nss_err,
@@ -367,30 +377,10 @@ def _csv_cell(value) -> str:
 def rows_to_csv(rows: list[ScenarioRow]) -> str:
     """Serialize sweep rows to the canonical CSV schema (full precision)."""
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join(_csv_cell(v) for v in (
-            r.alpha_deg, r.ris_pred, r.ris_sim, r.ris_err,
-            r.nss_pred, r.nss_sim, r.nss_err,
-            r.ris_bound, r.nss_bound, r.ris_violated, r.nss_violated,
-        )))
+    lines.extend(",".join(_csv_cell(v) for v in astuple(r)) for r in rows)
     return "\n".join(lines) + "\n"
 
 
 def rows_to_dicts(rows: list[ScenarioRow]) -> list[dict]:
     """Serialize sweep rows to JSON-ready dicts (full precision)."""
-    return [
-        {
-            "alpha_deg": r.alpha_deg,
-            "ris_pred": r.ris_pred,
-            "ris_sim": r.ris_sim,
-            "ris_err": r.ris_err,
-            "nss_pred": r.nss_pred,
-            "nss_sim": r.nss_sim,
-            "nss_err": r.nss_err,
-            "ris_bound": r.ris_bound,
-            "nss_bound": r.nss_bound,
-            "ris_violated": r.ris_violated,
-            "nss_violated": r.nss_violated,
-        }
-        for r in rows
-    ]
+    return [asdict(r) for r in rows]

@@ -20,6 +20,14 @@ from steerkit.cli import (
     EXIT_OK,
     main,
 )
+from steerkit.frames import frame_from_spec
+from steerkit.simulate import (
+    SourceModel,
+    estimate_correlation,
+    propagate_uncertainty,
+    simulate_counts,
+)
+from steerkit.states import state_from_spec
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -107,6 +115,9 @@ class TestPredict:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["nss"]["parameter"] - 1.97) < 1e-9
         assert abs(payload["ris"]["parameter"] - 1.97) < 1e-9
+        # ideal-model parameters carry no uncertainty
+        assert payload["ris"]["uncertainty"] is None
+        assert payload["nss"]["uncertainty"] is None
 
     def test_text_output(self, tmp_path, capsys):
         config = write_config(tmp_path, TRIAD_PREDICT)
@@ -186,6 +197,10 @@ class TestSweep:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload) == 4
         assert abs(payload[0]["ris_pred"] - 1.97) < 1e-9
+        assert list(payload[0]) == [
+            "alpha_deg", "ris_pred", "ris_sim", "ris_err", "nss_pred", "nss_sim", "nss_err",
+            "ris_bound", "nss_bound", "ris_violated", "nss_violated",
+        ]
 
     def test_non_orthonormal_bob_frame_rejected(self, tmp_path, capsys):
         assert_bob_frame_rejected("sweep", tmp_path, capsys)
@@ -298,6 +313,22 @@ class TestSimulate:
         assert "nss" in payload["assessments"]
         assert payload["assessments"]["ris"]["uncertainty"] > 0.0
 
+    def test_json_assessments_carry_bootstrap_std(self, tmp_path, capsys):
+        config = dict(PAIR_PREDICT, pairs_per_setting=2000, n_resamples=20, seed=3)
+        path = write_config(tmp_path, config)
+        assert main(["simulate", "--config", path, "--format", "json"]) == EXIT_OK
+        assessments = json.loads(capsys.readouterr().out)["assessments"]
+        source = SourceModel.from_state(state_from_spec(config["state"]), 2000)
+        record = simulate_counts(source, frame_from_spec(config["alice_frame"]),
+                                 frame_from_spec(config["bob_frame"]), seed=3)
+        est = estimate_correlation(record)
+        for tag, stream in (("ris", 1), ("nss", 2)):
+            assert list(assessments[tag]) == [
+                "inequality", "parameter", "bound", "margin", "violated", "uncertainty",
+            ]
+            _, std = propagate_uncertainty(est, tag, 20, seed=(3, stream))
+            assert assessments[tag]["uncertainty"] == std
+
     def test_non_orthonormal_bob_frame_rejected(self, tmp_path, capsys):
         # reported a violated ris parameter with exit 0 before
         assert_bob_frame_rejected("simulate", tmp_path, capsys)
@@ -323,7 +354,10 @@ class TestReproduce:
                      "--format", "json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert len(payload) == 11
-        assert {"case", "predicted", "simulated", "reproducible"} <= set(payload[0])
+        assert list(payload[0]) == [
+            "case", "inequality", "reported", "reported_err", "predicted",
+            "simulated", "sim_err", "bound", "reproducible", "note",
+        ]
 
 
 # Direction components: a few plain values, so that some frames are accepted,
@@ -355,6 +389,43 @@ class TestExplicitDirections:
             path = write_config(Path(tmp), config)
             out = str(Path(tmp) / "out.txt")
             for subcommand in ("predict", "simulate"):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = main([subcommand, "--config", path, "--out", out])
+                assert code in (EXIT_OK, EXIT_CONFIG), (subcommand, config)
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_simulate_sys_angle_config_exits_config(self, tmp_path, capsys, value):
+        # NaN exited 0 with the systematic dropped; inf exited 2 with
+        # "math domain error"
+        config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=200,
+                                             n_resamples=5, sys_angle_deg=value))
+        assert main(["simulate", "--config", config]) == EXIT_CONFIG
+        assert "sys_angle" in capsys.readouterr().err
+
+    def test_simulate_sys_angle_flag_exits_config(self, tmp_path, capsys):
+        config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=200,
+                                             n_resamples=5))
+        assert main(["simulate", "--config", config, "--sys-angle-deg", "nan"]) == EXIT_CONFIG
+        assert "sys_angle" in capsys.readouterr().err
+
+    def test_sweep_nan_drift_exits_config(self, tmp_path, capsys):
+        # exited 0 with no drift applied before
+        config = write_config(tmp_path, dict(SWEEP_CONFIG, drift_sigma=math.nan))
+        assert main(["sweep", "--config", config]) == EXIT_CONFIG
+        assert "drift_sigma" in capsys.readouterr().err
+
+    @settings(max_examples=40, deadline=None)
+    @given(sys_angle_deg=st.floats(), drift_sigma=st.floats())
+    def test_any_sys_angle_and_drift_exit_ok_or_config(self, sys_angle_deg, drift_sigma):
+        config = dict(SWEEP_CONFIG, pairs_per_setting=50, n_resamples=5,
+                      sweep={"alpha_deg": [0.0, 45.0]},
+                      sys_angle_deg=sys_angle_deg, drift_sigma=drift_sigma)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), config)
+            out = str(Path(tmp) / "out.txt")
+            for subcommand in ("simulate", "sweep"):
                 with contextlib.redirect_stderr(io.StringIO()):
                     code = main([subcommand, "--config", path, "--out", out])
                 assert code in (EXIT_OK, EXIT_CONFIG), (subcommand, config)

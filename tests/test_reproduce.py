@@ -108,10 +108,10 @@ class TestReportSerialization:
         assert len(dicts) == len(rows)
         assert dicts[0]["case"] == rows[0].case
         assert dicts[0]["predicted"] == rows[0].predicted
-        assert set(dicts[0]) == {
+        assert list(dicts[0]) == [
             "case", "inequality", "reported", "reported_err", "predicted",
             "simulated", "sim_err", "bound", "reproducible", "note",
-        }
+        ]
 
     def test_text_table_content(self):
         rows = small_report()

@@ -9,6 +9,7 @@ from steerkit.simulate import (
     CSV_HEADER,
     CountsRecord,
     SourceModel,
+    assess_estimate,
     estimate_correlation,
     outcome_probabilities,
     propagate_uncertainty,
@@ -18,7 +19,7 @@ from steerkit.simulate import (
     simulate_counts,
 )
 from steerkit.states import singlet_state, spin_correlation_matrix, werner_state
-from steerkit.steering import nss_parameter, trace_norm
+from steerkit.steering import assess_nss, assess_ris, nss_parameter, trace_norm
 
 Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
@@ -92,7 +93,6 @@ class TestSourceModel:
     def test_werner_shorthand(self):
         source = SourceModel.werner(0.9, 1000)
         assert_allclose(source.state, werner_state(0.9), atol=1e-15)
-        assert source.werner_w == 0.9
 
     def test_rejects_unphysical_state(self):
         with pytest.raises(ValueError):
@@ -101,10 +101,6 @@ class TestSourceModel:
     def test_rejects_zero_pairs(self):
         with pytest.raises(ValueError):
             SourceModel.werner(0.9, 0)
-
-    def test_drift_requires_werner(self):
-        with pytest.raises(ValueError):
-            SourceModel(werner_state(0.9), 1000, drift_sigma=0.1)
 
 
 class TestSimulateCounts:
@@ -190,6 +186,14 @@ class TestEstimateCorrelation:
         with pytest.raises(ValueError):
             estimate_correlation(record)
 
+    @pytest.mark.parametrize("sys_angle", [math.nan, math.inf, -math.inf, -0.01])
+    def test_rejects_sys_angle_outside_nonnegative_reals(self, sys_angle):
+        # NaN used to drop the systematic silently (NaN > 0 is False)
+        source = SourceModel.werner(0.9, 2000)
+        record = simulate_counts(source, standard_triad(), standard_triad(), seed=9)
+        with pytest.raises(ValueError, match="sys_angle"):
+            estimate_correlation(record, sys_angle=sys_angle)
+
     def test_estimator_within_stat_bounds(self):
         # entrywise: the estimate should sit within 3 statistical standard
         # errors of the model value in the vast majority of runs
@@ -268,6 +272,23 @@ class TestPropagateUncertainty:
     def test_rejects_too_few_resamples(self):
         with pytest.raises(ValueError):
             propagate_uncertainty(self._estimate(), "ris", n_resamples=1)
+
+
+class TestAssessEstimate:
+    @pytest.mark.parametrize("inequality, assess", [("ris", assess_ris), ("nss", assess_nss)])
+    def test_is_assessment_plus_bootstrap_std(self, inequality, assess):
+        source = SourceModel.werner(0.95, 20_000)
+        record = simulate_counts(source, pair_in_plane(Y, 0.0), pair_in_plane(Y, 0.0), seed=19)
+        est = estimate_correlation(record)
+        _, std = propagate_uncertainty(est, inequality, n_resamples=60, seed=(4, 2))
+        expected = assess(est.matrix)
+        got = assess_estimate(est, inequality, n_resamples=60, seed=(4, 2))
+        assert got.uncertainty == std
+        assert (got.inequality, got.parameter, got.bound, got.margin, got.violated) == (
+            expected.inequality, expected.parameter, expected.bound, expected.margin,
+            expected.violated,
+        )
+        assert expected.uncertainty is None
 
 
 def coplanar_scenario(**overrides):
@@ -398,13 +419,22 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="drift"):
             run_scenario(scenario)
 
+    @pytest.mark.parametrize("drift", [math.nan, math.inf, -math.inf, -0.01])
+    def test_rejects_drift_outside_nonnegative_reals(self, drift):
+        # NaN used to run with no drift applied (NaN > 0 is False)
+        with pytest.raises(ValueError, match="drift_sigma"):
+            run_scenario(coplanar_scenario(drift_sigma=drift))
+
 
 class TestSerialization:
     def test_csv_header_and_round_trip(self):
         rows = run_scenario(coplanar_scenario(sweep={"alpha_deg": [0.0, 30.0]}))
         text = rows_to_csv(rows)
         lines = text.strip().split("\n")
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == CSV_HEADER == (
+            "alpha_deg,ris_pred,ris_sim,ris_err,nss_pred,nss_sim,nss_err,"
+            "ris_bound,nss_bound,ris_violated,nss_violated"
+        )
         assert len(lines) == 3
         fields = lines[1].split(",")
         assert float(fields[0]) == 0.0
@@ -433,3 +463,7 @@ class TestSerialization:
         assert payload[0]["alpha_deg"] == 15.0
         assert payload[0]["ris_sim"] == rows[0].ris_sim
         assert payload[0]["nss_violated"] == rows[0].nss_violated
+        assert list(payload[0]) == [
+            "alpha_deg", "ris_pred", "ris_sim", "ris_err", "nss_pred", "nss_sim", "nss_err",
+            "ris_bound", "nss_bound", "ris_violated", "nss_violated",
+        ]
