@@ -147,13 +147,6 @@ class EstimatedCorrelation:
     stat_component: NDArray[np.float64]
 
 
-def _transverse_directions(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(v)))] = 1.0
-    t1 = unit(np.cross(v, axis))
-    return t1, np.cross(v, t1)
-
-
 def estimate_correlation(
     record: CountsRecord, sys_angle: float = DEFAULT_SYS_ANGLE
 ) -> EstimatedCorrelation:
@@ -172,22 +165,18 @@ def estimate_correlation(
     mhat = (counts[:, :, 0] + counts[:, :, 3] - counts[:, :, 1] - counts[:, :, 2]) / totals
     stat = np.sqrt(np.clip(1.0 - mhat**2, 0.0, None) / totals)
 
-    t = spin_correlation_matrix(record.state)
-    m, n = mhat.shape
-    sys = np.zeros((m, n))
-    if sys_angle > 0.0:
-        cos_s, sin_s = math.cos(sys_angle), math.sin(sys_angle)
-        for k in range(n):
-            b = record.bob.directions[k]
-            t1, t2 = _transverse_directions(b)
-            for j in range(m):
-                a = record.alice.directions[j]
-                base = a @ t @ b
-                response = 0.0
-                for tilt in (t1, -t1, t2, -t2):
-                    tilted = cos_s * b + sin_s * tilt
-                    response = max(response, abs(a @ t @ tilted - base))
-                sys[j, k] = response
+    # Tilt each Bob direction b towards +-t1 and +-t2, unit vectors
+    # orthogonal to b and to each other.
+    b = record.bob.directions
+    t1 = np.cross(b, np.eye(3)[np.argmin(np.abs(b), axis=1)])
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    t2 = np.cross(b, t1)
+    tilts = np.stack([t1, -t1, t2, -t2], axis=1)
+    tilted = math.cos(sys_angle) * b[:, None, :] + math.sin(sys_angle) * tilts
+    a_t = record.alice.directions @ spin_correlation_matrix(record.state)
+    # a^T T (b' - b) for every Alice setting, Bob setting and tilt b'.
+    responses = np.einsum("ji,kti->jkt", a_t, tilted - b[:, None, :])
+    sys = np.abs(responses).max(axis=2)
     delta = np.sqrt(sys**2 + stat**2)
     for arr in (mhat, delta, sys, stat):
         arr.setflags(write=False)

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from steerkit.frames import MeasurementFrame, pair_in_plane, standard_triad
+from steerkit.reproduce import _cases
 from steerkit.simulate import (
     CSV_HEADER,
     CountsRecord,
@@ -132,7 +133,50 @@ class TestSimulateCounts:
                 assert np.all(np.abs(counts - expected) < 5.0 * math.sqrt(expected))
 
 
+def reference_sys_component(record, sys_angle):
+    """Per-entry loop over the four transverse tilts of each Bob setting."""
+    t = spin_correlation_matrix(record.state)
+    cos_s, sin_s = math.cos(sys_angle), math.sin(sys_angle)
+    sys = np.zeros((record.alice.size, record.bob.size))
+    for k, b in enumerate(record.bob.directions):
+        axis = np.zeros(3)
+        axis[int(np.argmin(np.abs(b)))] = 1.0
+        t1 = np.cross(b, axis)
+        t1 /= np.linalg.norm(t1)
+        t2 = np.cross(b, t1)
+        for j, a in enumerate(record.alice.directions):
+            base = a @ t @ b
+            sys[j, k] = max(
+                abs(a @ t @ (cos_s * b + sin_s * tilt) - base) for tilt in (t1, -t1, t2, -t2)
+            )
+    return sys
+
+
+def random_frame(rng, size):
+    return MeasurementFrame([v / np.linalg.norm(v) for v in rng.normal(size=(size, 3))])
+
+
 class TestEstimateCorrelation:
+    def test_sys_matches_loop_on_reproduce_frames(self):
+        for case in _cases(1000):
+            counts = np.ones((case.alice.size, case.bob.size, 4), dtype=np.int64)
+            record = CountsRecord(counts, None, case.source.state, case.alice, case.bob)
+            est = estimate_correlation(record)
+            ref = reference_sys_component(record, math.radians(0.5))
+            assert_allclose(est.sys_component, ref, rtol=0.0, atol=1e-15, err_msg=case.name)
+
+    def test_sys_matches_loop_on_random_frames(self):
+        rng = np.random.default_rng(83)
+        for _ in range(50):
+            alice = random_frame(rng, int(rng.integers(1, 4)))
+            bob = random_frame(rng, int(rng.integers(1, 4)))
+            counts = np.ones((alice.size, bob.size, 4), dtype=np.int64)
+            record = CountsRecord(counts, None, random_density_matrix(rng), alice, bob)
+            sys_angle = float(rng.uniform(0.0, 0.1))
+            est = estimate_correlation(record, sys_angle)
+            ref = reference_sys_component(record, sys_angle)
+            assert_allclose(est.sys_component, ref, rtol=0.0, atol=1e-15)
+
     def test_pseudo_count_consistency(self):
         # exact-probability pseudo-counts recover the model correlation
         n = 100_000
