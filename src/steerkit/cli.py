@@ -81,6 +81,13 @@ def _config_value(config: dict, key: str):
     return config[key]
 
 
+def _config_int(config: dict, key: str, default: int, minimum: int) -> int:
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f'config key "{key}" must be an integer >= {minimum}, got {value!r}')
+    return value
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         raise ValueError("this subcommand requires --config (see --example-config)")
@@ -259,8 +266,11 @@ def cmd_simulate(args) -> int:
 def cmd_reproduce(args) -> int:
     if _maybe_example(args):
         return EXIT_OK
-    pairs = args.pairs if args.pairs is not None else DEFAULT_PAIRS_PER_SETTING
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
+    config = {} if args.config is None else _load_config(args.config)
+    pairs = args.pairs if args.pairs is not None else _config_int(
+        config, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1
+    )
+    seed = args.seed if args.seed is not None else _config_int(config, "seed", DEFAULT_SEED, 0)
     rows = build_report(pairs_per_setting=pairs, seed=seed)
     if args.format == "json":
         _emit(json.dumps(report_to_dicts(rows), indent=2), args.out)

@@ -359,6 +359,36 @@ class TestReproduce:
             "simulated", "sim_err", "bound", "reproducible", "note",
         ]
 
+    def test_config_matches_flags(self, tmp_path, capsys):
+        # the config was accepted but never read before
+        config = write_config(tmp_path, {"pairs_per_setting": 2000, "seed": 5})
+        assert main(["reproduce", "--config", config]) == EXIT_OK
+        from_config = capsys.readouterr().out
+        assert main(["reproduce", "--pairs", "2000", "--seed", "5"]) == EXIT_OK
+        assert from_config == capsys.readouterr().out
+
+    def test_flags_override_config(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"pairs_per_setting": 3000, "seed": 9})
+        assert main(["reproduce", "--config", config, "--pairs", "2000",
+                     "--seed", "5"]) == EXIT_OK
+        from_flags = capsys.readouterr().out
+        assert main(["reproduce", "--pairs", "2000", "--seed", "5"]) == EXIT_OK
+        assert from_flags == capsys.readouterr().out
+
+    @pytest.mark.parametrize("key, value", [
+        ("pairs_per_setting", 0),
+        ("pairs_per_setting", 1e30),
+        ("pairs_per_setting", "2000"),
+        ("seed", -1),
+        ("seed", True),
+    ])
+    def test_bad_config_value_exits_config(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, {key: value})
+        assert main(["reproduce", "--config", config]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
+
 
 # Direction components: a few plain values, so that some frames are accepted,
 # mixed with any float, NaN and +-inf included.

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from steerkit.frames import (
@@ -31,12 +34,22 @@ from steerkit.steering import (
 
 Y = np.array([0.0, 1.0, 0.0])
 
+# Finite entries bounded so that no square or rotated entry overflows.
+BOUNDED = st.floats(min_value=-1e100, max_value=1e100)
+SETTING_COUNTS = st.integers(min_value=1, max_value=3)
+
 
 def random_correlation_tensor(rng):
     """A physical-scale 3x3 spin-correlation matrix (singular values <= 1)."""
     t = rng.uniform(-1.0, 1.0, size=(3, 3))
     top = np.linalg.svd(t, compute_uv=False)[0]
     return t / max(1.0, top / 0.95)
+
+
+def haar_orthogonal(rng, dim):
+    """Haar-random element of O(dim), reflections included."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q * np.sign(np.diag(r))
 
 
 class TestTraceNorm:
@@ -273,3 +286,27 @@ class TestOptimalPairPlanes:
         second = optimal_pair_planes(t)
         assert_allclose(first[0], second[0])
         assert_allclose(first[1], second[1])
+
+
+class TestProperties:
+    @settings(deadline=None)
+    @given(SETTING_COUNTS.flatmap(
+        lambda n: hnp.arrays(np.float64, (2, n), elements=BOUNDED)))
+    def test_nss_dominates_trace_norm(self, matrix):
+        # roundoff scales with the entries; 1e-12 absolute for |M_jk| <= 1
+        tol = 1e-12 * max(1.0, float(np.abs(matrix).max()))
+        assert nss_parameter(matrix) >= trace_norm(matrix) - tol
+
+    @settings(deadline=None)
+    @given(
+        st.tuples(SETTING_COUNTS, SETTING_COUNTS).flatmap(
+            lambda shape: hnp.arrays(np.float64, shape, elements=BOUNDED)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_trace_norm_invariant_under_local_orthogonal_maps(self, matrix, seed):
+        rng = np.random.default_rng(seed)
+        m, n = matrix.shape
+        q_a, q_b = haar_orthogonal(rng, m), haar_orthogonal(rng, n)
+        value = trace_norm(matrix)
+        tol = 1e-12 * (1.0 + np.linalg.norm(matrix))
+        assert abs(trace_norm(q_a @ matrix @ q_b.T) - value) <= tol
