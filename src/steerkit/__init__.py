@@ -50,11 +50,10 @@ _EXPORTS = {
         "simulate_counts",
     ),
     "states": (
-        "BlochMarginals",
+        "BlochState",
         "StateDiagnostics",
         "closest_werner_parameter",
         "fidelity_with_pure",
-        "marginals",
         "singlet_state",
         "spin_correlation_matrix",
         "state_from_spec",

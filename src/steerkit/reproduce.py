@@ -29,7 +29,7 @@ from .simulate import (
     estimate_correlation,
     simulate_counts,
 )
-from .states import singlet_state, spin_correlation_matrix
+from .states import singlet_state
 from .steering import nss_parameter, predicted_correlation, trace_norm
 
 DEFAULT_SEED = 1729
@@ -183,8 +183,7 @@ def build_report(
         sys_angle = DEFAULT_SYS_ANGLE
     rows = []
     for index, case in enumerate(_cases(pairs_per_setting)):
-        t = spin_correlation_matrix(case.source.state)
-        m_pred = predicted_correlation(t, case.alice, case.bob)
+        m_pred = predicted_correlation(case.source.state.t, case.alice, case.bob)
         record = simulate_counts(case.source, case.alice, case.bob, seed=(seed, index))
         est = estimate_correlation(record, sys_angle)
         for tag, reported, reported_err, reproducible, note in case.entries:

@@ -21,13 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .frames import MeasurementFrame, frame_from_spec, require_orthonormal_bob, tilted_pair, unit
-from .states import (
-    _expectation_table,
-    spin_correlation_matrix,
-    state_from_spec,
-    validate_state,
-    werner_state,
-)
+from .states import BlochState, state_from_spec, werner_state
 from .steering import (
     SteeringAssessment,
     _nss_parameters,
@@ -46,29 +40,28 @@ DEFAULT_RESAMPLES = 200
 
 @dataclass(frozen=True)
 class SourceModel:
-    """Entangled-pair source: a state and the mean pairs per setting pair.
+    """Entangled-pair source: a validated state and the mean pairs per setting pair.
 
     Slow source drift is not part of the source: run_scenario models it as
     a per-point jitter of the config's Werner weight W.
     """
 
-    state: NDArray[np.complex128]
+    state: BlochState
     pairs_per_setting: int
 
     def __post_init__(self):
-        diag = validate_state(self.state)
-        if not diag.ok:
-            raise ValueError(f"source state is not physical: {diag}")
+        if not isinstance(self.state, BlochState):
+            raise TypeError(f"source state must be a BlochState, got {type(self.state).__name__}")
         if self.pairs_per_setting < 1:
             raise ValueError(f"pairs_per_setting must be >= 1, got {self.pairs_per_setting}")
 
     @classmethod
     def werner(cls, w: float, pairs_per_setting: int) -> "SourceModel":
-        return cls(werner_state(w), pairs_per_setting)
+        return cls(BlochState(werner_state(w)), pairs_per_setting)
 
     @classmethod
     def from_state(cls, rho, pairs_per_setting: int) -> "SourceModel":
-        return cls(np.asarray(rho, dtype=complex), pairs_per_setting)
+        return cls(BlochState(rho), pairs_per_setting)
 
 
 # Outcome signs (s, t) in the order (++, +-, -+, --).
@@ -76,17 +69,15 @@ _SIGN_A = np.array([1.0, 1.0, -1.0, -1.0])
 _SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-def _born_probabilities(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _born_probabilities(state: BlochState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Born probabilities p(s, t) = (1 + s a.r_A + t b.r_B + s t a^T T b)/4.
 
-    table is the state's expectation table (E_00 = 1, Bloch vectors in its
-    first column and row, T in the lower-right block); a and b are unit
-    directions of shape (..., 3) that broadcast against each other.  The
-    last axis of the result holds (p++, p+-, p-+, p--).
+    a and b are unit directions of shape (..., 3) that broadcast against
+    each other.  The last axis of the result holds (p++, p+-, p-+, p--).
     """
-    a_dot = (a @ table[1:, 0])[..., None]
-    b_dot = (b @ table[0, 1:])[..., None]
-    corr = np.einsum("...i,ij,...j->...", a, table[1:, 1:], b)[..., None]
+    a_dot = (a @ state.r_a)[..., None]
+    b_dot = (b @ state.r_b)[..., None]
+    corr = np.einsum("...i,ij,...j->...", a, state.t, b)[..., None]
     probs = np.clip(
         (1.0 + _SIGN_A * a_dot + _SIGN_B * b_dot + _SIGN_A * _SIGN_B * corr) / 4.0, 0.0, None
     )
@@ -99,7 +90,7 @@ def _born_probabilities(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
 
 def outcome_probabilities(rho, a, b) -> np.ndarray:
     """Born probabilities (p++, p+-, p-+, p--) for spin measurements a, b."""
-    return _born_probabilities(_expectation_table(rho), unit(a), unit(b))
+    return _born_probabilities(BlochState(rho), unit(a), unit(b))
 
 
 @dataclass(frozen=True)
@@ -113,7 +104,7 @@ class CountsRecord:
 
     counts: NDArray[np.int64]
     seed: object
-    state: NDArray[np.complex128]
+    state: BlochState
     alice: MeasurementFrame
     bob: MeasurementFrame
 
@@ -125,7 +116,7 @@ def simulate_counts(
     rng = np.random.default_rng(seed)
     m, n = alice.size, bob.size
     probs = _born_probabilities(
-        _expectation_table(source.state), alice.directions[:, None, :], bob.directions[None, :, :]
+        source.state, alice.directions[:, None, :], bob.directions[None, :, :]
     )
     counts = np.zeros((m, n, 4), dtype=np.int64)
     for j in range(m):
@@ -173,7 +164,7 @@ def estimate_correlation(
     t2 = np.cross(b, t1)
     tilts = np.stack([t1, -t1, t2, -t2], axis=1)
     tilted = math.cos(sys_angle) * b[:, None, :] + math.sin(sys_angle) * tilts
-    a_t = record.alice.directions @ spin_correlation_matrix(record.state)
+    a_t = record.alice.directions @ record.state.t
     # a^T T (b' - b) for every Alice setting, Bob setting and tilt b'.
     responses = np.einsum("ji,kti->jkt", a_t, tilted - b[:, None, :])
     sys = np.abs(responses).max(axis=2)
@@ -312,7 +303,7 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
     if "nss" in inequalities and probe.size != 2:
         raise ValueError("the nss inequality requires exactly 2 alice settings")
 
-    t_nominal = spin_correlation_matrix(rho)
+    t_nominal = source.state.t
     rows = []
     for index, alpha_deg in enumerate(alphas):
         alice = alice_at(alpha_deg)

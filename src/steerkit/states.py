@@ -5,14 +5,13 @@ Density matrices are plain complex (4, 4) arrays over the product basis
 third Pauli operator.  The functions here build the reference states,
 validate physicality, and extract the Bloch data: the 3x3 spin-correlation
 matrix T_pq = Tr[rho (sigma_p x sigma_q)] and the local Bloch vectors, all
-read from one expectation table.  Downstream code reads states only
-through this Bloch data.
+read from one expectation table.  Past this module a state is a
+BlochState, checked once when it is built; no density matrix travels on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -89,37 +88,51 @@ def _require_state(rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return rho
 
 
-def _expectation_table(rho: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """Real table E_pq = Tr[rho (sigma_p x sigma_q)] for p, q in 0..3, sigma_0 = I.
+@dataclass(frozen=True, init=False, eq=False)
+class BlochState:
+    """A two-qubit state in the Bloch picture, validated once on construction.
 
-    E_00 = 1, the first column and row hold the Bloch vectors r_A and r_B,
-    and the lower-right 3x3 block is the spin-correlation matrix T.  The
-    traces are real for any physical state; the imaginary residue is
-    checked against IMAG_RESIDUE_TOL and discarded.
+    Built from a density matrix, which must be physical.  table is the
+    read-only real table E_pq = Tr[rho (sigma_p x sigma_q)] for p, q in
+    0..3, sigma_0 = I: E_00 = 1, the first column and row hold the Bloch
+    vectors r_A and r_B, and the lower-right 3x3 block is the
+    spin-correlation matrix T.  The traces are real for any physical
+    state; the imaginary residue is checked against IMAG_RESIDUE_TOL and
+    discarded.
     """
-    rho = _require_state(rho)
-    # Tr[rho (A x B)] = sum rho[(i,k),(j,l)] A[j,i] B[l,k]
-    table = np.einsum("ikjl,pji,qlk->pq", rho.reshape(2, 2, 2, 2), _PAULI_BASIS, _PAULI_BASIS)
-    residue = float(np.abs(table.imag).max())
-    if residue > IMAG_RESIDUE_TOL:
-        raise ValueError(f"correlation trace has imaginary residue {residue:.2e}")
-    return table.real
+
+    table: NDArray[np.float64]
+
+    def __init__(self, rho: NDArray[np.complex128]):
+        rho = _require_state(rho)
+        # Tr[rho (A x B)] = sum rho[(i,k),(j,l)] A[j,i] B[l,k]
+        table = np.einsum("ikjl,pji,qlk->pq", rho.reshape(2, 2, 2, 2), _PAULI_BASIS, _PAULI_BASIS)
+        residue = float(np.abs(table.imag).max())
+        if residue > IMAG_RESIDUE_TOL:
+            raise ValueError(f"correlation trace has imaginary residue {residue:.2e}")
+        table = table.real
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
+
+    @property
+    def t(self) -> NDArray[np.float64]:
+        """Spin-correlation matrix T_pq = Tr[rho (sigma_p x sigma_q)]."""
+        return self.table[1:, 1:]
+
+    @property
+    def r_a(self) -> NDArray[np.float64]:
+        """Alice's Bloch vector <sigma_p x I>."""
+        return self.table[1:, 0]
+
+    @property
+    def r_b(self) -> NDArray[np.float64]:
+        """Bob's Bloch vector <I x sigma_q>."""
+        return self.table[0, 1:]
 
 
 def spin_correlation_matrix(rho: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """Spin-correlation matrix T_pq = Tr[rho (sigma_p x sigma_q)]."""
-    return _expectation_table(rho)[1:, 1:]
-
-
-class BlochMarginals(NamedTuple):
-    alice: np.ndarray
-    bob: np.ndarray
-
-
-def marginals(rho: NDArray[np.complex128]) -> BlochMarginals:
-    """Local Bloch vectors <sigma_p x I> and <I x sigma_q>."""
-    table = _expectation_table(rho)
-    return BlochMarginals(table[1:, 0], table[0, 1:])
+    """Spin-correlation matrix T_pq = Tr[rho (sigma_p x sigma_q)] of a density matrix."""
+    return BlochState(rho).t
 
 
 def fidelity_with_pure(rho: NDArray[np.complex128], psi: NDArray[np.complex128]) -> float:

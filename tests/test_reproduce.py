@@ -3,6 +3,7 @@ import math
 import numpy as np
 from numpy.testing import assert_allclose
 
+from steerkit import reproduce, simulate, states
 from steerkit.reproduce import (
     W_TILT_64,
     ReportRow,
@@ -99,6 +100,23 @@ class TestReportStructure:
         first = small_report(seed=11)
         second = small_report(seed=12)
         assert any(a.simulated != b.simulated for a, b in zip(first, second))
+
+
+    def test_validates_each_state_once(self, monkeypatch):
+        # Every module that looks validate_state up is patched, so a copy
+        # imported past states.py would be counted too.
+        calls = []
+        original = states.validate_state
+
+        def counting(rho):
+            calls.append(1)
+            return original(rho)
+
+        for module in (states, simulate, reproduce):
+            if hasattr(module, "validate_state"):
+                monkeypatch.setattr(module, "validate_state", counting)
+        build_report(pairs_per_setting=200, n_resamples=2)
+        assert len(calls) == 9
 
 
 class TestReportSerialization:

@@ -19,7 +19,7 @@ from steerkit.simulate import (
     run_scenario,
     simulate_counts,
 )
-from steerkit.states import singlet_state, spin_correlation_matrix, werner_state
+from steerkit.states import BlochState, singlet_state, spin_correlation_matrix, werner_state
 from steerkit.steering import assess_nss, assess_ris, nss_parameter, trace_norm
 
 Y = np.array([0.0, 1.0, 0.0])
@@ -93,11 +93,16 @@ class TestOutcomeProbabilities:
 class TestSourceModel:
     def test_werner_shorthand(self):
         source = SourceModel.werner(0.9, 1000)
-        assert_allclose(source.state, werner_state(0.9), atol=1e-15)
+        assert_allclose(source.state.table, BlochState(werner_state(0.9)).table, atol=1e-15)
 
     def test_rejects_unphysical_state(self):
         with pytest.raises(ValueError):
             SourceModel.from_state(np.eye(4, dtype=complex), 1000)
+
+    def test_rejects_density_matrix(self):
+        # a state is validated once, as a BlochState, before it reaches the source
+        with pytest.raises(TypeError, match="BlochState"):
+            SourceModel(werner_state(0.9), 10)
 
     def test_rejects_zero_pairs(self):
         with pytest.raises(ValueError):
@@ -135,7 +140,7 @@ class TestSimulateCounts:
 
 def reference_sys_component(record, sys_angle):
     """Per-entry loop over the four transverse tilts of each Bob setting."""
-    t = spin_correlation_matrix(record.state)
+    t = record.state.t
     cos_s, sin_s = math.cos(sys_angle), math.sin(sys_angle)
     sys = np.zeros((record.alice.size, record.bob.size))
     for k, b in enumerate(record.bob.directions):
@@ -171,7 +176,7 @@ class TestEstimateCorrelation:
             alice = random_frame(rng, int(rng.integers(1, 4)))
             bob = random_frame(rng, int(rng.integers(1, 4)))
             counts = np.ones((alice.size, bob.size, 4), dtype=np.int64)
-            record = CountsRecord(counts, None, random_density_matrix(rng), alice, bob)
+            record = CountsRecord(counts, None, BlochState(random_density_matrix(rng)), alice, bob)
             sys_angle = float(rng.uniform(0.0, 0.1))
             est = estimate_correlation(record, sys_angle)
             ref = reference_sys_component(record, sys_angle)
@@ -188,7 +193,7 @@ class TestEstimateCorrelation:
             for k in range(2):
                 probs = outcome_probabilities(rho, alice.directions[j], bob.directions[k])
                 counts[j, k] = np.round(n * probs).astype(np.int64)
-        record = CountsRecord(counts, seed=None, state=rho, alice=alice, bob=bob)
+        record = CountsRecord(counts, seed=None, state=BlochState(rho), alice=alice, bob=bob)
         est = estimate_correlation(record, sys_angle=0.0)
         assert np.abs(est.matrix + np.eye(2)).max() <= 1.0 / n
 
@@ -196,7 +201,7 @@ class TestEstimateCorrelation:
         alice = MeasurementFrame([Z])
         bob = MeasurementFrame([Z])
         counts = np.array([[[1000, 0, 0, 0]]], dtype=np.int64)
-        record = CountsRecord(counts, None, werner_state(0.0), alice, bob)
+        record = CountsRecord(counts, None, BlochState(werner_state(0.0)), alice, bob)
         est = estimate_correlation(record, sys_angle=0.0)
         assert_allclose(est.matrix, [[1.0]])
         assert_allclose(est.stat_component, [[0.0]])
@@ -226,7 +231,7 @@ class TestEstimateCorrelation:
         alice = MeasurementFrame([Z])
         bob = MeasurementFrame([Z])
         counts = np.zeros((1, 1, 4), dtype=np.int64)
-        record = CountsRecord(counts, None, werner_state(0.5), alice, bob)
+        record = CountsRecord(counts, None, BlochState(werner_state(0.5)), alice, bob)
         with pytest.raises(ValueError):
             estimate_correlation(record)
 

@@ -4,9 +4,9 @@ from numpy.testing import assert_allclose
 
 from steerkit.states import (
     SINGLET_KET,
+    BlochState,
     closest_werner_parameter,
     fidelity_with_pure,
-    marginals,
     singlet_state,
     spin_correlation_matrix,
     state_from_spec,
@@ -72,17 +72,17 @@ class TestCorrelationStructure:
             )
 
     def test_werner_marginals_vanish(self):
-        marg = marginals(werner_state(0.8))
-        assert_allclose(marg.alice, np.zeros(3), atol=1e-14)
-        assert_allclose(marg.bob, np.zeros(3), atol=1e-14)
+        state = BlochState(werner_state(0.8))
+        assert_allclose(state.r_a, np.zeros(3), atol=1e-14)
+        assert_allclose(state.r_b, np.zeros(3), atol=1e-14)
 
     def test_product_state_marginals(self):
         up = np.array([1.0, 0.0], dtype=complex)
         ket = np.kron(up, up)
         rho = np.outer(ket, ket.conj())
-        marg = marginals(rho)
-        assert_allclose(marg.alice, [0.0, 0.0, 1.0], atol=1e-14)
-        assert_allclose(marg.bob, [0.0, 0.0, 1.0], atol=1e-14)
+        state = BlochState(rho)
+        assert_allclose(state.r_a, [0.0, 0.0, 1.0], atol=1e-14)
+        assert_allclose(state.r_b, [0.0, 0.0, 1.0], atol=1e-14)
 
     def test_unphysical_input_raises(self):
         with pytest.raises(ValueError):
@@ -106,10 +106,39 @@ class TestCorrelationStructure:
                 [np.trace(rho @ np.kron(sigma[p], sigma[q])).real for q in range(4)]
                 for p in range(4)
             ])
-            marg = marginals(rho)
-            assert_allclose(spin_correlation_matrix(rho), ref[1:, 1:], rtol=0.0, atol=1e-14)
-            assert_allclose(marg.alice, ref[1:, 0], rtol=0.0, atol=1e-14)
-            assert_allclose(marg.bob, ref[0, 1:], rtol=0.0, atol=1e-14)
+            state = BlochState(rho)
+            assert_allclose(state.t, ref[1:, 1:], rtol=0.0, atol=1e-14)
+            assert_allclose(state.r_a, ref[1:, 0], rtol=0.0, atol=1e-14)
+            assert_allclose(state.r_b, ref[0, 1:], rtol=0.0, atol=1e-14)
+            assert np.array_equal(spin_correlation_matrix(rho), state.t)
+
+
+class TestBlochState:
+    def test_table_is_read_only(self):
+        state = BlochState(werner_state(0.7))
+        for view in (state.table, state.t, state.r_a, state.r_b):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0.5
+        assert_allclose(state.t, -0.7 * np.eye(3), atol=1e-14)
+
+    def test_is_frozen(self):
+        state = BlochState(werner_state(0.7))
+        with pytest.raises(AttributeError):
+            state.table = np.eye(4)
+
+    def test_rejects_unphysical_matrix(self):
+        with pytest.raises(ValueError, match="not a physical two-qubit state"):
+            BlochState(np.eye(4, dtype=complex))
+
+    def test_validates_once(self, monkeypatch):
+        import steerkit.states as states
+
+        calls = []
+        original = states.validate_state
+        monkeypatch.setattr(states, "validate_state", lambda rho: calls.append(1) or original(rho))
+        state = BlochState(werner_state(0.7))
+        state.t, state.r_a, state.r_b
+        assert len(calls) == 1
 
 
 class TestFidelity:
