@@ -222,16 +222,16 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
     config = _load_config(args.config)
     rho, alice, bob = _state_and_frames(config)
-    pairs = args.pairs if args.pairs is not None else int(
-        config.get("pairs_per_setting", DEFAULT_PAIRS_PER_SETTING)
+    pairs = args.pairs if args.pairs is not None else _config_int(
+        config, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1
     )
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    seed = args.seed if args.seed is not None else _config_int(config, "seed", 0, 0)
     sys_angle_deg = (
         args.sys_angle_deg
         if args.sys_angle_deg is not None
         else float(config.get("sys_angle_deg", 0.5))
     )
-    n_resamples = int(config.get("n_resamples", DEFAULT_RESAMPLES))
+    n_resamples = _config_int(config, "n_resamples", DEFAULT_RESAMPLES, 2)
 
     record = simulate_counts(SourceModel.from_state(rho, pairs), alice, bob, seed)
     est = estimate_correlation(record, math.radians(sys_angle_deg))

@@ -63,18 +63,23 @@ def _trace_norms(stack) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
 
 
+def _finite_matrix(matrix) -> np.ndarray:
+    """The input as a float array; ValueError unless it is 2-d and finite."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix contains non-finite entries")
+    return m
+
+
 def trace_norm(matrix) -> float:
     """Sum of singular values.
 
     Raises:
         ValueError: on non-2d or non-finite input.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    return float(_trace_norms(m))
+    return float(_trace_norms(_finite_matrix(matrix)))
 
 
 def assess_ris(matrix) -> SteeringAssessment:
@@ -101,11 +106,17 @@ def nss_parameter(matrix) -> float:
     """Two-setting steering parameter |M^T u+| + |M^T u-|.
 
     Defined only for m = 2 Alice settings.
+
+    Raises:
+        ValueError: on non-2d or non-finite input, or on entries so large
+            (beyond about 1e154) that the row norms overflow.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"the two-setting parameter requires m = 2, got shape {m.shape}")
-    return float(_nss_parameters(m))
+    m = _finite_matrix(matrix)
+    with np.errstate(over="ignore"):
+        value = float(_nss_parameters(m))
+    if not math.isfinite(value):
+        raise ValueError("the two-setting parameter overflows: matrix entries are too large")
+    return value
 
 
 def assess_nss(matrix) -> SteeringAssessment:

@@ -339,6 +339,24 @@ class TestSimulate:
         assert main(["simulate", "--config", config, "--pairs", "500"]) == EXIT_OK
         assert "500 pairs per setting" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("key, value", [
+        ("pairs_per_setting", 0),
+        ("pairs_per_setting", 1e30),
+        ("pairs_per_setting", "2000"),
+        ("seed", -1),
+        ("seed", True),
+        ("n_resamples", "x"),
+        ("n_resamples", 1),
+        ("n_resamples", 20.5),
+    ])
+    def test_bad_config_value_exits_config(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=2000,
+                                             n_resamples=20, seed=3) | {key: value})
+        assert main(["simulate", "--config", config]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
+
 
 class TestReproduce:
     def test_text_report(self, capsys):

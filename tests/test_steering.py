@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,30 @@ class TestAssessments:
     def test_nss_rejects_three_settings(self):
         with pytest.raises(ValueError):
             nss_parameter(np.eye(3))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nss_rejects_non_finite_entry(self, value):
+        # NaN used to give parameter nan and violated=False, a silent non-verdict
+        m = np.eye(2)
+        m[0, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            nss_parameter(m)
+        with pytest.raises(ValueError, match="non-finite"):
+            assess_nss(m)
+
+    def test_nss_rejects_non_2d_input(self):
+        with pytest.raises(ValueError, match="2-d"):
+            nss_parameter(np.ones((2, 2, 2)))
+
+    @pytest.mark.parametrize("value", [1e200, -1e200])
+    def test_nss_rejects_overflowing_entries(self, value):
+        # used to return inf with a RuntimeWarning; trace_norm stays finite there
+        m = np.array([[value, 0.0], [0.0, 1.0]])
+        assert math.isfinite(trace_norm(m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                nss_parameter(m)
 
 
 class TestPredictedParameters:
