@@ -90,15 +90,12 @@ def _require_state(rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
 
 @dataclass(frozen=True, init=False, eq=False)
 class BlochState:
-    """A two-qubit state in the Bloch picture, validated once on construction.
+    """A two-qubit state in the Bloch picture, validated once when built from rho.
 
-    Built from a density matrix, which must be physical.  table is the
-    read-only real table E_pq = Tr[rho (sigma_p x sigma_q)] for p, q in
-    0..3, sigma_0 = I: E_00 = 1, the first column and row hold the Bloch
-    vectors r_A and r_B, and the lower-right 3x3 block is the
-    spin-correlation matrix T.  The traces are real for any physical
-    state; the imaginary residue is checked against IMAG_RESIDUE_TOL and
-    discarded.
+    table is the read-only real table E_pq = Tr[rho (sigma_p x sigma_q)],
+    p, q in 0..3, sigma_0 = I: E_00 = 1, r_A and r_B in its first column
+    and row, T in the lower-right 3x3 block.  The traces are real for any
+    physical state; an imaginary residue above IMAG_RESIDUE_TOL raises.
     """
 
     table: NDArray[np.float64]

@@ -108,8 +108,7 @@ def nss_parameter(matrix) -> float:
     Defined only for m = 2 Alice settings.
 
     Raises:
-        ValueError: on non-2d or non-finite input, or on entries so large
-            (beyond about 1e154) that the row norms overflow.
+        ValueError: on non-2d or non-finite input, or if the norms overflow.
     """
     m = _finite_matrix(matrix)
     with np.errstate(over="ignore"):

@@ -87,6 +87,8 @@ class TestCorrelationStructure:
     def test_unphysical_input_raises(self):
         with pytest.raises(ValueError):
             spin_correlation_matrix(np.eye(4, dtype=complex))
+        with pytest.raises(ValueError, match="not a physical two-qubit state"):
+            BlochState(np.eye(4, dtype=complex))
 
     def test_matches_kronecker_traces_on_random_states(self):
         # Independent reference: Tr[rho (sigma_p x sigma_q)] with explicit
@@ -119,26 +121,9 @@ class TestBlochState:
         for view in (state.table, state.t, state.r_a, state.r_b):
             with pytest.raises(ValueError, match="read-only"):
                 view[0] = 0.5
-        assert_allclose(state.t, -0.7 * np.eye(3), atol=1e-14)
-
-    def test_is_frozen(self):
-        state = BlochState(werner_state(0.7))
         with pytest.raises(AttributeError):
             state.table = np.eye(4)
-
-    def test_rejects_unphysical_matrix(self):
-        with pytest.raises(ValueError, match="not a physical two-qubit state"):
-            BlochState(np.eye(4, dtype=complex))
-
-    def test_validates_once(self, monkeypatch):
-        import steerkit.states as states
-
-        calls = []
-        original = states.validate_state
-        monkeypatch.setattr(states, "validate_state", lambda rho: calls.append(1) or original(rho))
-        state = BlochState(werner_state(0.7))
-        state.t, state.r_a, state.r_b
-        assert len(calls) == 1
+        assert_allclose(state.t, -0.7 * np.eye(3), atol=1e-14)
 
 
 class TestFidelity:
