@@ -101,7 +101,6 @@ class TestReportStructure:
         second = small_report(seed=12)
         assert any(a.simulated != b.simulated for a, b in zip(first, second))
 
-
     def test_validates_each_state_once(self, monkeypatch):
         # Every module that looks validate_state up is patched, so a copy
         # imported past states.py would be counted too.
