@@ -28,6 +28,8 @@ from .simulate import (
     DEFAULT_PAIRS_PER_SETTING,
     DEFAULT_RESAMPLES,
     SourceModel,
+    _config_float,
+    _config_int,
     assess_estimate,
     estimate_correlation,
     rows_to_csv,
@@ -81,11 +83,10 @@ def _config_value(config: dict, key: str):
     return config[key]
 
 
-def _config_int(config: dict, key: str, default: int, minimum: int) -> int:
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(f'config key "{key}" must be an integer >= {minimum}, got {value!r}')
-    return value
+def _with_flags(config: dict, args) -> dict:
+    """The config with each given override flag written over its key, the flag's dest."""
+    keys = ("pairs_per_setting", "seed", "sys_angle_deg")
+    return config | {k: v for k, v in vars(args).items() if k in keys and v is not None}
 
 
 def _load_config(path: str | None) -> dict:
@@ -165,14 +166,7 @@ def cmd_predict(args) -> int:
 def cmd_sweep(args) -> int:
     if _maybe_example(args):
         return EXIT_OK
-    scenario = _load_config(args.config)
-    if args.seed is not None:
-        scenario["seed"] = args.seed
-    if args.pairs is not None:
-        scenario["pairs_per_setting"] = args.pairs
-    if args.sys_angle_deg is not None:
-        scenario["sys_angle_deg"] = args.sys_angle_deg
-    rows = run_scenario(scenario)
+    rows = run_scenario(_with_flags(_load_config(args.config), args))
     if args.format == "json":
         _emit(json.dumps(rows_to_dicts(rows), indent=2), args.out)
     else:
@@ -220,17 +214,11 @@ def cmd_lhs(args) -> int:
 def cmd_simulate(args) -> int:
     if _maybe_example(args):
         return EXIT_OK
-    config = _load_config(args.config)
+    config = _with_flags(_load_config(args.config), args)
     rho, alice, bob = _state_and_frames(config)
-    pairs = args.pairs if args.pairs is not None else _config_int(
-        config, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1
-    )
-    seed = args.seed if args.seed is not None else _config_int(config, "seed", 0, 0)
-    sys_angle_deg = (
-        args.sys_angle_deg
-        if args.sys_angle_deg is not None
-        else float(config.get("sys_angle_deg", 0.5))
-    )
+    pairs = _config_int(config, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1)
+    seed = _config_int(config, "seed", 0, 0)
+    sys_angle_deg = _config_float(config, "sys_angle_deg", 0.5, 0.0)
     n_resamples = _config_int(config, "n_resamples", DEFAULT_RESAMPLES, 2)
 
     record = simulate_counts(SourceModel.from_state(rho, pairs), alice, bob, seed)
@@ -266,11 +254,9 @@ def cmd_simulate(args) -> int:
 def cmd_reproduce(args) -> int:
     if _maybe_example(args):
         return EXIT_OK
-    config = {} if args.config is None else _load_config(args.config)
-    pairs = args.pairs if args.pairs is not None else _config_int(
-        config, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1
-    )
-    seed = args.seed if args.seed is not None else _config_int(config, "seed", DEFAULT_SEED, 0)
+    config = _with_flags({} if args.config is None else _load_config(args.config), args)
+    pairs = _config_int(config, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1)
+    seed = _config_int(config, "seed", DEFAULT_SEED, 0)
     rows = build_report(pairs_per_setting=pairs, seed=seed)
     if args.format == "json":
         _emit(json.dumps(report_to_dicts(rows), indent=2), args.out)
@@ -302,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="finite-statistics alpha sweep")
     add_common(p, ("csv", "json"), "csv")
     p.add_argument("--seed", type=int, help="override the scenario seed")
-    p.add_argument("--pairs", type=int, help="override pairs_per_setting")
+    p.add_argument("--pairs", type=int, dest="pairs_per_setting", help="override pairs_per_setting")
     p.add_argument("--sys-angle-deg", type=float, help="override the systematic tilt angle")
     p.set_defaults(handler=cmd_sweep)
 
@@ -313,14 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="one finite-statistics run")
     add_common(p, ("text", "json"), "text")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--pairs", type=int, help="override pairs_per_setting")
+    p.add_argument("--pairs", type=int, dest="pairs_per_setting", help="override pairs_per_setting")
     p.add_argument("--sys-angle-deg", type=float, help="override the systematic tilt angle")
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("reproduce", help="comparison table against the reference experiment")
     add_common(p, ("text", "json"), "text")
     p.add_argument("--seed", type=int, help="simulation seed")
-    p.add_argument("--pairs", type=int, help="pairs per setting for the simulated column")
+    p.add_argument("--pairs", type=int, dest="pairs_per_setting", help="override pairs_per_setting")
     p.set_defaults(handler=cmd_reproduce)
 
     return parser

@@ -15,6 +15,8 @@ are reproducible point by point.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
@@ -36,6 +38,24 @@ from .steering import (
 DEFAULT_SYS_ANGLE = math.radians(0.5)
 DEFAULT_PAIRS_PER_SETTING = 100_000
 DEFAULT_RESAMPLES = 200
+
+
+# Config readers return config[key] or the default, and name the key of a bad value.
+def _config_int(config: dict, key: str, default: int, minimum: int) -> int:
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f'config key "{key}" must be an integer >= {minimum}, got {value!r}')
+    return int(value)
+
+
+def _config_float(config: dict, key: str, default=None, minimum: float = -math.inf) -> float:
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        max(minimum, -sys.float_info.max) <= value <= sys.float_info.max
+    ):
+        bound = "" if minimum == -math.inf else f" >= {minimum:g}"
+        raise ValueError(f'config key "{key}" must be a finite number{bound}, got {value!r}')
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -257,10 +277,11 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
             raise ValueError(f'scenario requires key "{key}"')
     state_spec = scenario["state"]
     rho = state_from_spec(state_spec)
-    pairs = int(scenario.get("pairs_per_setting", DEFAULT_PAIRS_PER_SETTING))
-    drift = float(scenario.get("drift_sigma", 0.0))
-    if not 0.0 <= drift < math.inf:
-        raise ValueError(f"drift_sigma must be finite and nonnegative, got {drift}")
+    pairs = _config_int(scenario, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1)
+    seed = _config_int(scenario, "seed", 0, 0)
+    n_resamples = _config_int(scenario, "n_resamples", DEFAULT_RESAMPLES, 2)
+    sys_angle = math.radians(_config_float(scenario, "sys_angle_deg", 0.5, 0.0))
+    drift = _config_float(scenario, "drift_sigma", 0.0, 0.0)
     if drift > 0.0 and state_spec.get("kind") != "werner":
         raise ValueError("drift_sigma requires a werner state spec")
     source = SourceModel.from_state(rho, pairs)
@@ -268,29 +289,22 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
     bob = frame_from_spec(scenario["bob_frame"])
     require_orthonormal_bob(bob)
     alice_spec = scenario["alice_frame"]
+    spec_angles = alice_spec if isinstance(alice_spec, dict) else {}
     sweep = scenario.get("sweep")
     if sweep is not None:
         if "alpha_deg" not in sweep:
             raise ValueError('sweep requires key "alpha_deg"')
-        if not (isinstance(alice_spec, dict) and alice_spec.get("kind") == "pair"):
+        if spec_angles.get("kind") != "pair":
             raise ValueError("sweeping alpha requires an alice pair frame spec")
-        alphas = [float(a) for a in sweep["alpha_deg"]]
+        alphas = [_config_float({"alpha_deg": a}, "alpha_deg") for a in sweep["alpha_deg"]]
         if not alphas:
             raise ValueError("sweep alpha list is empty")
     else:
-        alphas = [float(alice_spec.get("alpha_deg", 0.0)) if isinstance(alice_spec, dict) else 0.0]
-
-    phi_deg = scenario.get("phi_deg")
-    if phi_deg is None and isinstance(alice_spec, dict):
-        phi_deg = alice_spec.get("phi_deg", 0.0)
-    phi = math.radians(float(phi_deg or 0.0))
-
-    seed = scenario.get("seed", 0)
-    sys_angle = math.radians(float(scenario.get("sys_angle_deg", 0.5)))
-    n_resamples = int(scenario.get("n_resamples", DEFAULT_RESAMPLES))
+        alphas = [_config_float(spec_angles, "alpha_deg", 0.0)]
+    phi = math.radians(_config_float(scenario, "phi_deg", spec_angles.get("phi_deg", 0.0)))
 
     def alice_at(alpha_deg: float) -> MeasurementFrame:
-        if isinstance(alice_spec, dict) and alice_spec.get("kind") == "pair":
+        if spec_angles.get("kind") == "pair":
             return tilted_pair(phi, math.radians(alpha_deg), alice_spec["normal"])
         return frame_from_spec(alice_spec)
 
@@ -309,7 +323,7 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
         alice = alice_at(alpha_deg)
         if drift > 0.0:
             jitter = np.random.default_rng((seed, index, 0)).normal(0.0, drift)
-            w_eff = float(np.clip(float(state_spec["W"]) + jitter, 0.0, 1.0))
+            w_eff = float(np.clip(_config_float(state_spec, "W") + jitter, 0.0, 1.0))
             point_source = SourceModel.werner(w_eff, pairs)
         else:
             point_source = source

@@ -213,6 +213,32 @@ class TestSweep:
         # fewer pairs, larger statistical error
         assert payload[0]["ris_err"] > 0.005
 
+    @pytest.mark.parametrize("key, value", [
+        ("pairs_per_setting", 0),
+        ("pairs_per_setting", 1e30),
+        ("pairs_per_setting", "2000"),
+        ("pairs_per_setting", 2000.0),
+        ("seed", -1),
+        ("seed", True),
+        ("n_resamples", "x"),
+        ("n_resamples", 1),
+        ("sys_angle_deg", "x"),
+        ("drift_sigma", "x"),
+        ("phi_deg", "x"),
+    ])
+    def test_bad_config_value_exits_config(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, SWEEP_CONFIG | {key: value})
+        assert main(["sweep", "--config", config]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
+
+    @pytest.mark.parametrize("alpha", ["x", None, math.inf])
+    def test_bad_swept_alpha_exits_config(self, tmp_path, capsys, alpha):
+        config = write_config(tmp_path, SWEEP_CONFIG | {"sweep": {"alpha_deg": [0.0, alpha]}})
+        assert main(["sweep", "--config", config]) == EXIT_CONFIG
+        assert "alpha_deg" in capsys.readouterr().err
+
 
 class TestLhs:
     def test_infeasible_matrix(self, tmp_path, capsys):
@@ -343,11 +369,13 @@ class TestSimulate:
         ("pairs_per_setting", 0),
         ("pairs_per_setting", 1e30),
         ("pairs_per_setting", "2000"),
+        ("pairs_per_setting", 2000.0),
         ("seed", -1),
         ("seed", True),
         ("n_resamples", "x"),
         ("n_resamples", 1),
         ("n_resamples", 20.5),
+        ("sys_angle_deg", "x"),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, key, value):
         config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=2000,
@@ -397,12 +425,29 @@ class TestReproduce:
         ("pairs_per_setting", 0),
         ("pairs_per_setting", 1e30),
         ("pairs_per_setting", "2000"),
+        ("pairs_per_setting", 2000.0),
         ("seed", -1),
         ("seed", True),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, key, value):
         config = write_config(tmp_path, {key: value})
         assert main(["reproduce", "--config", config]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
+
+
+class TestOverrideFlags:
+    @pytest.mark.parametrize("subcommand", ["sweep", "simulate", "reproduce"])
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--seed", "-1", "seed"),
+        ("--pairs", "0", "pairs_per_setting"),
+    ])
+    def test_bad_flag_exits_config(self, tmp_path, capsys, subcommand, flag, value, key):
+        configs = {"sweep": SWEEP_CONFIG, "simulate": dict(TRIAD_PREDICT, n_resamples=20),
+                   "reproduce": {}}
+        config = write_config(tmp_path, configs[subcommand])
+        assert main([subcommand, "--config", config, flag, value]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
         assert key in captured.err
