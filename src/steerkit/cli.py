@@ -27,6 +27,8 @@ from .reproduce import DEFAULT_SEED, build_report, format_report, report_to_dict
 from .simulate import (
     DEFAULT_PAIRS_PER_SETTING,
     DEFAULT_RESAMPLES,
+    MAX_PAIRS_PER_SETTING,
+    MAX_RESAMPLES,
     SourceModel,
     _config_float,
     _config_int,
@@ -38,7 +40,7 @@ from .simulate import (
     simulate_counts,
 )
 from .states import spin_correlation_matrix, state_from_spec
-from .steering import assess_nss, assess_ris, nss_parameter, predicted_correlation
+from .steering import assess_nss, assess_ris, predicted_correlation
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,6 +83,19 @@ def _config_value(config: dict, key: str):
     if key not in config:
         raise ValueError(f'config requires key "{key}"')
     return config[key]
+
+
+def _config_matrix(value) -> np.ndarray:
+    """The lhs config's "matrix": a rectangular nested list of numbers."""
+    try:
+        matrix = np.asarray(value)
+    except ValueError:  # ragged rows
+        matrix = np.asarray(None)
+    if matrix.dtype.kind not in "iuf":
+        raise ValueError(
+            f'config key "matrix" must be a rectangular array of numbers, got {value!r}'
+        )
+    return matrix.astype(float)
 
 
 def _with_flags(config: dict, args) -> dict:
@@ -202,7 +217,7 @@ def cmd_lhs(args) -> int:
         return EXIT_OK
     config = _load_config(args.config)
     if "matrix" in config:
-        matrix = np.asarray(config["matrix"], dtype=float)
+        matrix = _config_matrix(config["matrix"])
     else:
         rho, alice, bob = _state_and_frames(config)
         matrix = predicted_correlation(spin_correlation_matrix(rho), alice, bob)
@@ -216,10 +231,12 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
     config = _with_flags(_load_config(args.config), args)
     rho, alice, bob = _state_and_frames(config)
-    pairs = _config_int(config, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1)
+    pairs = _config_int(
+        config, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1, MAX_PAIRS_PER_SETTING
+    )
     seed = _config_int(config, "seed", 0, 0)
     sys_angle_deg = _config_float(config, "sys_angle_deg", 0.5, 0.0)
-    n_resamples = _config_int(config, "n_resamples", DEFAULT_RESAMPLES, 2)
+    n_resamples = _config_int(config, "n_resamples", DEFAULT_RESAMPLES, 2, MAX_RESAMPLES)
 
     record = simulate_counts(SourceModel.from_state(rho, pairs), alice, bob, seed)
     est = estimate_correlation(record, math.radians(sys_angle_deg))
@@ -255,7 +272,9 @@ def cmd_reproduce(args) -> int:
     if _maybe_example(args):
         return EXIT_OK
     config = _with_flags({} if args.config is None else _load_config(args.config), args)
-    pairs = _config_int(config, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1)
+    pairs = _config_int(
+        config, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1, MAX_PAIRS_PER_SETTING
+    )
     seed = _config_int(config, "seed", DEFAULT_SEED, 0)
     rows = build_report(pairs_per_setting=pairs, seed=seed)
     if args.format == "json":

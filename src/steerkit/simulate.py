@@ -38,13 +38,23 @@ from .steering import (
 DEFAULT_SYS_ANGLE = math.radians(0.5)
 DEFAULT_PAIRS_PER_SETTING = 100_000
 DEFAULT_RESAMPLES = 200
+# Caps on the two size keys.  Poisson means stay far below numpy's limit
+# (~9.2e18), and the bootstrap's (R, m, n) float64 draws, m, n <= 3, stay
+# below 7.2 MB; both leave headroom above every documented use.
+MAX_PAIRS_PER_SETTING = 10**9
+MAX_RESAMPLES = 100_000
 
 
 # Config readers return config[key] or the default, and name the key of a bad value.
-def _config_int(config: dict, key: str, default: int, minimum: int) -> int:
+def _config_int(
+    config: dict, key: str, default: int, minimum: int, maximum: float = math.inf
+) -> int:
     value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f'config key "{key}" must be an integer >= {minimum}, got {value!r}')
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not (
+        minimum <= value <= maximum
+    ):
+        bound = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
+        raise ValueError(f'config key "{key}" must be an integer {bound}, got {value!r}')
     return int(value)
 
 
@@ -172,7 +182,7 @@ def estimate_correlation(
     counts = record.counts
     totals = counts.sum(axis=2)
     if np.any(totals == 0):
-        raise ValueError("every setting pair needs at least one count")
+        raise ValueError("every setting pair needs at least one count; raise pairs_per_setting")
     mhat = (counts[:, :, 0] + counts[:, :, 3] - counts[:, :, 1] - counts[:, :, 2]) / totals
     stat = np.sqrt(np.clip(1.0 - mhat**2, 0.0, None) / totals)
 
@@ -277,9 +287,11 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
             raise ValueError(f'scenario requires key "{key}"')
     state_spec = scenario["state"]
     rho = state_from_spec(state_spec)
-    pairs = _config_int(scenario, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1)
+    pairs = _config_int(
+        scenario, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1, MAX_PAIRS_PER_SETTING
+    )
     seed = _config_int(scenario, "seed", 0, 0)
-    n_resamples = _config_int(scenario, "n_resamples", DEFAULT_RESAMPLES, 2)
+    n_resamples = _config_int(scenario, "n_resamples", DEFAULT_RESAMPLES, 2, MAX_RESAMPLES)
     sys_angle = math.radians(_config_float(scenario, "sys_angle_deg", 0.5, 0.0))
     drift = _config_float(scenario, "drift_sigma", 0.0, 0.0)
     if drift > 0.0 and state_spec.get("kind") != "werner":

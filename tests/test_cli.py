@@ -22,6 +22,8 @@ from steerkit.cli import (
 )
 from steerkit.frames import frame_from_spec
 from steerkit.simulate import (
+    MAX_PAIRS_PER_SETTING,
+    MAX_RESAMPLES,
     SourceModel,
     estimate_correlation,
     propagate_uncertainty,
@@ -218,10 +220,12 @@ class TestSweep:
         ("pairs_per_setting", 1e30),
         ("pairs_per_setting", "2000"),
         ("pairs_per_setting", 2000.0),
+        ("pairs_per_setting", MAX_PAIRS_PER_SETTING + 1),
         ("seed", -1),
         ("seed", True),
         ("n_resamples", "x"),
         ("n_resamples", 1),
+        ("n_resamples", MAX_RESAMPLES + 1),
         ("sys_angle_deg", "x"),
         ("drift_sigma", "x"),
         ("phi_deg", "x"),
@@ -303,6 +307,19 @@ class TestLhs:
     def test_non_orthonormal_bob_frame_rejected(self, tmp_path, capsys):
         assert_bob_frame_rejected("lhs", tmp_path, capsys)
 
+    @pytest.mark.parametrize("matrix", [
+        [[-0.5, 0.0], [0.0]],
+        [["a", "b"], ["c", "d"]],
+        [[-0.5, None], [0.0, -0.5]],
+        "x",
+    ])
+    def test_malformed_matrix_exits_config(self, tmp_path, capsys, matrix):
+        config = write_config(tmp_path, {"matrix": matrix})
+        assert main(["lhs", "--config", config]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert '"matrix"' in captured.err
+
 
 class TestImports:
     def test_scipy_is_not_imported(self):
@@ -370,11 +387,13 @@ class TestSimulate:
         ("pairs_per_setting", 1e30),
         ("pairs_per_setting", "2000"),
         ("pairs_per_setting", 2000.0),
+        ("pairs_per_setting", MAX_PAIRS_PER_SETTING + 1),
         ("seed", -1),
         ("seed", True),
         ("n_resamples", "x"),
         ("n_resamples", 1),
         ("n_resamples", 20.5),
+        ("n_resamples", MAX_RESAMPLES + 1),
         ("sys_angle_deg", "x"),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, key, value):
@@ -426,6 +445,7 @@ class TestReproduce:
         ("pairs_per_setting", 1e30),
         ("pairs_per_setting", "2000"),
         ("pairs_per_setting", 2000.0),
+        ("pairs_per_setting", MAX_PAIRS_PER_SETTING + 1),
         ("seed", -1),
         ("seed", True),
     ])
@@ -437,7 +457,22 @@ class TestReproduce:
         assert key in captured.err
 
 
-class TestOverrideFlags:
+SCALAR_KEYS = (
+    "pairs_per_setting", "seed", "n_resamples", "sys_angle_deg", "drift_sigma", "phi_deg",
+)
+# Any JSON value a scalar key could be given: null, bools, strings, short lists
+# and objects, any float (NaN and +-inf included), small integers on both sides
+# of each minimum, and integers past both caps.
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.floats(), st.integers(min_value=-2, max_value=60),
+    st.integers(min_value=MAX_PAIRS_PER_SETTING + 1),
+)
+
+
+class TestScalarKeys:
     @pytest.mark.parametrize("subcommand", ["sweep", "simulate", "reproduce"])
     @pytest.mark.parametrize("flag, value, key", [
         ("--seed", "-1", "seed"),
@@ -451,6 +486,22 @@ class TestOverrideFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert key in captured.err
+
+    @settings(max_examples=60, deadline=None)
+    @given(key=st.sampled_from(SCALAR_KEYS), value=JSON_VALUES)
+    def test_any_scalar_value_exits_ok_or_names_key(self, key, value):
+        config = dict(SWEEP_CONFIG, pairs_per_setting=50, n_resamples=5,
+                      sweep={"alpha_deg": [0.0, 45.0]}) | {key: value}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), config)
+            out = str(Path(tmp) / "out.txt")
+            for subcommand in ("simulate", "sweep", "reproduce"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main([subcommand, "--config", path, "--out", out])
+                assert code in (EXIT_OK, EXIT_CONFIG), (subcommand, key, value)
+                if code == EXIT_CONFIG:
+                    assert key in err.getvalue(), (subcommand, key, value, err.getvalue())
 
 
 # Direction components: a few plain values, so that some frames are accepted,

@@ -8,8 +8,12 @@ from steerkit.frames import MeasurementFrame, pair_in_plane, standard_triad
 from steerkit.reproduce import _cases
 from steerkit.simulate import (
     CSV_HEADER,
+    MAX_PAIRS_PER_SETTING,
+    MAX_RESAMPLES,
     CountsRecord,
     SourceModel,
+    _config_float,
+    _config_int,
     assess_estimate,
     estimate_correlation,
     outcome_probabilities,
@@ -232,7 +236,7 @@ class TestEstimateCorrelation:
         bob = MeasurementFrame([Z])
         counts = np.zeros((1, 1, 4), dtype=np.int64)
         record = CountsRecord(counts, None, BlochState(werner_state(0.5)), alice, bob)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pairs_per_setting"):
             estimate_correlation(record)
 
     @pytest.mark.parametrize("sys_angle", [math.nan, math.inf, -math.inf, -0.01])
@@ -473,6 +477,56 @@ class TestRunScenario:
         # NaN used to run with no drift applied (NaN > 0 is False)
         with pytest.raises(ValueError, match="drift_sigma"):
             run_scenario(coplanar_scenario(drift_sigma=drift))
+
+
+class TestConfigReaders:
+    @pytest.mark.parametrize("key, minimum, cap", [
+        ("pairs_per_setting", 1, MAX_PAIRS_PER_SETTING),
+        ("n_resamples", 2, MAX_RESAMPLES),
+    ])
+    def test_caps_are_inclusive(self, key, minimum, cap):
+        assert _config_int({key: cap}, key, 10, minimum, cap) == cap
+        assert _config_int({key: minimum}, key, 10, minimum, cap) == minimum
+        for value in (cap + 1, 10**30, minimum - 1):
+            with pytest.raises(ValueError, match=f'"{key}" must be an integer in'):
+                _config_int({key: value}, key, 10, minimum, cap)
+
+    def test_caps_cover_documented_use(self):
+        # 100 000 pairs and 200 resamples are the example configs' values
+        assert MAX_PAIRS_PER_SETTING >= 100 * 100_000
+        assert MAX_RESAMPLES >= 100 * 200
+        # numpy's Poisson sampler rejects means above ~9.2e18
+        assert MAX_PAIRS_PER_SETTING < 1e18
+        # the bootstrap's (R, 3, 3) float64 draws
+        assert MAX_RESAMPLES * 9 * 8 <= 10e6
+
+    def test_int_reader_uses_default_and_accepts_numpy_integers(self):
+        assert _config_int({}, "seed", 7, 0) == 7
+        value = _config_int({"seed": np.int64(5)}, "seed", 7, 0)
+        assert value == 5 and type(value) is int
+
+    @pytest.mark.parametrize("value", [True, 2.0, "2", None, [2], math.nan])
+    def test_int_reader_rejects_non_integers(self, value):
+        with pytest.raises(ValueError, match='"seed" must be an integer >= 0'):
+            _config_int({"seed": value}, "seed", 0, 0)
+
+    def test_float_reader_returns_floats(self):
+        assert _config_float({}, "phi_deg", 0.0) == 0.0
+        for value in (3, np.float64(-2.5), -1e308, 10**300):
+            number = _config_float({"phi_deg": value}, "phi_deg")
+            assert number == float(value) and type(number) is float
+
+    @pytest.mark.parametrize("value", [
+        True, "1.5", None, [1.0], {}, math.nan, math.inf, -math.inf, 10**400, -(10**400),
+    ])
+    def test_float_reader_rejects_non_finite_and_non_numbers(self, value):
+        with pytest.raises(ValueError, match='"phi_deg" must be a finite number, got'):
+            _config_float({"phi_deg": value}, "phi_deg", 0.0)
+
+    def test_float_reader_minimum(self):
+        assert _config_float({"drift_sigma": 0}, "drift_sigma", 0.0, 0.0) == 0.0
+        with pytest.raises(ValueError, match='"drift_sigma" must be a finite number >= 0'):
+            _config_float({"drift_sigma": -1e-300}, "drift_sigma", 0.0, 0.0)
 
 
 class TestSerialization:

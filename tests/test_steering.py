@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
@@ -335,3 +335,29 @@ class TestProperties:
         value = trace_norm(matrix)
         tol = 1e-12 * (1.0 + np.linalg.norm(matrix))
         assert abs(trace_norm(q_a @ matrix @ q_b.T) - value) <= tol
+
+    @settings(deadline=None)
+    @given(
+        st.tuples(st.integers(min_value=1, max_value=6), SETTING_COUNTS).flatmap(
+            lambda shape: st.tuples(
+                hnp.arrays(np.float64, shape[0], elements=st.floats(0.0, 1.0)),
+                hnp.arrays(np.float64, shape, elements=st.sampled_from((-1.0, 1.0))),
+                hnp.arrays(np.float64, (shape[0], 2), elements=st.floats(0.0, 2.0 * math.pi)),
+            )),
+        SETTING_COUNTS,
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_lhs_mixture_is_never_flagged(self, mixture, n, seed):
+        # M_jk = sum_l w_l a_lj (s_l . b_k) for Alice's deterministic +-1
+        # responses a_l and Bob's unit Bloch vectors s_l, seen through a
+        # Haar-random orthonormal frame b_1..b_n
+        weights, responses, angles = mixture
+        assume(weights.sum() > 0.0)
+        theta, phi = angles[:, 0] / 2.0, angles[:, 1]
+        blochs = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                           np.cos(theta)], axis=1)
+        bob = haar_orthogonal(np.random.default_rng(seed), 3)[:, :n]
+        matrix = (weights / weights.sum() * responses.T) @ blochs @ bob
+        assert not assess_ris(matrix).violated
+        if matrix.shape[0] == 2:
+            assert not assess_nss(matrix).violated
