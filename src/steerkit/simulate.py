@@ -301,22 +301,22 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
     bob = frame_from_spec(scenario["bob_frame"])
     require_orthonormal_bob(bob)
     alice_spec = scenario["alice_frame"]
-    spec_angles = alice_spec if isinstance(alice_spec, dict) else {}
+    alice_mapping = alice_spec if isinstance(alice_spec, dict) else {}
     sweep = scenario.get("sweep")
     if sweep is not None:
         if "alpha_deg" not in sweep:
             raise ValueError('sweep requires key "alpha_deg"')
-        if spec_angles.get("kind") != "pair":
+        if alice_mapping.get("kind") != "pair":
             raise ValueError("sweeping alpha requires an alice pair frame spec")
         alphas = [_config_float({"alpha_deg": a}, "alpha_deg") for a in sweep["alpha_deg"]]
         if not alphas:
             raise ValueError("sweep alpha list is empty")
     else:
-        alphas = [_config_float(spec_angles, "alpha_deg", 0.0)]
-    phi = math.radians(_config_float(scenario, "phi_deg", spec_angles.get("phi_deg", 0.0)))
+        alphas = [_config_float(alice_mapping, "alpha_deg", 0.0)]
+    phi = math.radians(_config_float(scenario, "phi_deg", alice_mapping.get("phi_deg", 0.0)))
 
     def alice_at(alpha_deg: float) -> MeasurementFrame:
-        if spec_angles.get("kind") == "pair":
+        if alice_mapping.get("kind") == "pair":
             return tilted_pair(phi, math.radians(alpha_deg), alice_spec["normal"])
         return frame_from_spec(alice_spec)
 
