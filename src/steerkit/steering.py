@@ -30,8 +30,6 @@ NSS = "nss"
 # violation; keeps exact-boundary cases stable against roundoff.
 BOUNDARY_TOL = 1e-12
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class SteeringAssessment:
@@ -183,82 +181,28 @@ def werner_nss_closed_form(w: float, phi: float, alpha: float) -> float:
     return w * (math.sqrt(1.0 + c2 + s) + math.sqrt(max(0.0, 1.0 + c2 - s))) / math.sqrt(2.0)
 
 
-def _plane_basis(projector) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the range of a rank-2 projector."""
-    p = np.asarray(projector, dtype=float)
-    if p.shape != (3, 3):
-        raise ValueError(f"expected a (3, 3) projector, got shape {p.shape}")
-    if np.abs(p - p.T).max() > 1e-10 or np.abs(p @ p - p).max() > 1e-8:
-        raise ValueError("plane argument is not a projector")
-    vals, vecs = np.linalg.eigh((p + p.T) / 2.0)
-    if not (vals[0] < 0.5 and vals[1] > 0.5 and vals[2] > 0.5):
-        raise ValueError(f"plane projector must have rank 2, eigenvalues are {vals}")
-    return vecs[:, 1], vecs[:, 2]
-
-
 def min_nss_over_rotations(
-    t: NDArray[np.float64],
-    alice_plane,
-    bob: MeasurementFrame,
-    mode: str = "numeric",
+    t: NDArray[np.float64], alice_plane, bob: MeasurementFrame
 ) -> float:
     """Minimum of the two-setting parameter over Alice's in-plane rotations.
 
     Alice's orthonormal pair lives in the plane given by a rank-2
-    projector; the parameter is minimized over the pair's orientation
-    within that plane.  The minimum equals the trace-norm prediction
-    ||P_A T P_B||_tr.
-
-    Modes:
-        numeric: evaluate on a 0.5-degree grid over a quarter turn, then
-            refine by golden-section search to an interval of 1e-8.
-        analytic: the trace norm of E^T T P_B, where the columns of E are
-            an orthonormal basis of Alice's plane; its two singular values
-            are the square roots of the eigenvalues of P_A T P_B T^T P_A
-            on the plane.
+    projector P_A; the parameter is minimized over the pair's orientation
+    within that plane.  The minimum is the trace-norm prediction
+    ||P_A T P_B||_tr (Cavalcanti et al., JOSA B 32, A74 (2015)), returned
+    in that closed form.
     """
-    t = np.asarray(t, dtype=float)
-    e1, e2 = _plane_basis(alice_plane)
+    p_a = np.asarray(alice_plane, dtype=float)
+    if p_a.shape != (3, 3):
+        raise ValueError(f"expected a (3, 3) projector, got shape {p_a.shape}")
+    if np.abs(p_a - p_a.T).max() > 1e-10 or np.abs(p_a @ p_a - p_a).max() > 1e-8:
+        raise ValueError("plane argument is not a projector")
+    trace = float(np.trace(p_a))
+    if abs(trace - 2.0) > 0.5:
+        raise ValueError(f"plane projector must have rank 2, its trace is {trace}")
     _require_orthonormal(bob, "bob")
-    p_b = projection_matrix(bob)
-
-    if mode == "analytic":
-        return trace_norm(np.vstack([e1, e2]) @ t @ p_b)
-    if mode != "numeric":
-        raise ValueError(f"mode must be 'numeric' or 'analytic', got {mode!r}")
-
-    image1 = p_b @ t.T @ e1
-    image2 = p_b @ t.T @ e2
-
-    def objective(theta: float) -> float:
-        c, s = math.cos(theta), math.sin(theta)
-        # pair (a1, a2) at angle theta: sum directions (a1 +- a2)/sqrt(2)
-        # are the same pair rotated by -45 degrees, so scanning theta over
-        # a quarter turn covers every orientation of the +- pair.
-        plus = c * image1 + s * image2
-        minus = s * image1 - c * image2
-        return float(np.linalg.norm(plus) + np.linalg.norm(minus))
-
-    grid = np.deg2rad(np.arange(0.0, 90.0 + 0.25, 0.5))
-    values = [objective(th) for th in grid]
-    best = int(np.argmin(values))
-    lo = grid[best] - np.deg2rad(0.5)
-    hi = grid[best] + np.deg2rad(0.5)
-
-    # Golden-section refinement on the bracketing interval.
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    while hi - lo > 1e-8:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = objective(x2)
-    return min(values[best], f1, f2)
+    t = np.asarray(t, dtype=float)
+    return trace_norm(p_a @ t @ projection_matrix(bob))
 
 
 def _canonical_singular_vectors(u: np.ndarray, s: np.ndarray, vt: np.ndarray):

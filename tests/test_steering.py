@@ -33,6 +33,8 @@ from steerkit.steering import (
     werner_ris_closed_form,
 )
 
+from _reference import min_nss_by_search
+
 Y = np.array([0.0, 1.0, 0.0])
 
 # Finite entries bounded so that no square or rotated entry overflows.
@@ -243,25 +245,24 @@ class TestMinOverRotations:
             t = random_correlation_tensor(rng)
             alice = rotate_frame(pair_in_plane(Y, 0.3), random_rotation(rng))
             bob = rotate_frame(pair_in_plane(Y, 1.1), random_rotation(rng))
-            plane = projection_matrix(alice)
             ref = ris_predicted(t, alice, bob)
-            numeric = min_nss_over_rotations(t, plane, bob, mode="numeric")
-            analytic = min_nss_over_rotations(t, plane, bob, mode="analytic")
-            assert_allclose(numeric, analytic, atol=1e-6)
-            assert_allclose(numeric, ref, atol=1e-6)
+            searched = min_nss_by_search(t, alice, bob)
+            closed = min_nss_over_rotations(t, projection_matrix(alice), bob)
+            assert_allclose(searched, closed, atol=1e-6)
+            assert_allclose(searched, ref, atol=1e-6)
 
     def test_werner_coplanar_value(self):
         t = spin_correlation_matrix(werner_state(0.9))
         plane = projection_matrix(pair_in_plane(Y, 0.0))
         bob = pair_in_plane(Y, 0.0)
-        assert_allclose(min_nss_over_rotations(t, plane, bob, mode="analytic"), 1.8, atol=1e-9)
+        assert_allclose(min_nss_over_rotations(t, plane, bob), 1.8, atol=1e-9)
 
     def test_werner_perpendicular_value(self):
         t = spin_correlation_matrix(werner_state(1.0))
         alice = tilted_pair(math.pi / 2.0, 0.0, Y)
         plane = projection_matrix(alice)
         bob = pair_in_plane(Y, 0.0)
-        assert_allclose(min_nss_over_rotations(t, plane, bob, mode="numeric"), 1.0, atol=1e-7)
+        assert_allclose(min_nss_over_rotations(t, plane, bob), 1.0, atol=1e-7)
 
     def test_rejects_rank_one_plane(self):
         t = -np.eye(3)
@@ -272,7 +273,7 @@ class TestMinOverRotations:
     def test_rejects_unknown_mode(self):
         t = -np.eye(3)
         plane = projection_matrix(pair_in_plane(Y, 0.0))
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(TypeError, match="mode"):
             min_nss_over_rotations(t, plane, pair_in_plane(Y, 0.0), mode="fast")
 
 
