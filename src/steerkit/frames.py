@@ -154,12 +154,7 @@ def pair_in_plane(normal, alpha: float) -> MeasurementFrame:
     normal) from the in-plane reference; the second is the first rotated
     by a further +90 degrees.
     """
-    n = unit(normal)
-    ref = in_plane_reference(n)
-    rot = rotation_about(n, alpha)
-    d1 = rot @ ref
-    d2 = rot @ np.cross(n, ref)
-    return MeasurementFrame([d1, d2])
+    return tilted_pair(0.0, alpha, normal)
 
 
 def tilted_pair(phi: float, alpha: float, bob_plane_normal) -> MeasurementFrame:
