@@ -21,6 +21,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .config import _config_float, _config_int
 from .frames import frame_from_spec, require_orthonormal_bob
 from .lhs import MembershipVerdict, lhs_membership
 from .reproduce import DEFAULT_SEED, build_report, format_report, report_to_dicts
@@ -30,8 +31,6 @@ from .simulate import (
     MAX_PAIRS_PER_SETTING,
     MAX_RESAMPLES,
     SourceModel,
-    _config_float,
-    _config_int,
     assess_estimate,
     estimate_correlation,
     rows_to_csv,

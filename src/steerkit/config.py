@@ -1,0 +1,36 @@
+"""Checked readers of scalar config keys.
+
+Each reader returns config[key], or the default when the key is absent,
+and raises a ValueError naming the key when the value has the wrong type,
+is not finite or lies out of range.  The spec readers in frames and
+states and the subcommands in simulate and cli read every scalar key
+through them.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+import sys
+
+
+def _config_int(
+    config: dict, key: str, default: int, minimum: int, maximum: float = math.inf
+) -> int:
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not (
+        minimum <= value <= maximum
+    ):
+        bound = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
+        raise ValueError(f'config key "{key}" must be an integer {bound}, got {value!r}')
+    return int(value)
+
+
+def _config_float(config: dict, key: str, default=None, minimum: float = -math.inf) -> float:
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        max(minimum, -sys.float_info.max) <= value <= sys.float_info.max
+    ):
+        bound = "" if minimum == -math.inf else f" >= {minimum:g}"
+        raise ValueError(f'config key "{key}" must be a finite number{bound}, got {value!r}')
+    return float(value)

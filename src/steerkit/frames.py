@@ -18,6 +18,8 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
+from .config import _config_float
+
 UNIT_TOL = 1e-6
 ORTHONORMAL_TOL = 1e-10
 ROTATION_TOL = 1e-10
@@ -261,8 +263,8 @@ def frame_from_spec(spec: dict) -> MeasurementFrame:
     if kind == "pair":
         if "normal" not in spec:
             raise ValueError('pair frame spec requires key "normal"')
-        phi = math.radians(float(spec.get("phi_deg", 0.0)))
-        alpha = math.radians(float(spec.get("alpha_deg", 0.0)))
+        phi = math.radians(_config_float(spec, "phi_deg", 0.0))
+        alpha = math.radians(_config_float(spec, "alpha_deg", 0.0))
         return tilted_pair(phi, alpha, spec["normal"])
     if kind == "explicit":
         if "directions" not in spec:

@@ -15,13 +15,12 @@ are reproducible point by point.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
+from .config import _config_float, _config_int
 from .frames import MeasurementFrame, frame_from_spec, require_orthonormal_bob, tilted_pair, unit
 from .states import BlochState, state_from_spec, werner_state
 from .steering import (
@@ -43,29 +42,6 @@ DEFAULT_RESAMPLES = 200
 # below 7.2 MB; both leave headroom above every documented use.
 MAX_PAIRS_PER_SETTING = 10**9
 MAX_RESAMPLES = 100_000
-
-
-# Config readers return config[key] or the default, and name the key of a bad value.
-def _config_int(
-    config: dict, key: str, default: int, minimum: int, maximum: float = math.inf
-) -> int:
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not (
-        minimum <= value <= maximum
-    ):
-        bound = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
-        raise ValueError(f'config key "{key}" must be an integer {bound}, got {value!r}')
-    return int(value)
-
-
-def _config_float(config: dict, key: str, default=None, minimum: float = -math.inf) -> float:
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-        max(minimum, -sys.float_info.max) <= value <= sys.float_info.max
-    ):
-        bound = "" if minimum == -math.inf else f" >= {minimum:g}"
-        raise ValueError(f'config key "{key}" must be a finite number{bound}, got {value!r}')
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -304,8 +280,12 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
     alice_mapping = alice_spec if isinstance(alice_spec, dict) else {}
     sweep = scenario.get("sweep")
     if sweep is not None:
+        if not isinstance(sweep, dict):
+            raise ValueError(f'config key "sweep" must be a mapping, got {sweep!r}')
         if "alpha_deg" not in sweep:
             raise ValueError('sweep requires key "alpha_deg"')
+        if not isinstance(sweep["alpha_deg"], list):
+            raise ValueError(f'config key "sweep" must map "alpha_deg" to a list, got {sweep!r}')
         if alice_mapping.get("kind") != "pair":
             raise ValueError("sweeping alpha requires an alice pair frame spec")
         alphas = [_config_float({"alpha_deg": a}, "alpha_deg") for a in sweep["alpha_deg"]]
@@ -322,7 +302,9 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
 
     probe = alice_at(alphas[0])
     default_ineqs = ["ris", "nss"] if probe.size == 2 else ["ris"]
-    inequalities = list(scenario.get("inequalities", default_ineqs))
+    inequalities = scenario.get("inequalities", default_ineqs)
+    if not isinstance(inequalities, list):
+        raise ValueError(f'config key "inequalities" must be a list, got {inequalities!r}')
     for tag in inequalities:
         if tag not in ("ris", "nss"):
             raise ValueError(f"unknown inequality tag {tag!r}")

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .config import _config_float
+
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_TOL = -1e-10
@@ -173,7 +175,7 @@ def state_from_spec(spec: dict) -> NDArray[np.complex128]:
     if kind == "werner":
         if "W" not in spec:
             raise ValueError('werner state spec requires key "W"')
-        return werner_state(float(spec["W"]))
+        return werner_state(_config_float(spec, "W"))
     if kind == "matrix":
         if "re" not in spec:
             raise ValueError('matrix state spec requires key "re"')

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -36,6 +37,14 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def with_value(config, key, value):
+    """A copy of config with value at key, a top-level key or "spec.key" inside a spec."""
+    config = copy.deepcopy(config)
+    spec, _, name = key.rpartition(".")
+    (config[spec] if spec else config)[name] = value
+    return config
 
 
 def assert_bob_frame_rejected(subcommand, tmp_path, capsys):
@@ -229,13 +238,20 @@ class TestSweep:
         ("sys_angle_deg", "x"),
         ("drift_sigma", "x"),
         ("phi_deg", "x"),
+        ("sweep", 5),
+        ("sweep", {"alpha_deg": 5}),
+        ("inequalities", "ris"),
+        ("state.W", True),
+        ("state.W", "0.9"),
+        pytest.param("bob_frame.alpha_deg", 10**400, id="bob_frame.alpha_deg-10**400"),
+        ("bob_frame.phi_deg", math.inf),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, key, value):
-        config = write_config(tmp_path, SWEEP_CONFIG | {key: value})
+        config = write_config(tmp_path, with_value(SWEEP_CONFIG, key, value))
         assert main(["sweep", "--config", config]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert key in captured.err
+        assert f'"{key.rpartition(".")[2]}"' in captured.err
 
     @pytest.mark.parametrize("alpha", ["x", None, math.inf])
     def test_bad_swept_alpha_exits_config(self, tmp_path, capsys, alpha):
@@ -395,14 +411,18 @@ class TestSimulate:
         ("n_resamples", 20.5),
         ("n_resamples", MAX_RESAMPLES + 1),
         ("sys_angle_deg", "x"),
+        ("state.W", True),
+        ("state.W", "0.9"),
+        pytest.param("alice_frame.alpha_deg", 10**400, id="alice_frame.alpha_deg-10**400"),
+        ("alice_frame.phi_deg", math.inf),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, key, value):
-        config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=2000,
-                                             n_resamples=20, seed=3) | {key: value})
+        config = write_config(tmp_path, with_value(
+            dict(PAIR_PREDICT, pairs_per_setting=2000, n_resamples=20, seed=3), key, value))
         assert main(["simulate", "--config", config]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert key in captured.err
+        assert f'"{key.rpartition(".")[2]}"' in captured.err
 
 
 class TestReproduce:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from steerkit.config import _config_float, _config_int
 from steerkit.frames import MeasurementFrame, pair_in_plane, standard_triad
 from steerkit.reproduce import _cases
 from steerkit.simulate import (
@@ -12,8 +13,6 @@ from steerkit.simulate import (
     MAX_RESAMPLES,
     CountsRecord,
     SourceModel,
-    _config_float,
-    _config_int,
     assess_estimate,
     estimate_correlation,
     outcome_probabilities,
