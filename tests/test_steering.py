@@ -18,7 +18,7 @@ from steerkit.frames import (
     tetrahedron_frame,
     tilted_pair,
 )
-from steerkit.states import spin_correlation_matrix, werner_state
+from steerkit.states import BlochState, spin_correlation_matrix, werner_state
 from steerkit.steering import (
     assess_nss,
     assess_ris,
@@ -362,3 +362,23 @@ class TestProperties:
         assert not assess_ris(matrix).violated
         if matrix.shape[0] == 2:
             assert not assess_nss(matrix).violated
+
+    @settings(deadline=None)
+    @given(
+        hnp.arrays(np.float64, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from((pair_in_plane(Y, 0.0), standard_triad())),
+        st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_closed_form_never_exceeds_a_rotated_pair(self, parts, seed, bob_frame, theta):
+        # rho = A A^dag / Tr[A A^dag] is a physical state for any complex A
+        a = parts[0] + 1j * parts[1]
+        gram = a @ a.conj().T
+        assume(np.trace(gram).real > 1e-3)
+        t = BlochState(gram / np.trace(gram).real).t
+        rng = np.random.default_rng(seed)
+        rotation = random_rotation(rng)
+        plane = projection_matrix(rotate_frame(pair_in_plane(Y, 0.0), rotation))
+        alice = rotate_frame(pair_in_plane(Y, theta), rotation)
+        bob = rotate_frame(bob_frame, random_rotation(rng))
+        assert nss_predicted(t, alice, bob) >= min_nss_over_rotations(t, plane, bob) - 1e-12
