@@ -22,7 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .config import _config_float, _config_int
-from .frames import frame_from_spec, require_orthonormal_bob
+from .frames import frame_from_spec, require_orthonormal
 from .lhs import MembershipVerdict, lhs_membership
 from .reproduce import DEFAULT_SEED, build_report, format_report, report_to_dicts
 from .simulate import (
@@ -118,7 +118,7 @@ def _state_and_frames(config: dict):
     rho = state_from_spec(_config_value(config, "state"))
     alice = frame_from_spec(_config_value(config, "alice_frame"))
     bob = frame_from_spec(_config_value(config, "bob_frame"))
-    require_orthonormal_bob(bob)
+    require_orthonormal(bob, "bob_frame")
     return rho, alice, bob
 
 

@@ -2,7 +2,8 @@
 
 A measurement frame is an ordered set of one to three unit directions.
 Frames need not be orthonormal; operations that require orthonormality
-(projector construction) say so and raise otherwise.
+(projector construction, the steering bounds) check it with
+require_orthonormal and raise otherwise.
 
 Plane conventions used throughout: a measurement plane is identified by
 its unit normal, and the in-plane reference direction is the normalized
@@ -23,9 +24,6 @@ from .config import _config_float
 UNIT_TOL = 1e-6
 ORTHONORMAL_TOL = 1e-10
 ROTATION_TOL = 1e-10
-# Largest entry of G_B - I, for Bob's Gram matrix G_B, that the steering
-# criteria accept.
-BOB_GRAM_TOL = 1e-9
 
 
 def unit(v) -> np.ndarray:
@@ -78,8 +76,8 @@ class MeasurementFrame:
 
     @property
     def orthonormal(self) -> bool:
-        g = self._directions @ self._directions.T
-        return bool(np.abs(g - np.eye(self.size)).max() <= ORTHONORMAL_TOL)
+        """No entry of the Gram matrix differs from the identity's by more than ORTHONORMAL_TOL."""
+        return bool(np.abs(self.gram() - np.eye(self.size)).max() <= ORTHONORMAL_TOL)
 
     def gram(self) -> np.ndarray:
         return self._directions @ self._directions.T
@@ -89,17 +87,18 @@ class MeasurementFrame:
         return f"MeasurementFrame([{rows}])"
 
 
-def require_orthonormal_bob(bob: MeasurementFrame) -> None:
-    """Reject a Bob frame whose directions are not orthonormal.
+def require_orthonormal(frame: MeasurementFrame, name: str) -> None:
+    """Reject a frame whose directions are not orthonormal, naming it in the error.
 
     The steering bounds and the LHS oracle take Bob's local states to fill
-    the unit ball of his setting space, which holds only for orthonormal
-    directions; for any other frame their verdicts would be unsound.
+    the unit ball of his setting space, and a frame's projector is d^T d,
+    both only for orthonormal directions; for any other frame a verdict
+    would be unsound.
     """
-    if np.abs(bob.gram() - np.eye(bob.size)).max() > BOB_GRAM_TOL:
+    if not frame.orthonormal:
         raise ValueError(
-            "bob_frame must be orthonormal for the steering criteria: "
-            f"its Gram matrix differs from the identity by more than {BOB_GRAM_TOL:g}"
+            f"{name} must be orthonormal: its Gram matrix differs from the "
+            f"identity by more than {ORTHONORMAL_TOL:g}"
         )
 
 
@@ -111,12 +110,7 @@ def projection_matrix(frame: MeasurementFrame) -> np.ndarray:
             frames have no projector form; evaluate the correlation
             matrix directly and take its trace norm instead.
     """
-    if not frame.orthonormal:
-        raise ValueError(
-            "projection_matrix requires an orthonormal frame; for "
-            "non-orthonormal directions compute the correlation matrix "
-            "directly and use its trace norm"
-        )
+    require_orthonormal(frame, "the projector's frame")
     d = frame.directions
     return d.T @ d
 

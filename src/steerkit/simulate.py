@@ -21,7 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .config import _config_float, _config_int
-from .frames import MeasurementFrame, frame_from_spec, require_orthonormal_bob, tilted_pair, unit
+from .frames import MeasurementFrame, frame_from_spec, require_orthonormal, tilted_pair, unit
 from .states import BlochState, state_from_spec, werner_state
 from .steering import (
     SteeringAssessment,
@@ -275,7 +275,7 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
     source = SourceModel.from_state(rho, pairs)
 
     bob = frame_from_spec(scenario["bob_frame"])
-    require_orthonormal_bob(bob)
+    require_orthonormal(bob, "bob_frame")
     alice_spec = scenario["alice_frame"]
     alice_mapping = alice_spec if isinstance(alice_spec, dict) else {}
     sweep = scenario.get("sweep")

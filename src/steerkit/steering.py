@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .frames import MeasurementFrame, projection_matrix
+from .frames import MeasurementFrame, require_orthonormal
 
 RIS = "ris"
 NSS = "nss"
@@ -124,38 +124,25 @@ def assess_nss(matrix) -> SteeringAssessment:
     return SteeringAssessment(NSS, parameter, bound, margin, margin > BOUNDARY_TOL)
 
 
-def _require_orthonormal(frame: MeasurementFrame, party: str) -> None:
-    if not frame.orthonormal:
-        raise ValueError(
-            f"{party} frame must be orthonormal for the projector form; "
-            "use trace_norm(predicted_correlation(...)) for general frames"
-        )
-
-
 def ris_predicted(
     t: NDArray[np.float64], alice: MeasurementFrame, bob: MeasurementFrame
 ) -> float:
-    """Predicted trace-norm parameter ||P_A T P_B||_tr for orthonormal frames."""
-    _require_orthonormal(alice, "alice")
-    _require_orthonormal(bob, "bob")
-    t = np.asarray(t, dtype=float)
-    return trace_norm(projection_matrix(alice) @ t @ projection_matrix(bob))
+    """Predicted trace-norm parameter for orthonormal frames.
+
+    ||M||_tr for M = A T B^T, which has the singular values of P_A T P_B.
+    """
+    require_orthonormal(alice, "alice_frame")
+    require_orthonormal(bob, "bob_frame")
+    return trace_norm(predicted_correlation(t, alice, bob))
 
 
 def nss_predicted(
     t: NDArray[np.float64], alice: MeasurementFrame, bob: MeasurementFrame
 ) -> float:
-    """Predicted two-setting parameter |P_B T^T a+| + |P_B T^T a-|."""
-    if alice.size != 2:
-        raise ValueError(f"the two-setting parameter requires m = 2, got {alice.size}")
-    _require_orthonormal(alice, "alice")
-    _require_orthonormal(bob, "bob")
-    t = np.asarray(t, dtype=float)
-    a1, a2 = alice.directions
-    a_plus = (a1 + a2) / math.sqrt(2.0)
-    a_minus = (a1 - a2) / math.sqrt(2.0)
-    p_b = projection_matrix(bob)
-    return float(np.linalg.norm(p_b @ t.T @ a_plus) + np.linalg.norm(p_b @ t.T @ a_minus))
+    """Predicted two-setting parameter of M = A T B^T for an orthonormal pair and frame."""
+    require_orthonormal(alice, "alice_frame")
+    require_orthonormal(bob, "bob_frame")
+    return nss_parameter(predicted_correlation(t, alice, bob))
 
 
 def werner_ris_closed_form(w: float, phi: float) -> float:
@@ -190,7 +177,8 @@ def min_nss_over_rotations(
     projector P_A; the parameter is minimized over the pair's orientation
     within that plane.  The minimum is the trace-norm prediction
     ||P_A T P_B||_tr (Cavalcanti et al., JOSA B 32, A74 (2015)), returned
-    in that closed form.
+    in that closed form as ||P_A T B^T||_tr, which has the same singular
+    values.
     """
     p_a = np.asarray(alice_plane, dtype=float)
     if p_a.shape != (3, 3):
@@ -200,9 +188,8 @@ def min_nss_over_rotations(
     trace = float(np.trace(p_a))
     if abs(trace - 2.0) > 0.5:
         raise ValueError(f"plane projector must have rank 2, its trace is {trace}")
-    _require_orthonormal(bob, "bob")
-    t = np.asarray(t, dtype=float)
-    return trace_norm(p_a @ t @ projection_matrix(bob))
+    require_orthonormal(bob, "bob_frame")
+    return trace_norm(p_a @ np.asarray(t, dtype=float) @ bob.directions.T)
 
 
 def _canonical_singular_vectors(u: np.ndarray, s: np.ndarray, vt: np.ndarray):

@@ -12,7 +12,7 @@ from steerkit.frames import (
     pair_in_plane,
     projection_matrix,
     random_rotation,
-    require_orthonormal_bob,
+    require_orthonormal,
     rotate_frame,
     rotation_about,
     standard_triad,
@@ -62,15 +62,15 @@ class TestMeasurementFrame:
         assert_allclose(off, np.full(6, 0.5), atol=1e-12)
 
 
-class TestRequireOrthonormalBob:
+class TestRequireOrthonormal:
     def test_accepts_orthonormal_frames(self):
         for frame in (standard_triad(), misaligned_triad(), pair_in_plane(Y, 0.3),
                       MeasurementFrame([[0.6, 0.8, 0.0]])):
-            require_orthonormal_bob(frame)
+            require_orthonormal(frame, "bob_frame")
 
     def test_rejects_tetrahedron(self):
         with pytest.raises(ValueError, match="bob_frame"):
-            require_orthonormal_bob(tetrahedron_frame())
+            require_orthonormal(tetrahedron_frame(), "bob_frame")
 
 
 class TestProjection:
