@@ -1,10 +1,10 @@
-"""Checked readers of scalar config keys.
+"""Checked readers of config keys.
 
 Each reader returns config[key], or the default when the key is absent,
 and raises a ValueError naming the key when the value has the wrong type,
 is not finite or lies out of range.  The spec readers in frames and
 states and the subcommands in simulate and cli read every scalar key
-through them.
+through them, and every array key through _config_array.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+
+import numpy as np
 
 
 def _config_int(
@@ -34,3 +36,14 @@ def _config_float(config: dict, key: str, default=None, minimum: float = -math.i
         bound = "" if minimum == -math.inf else f" >= {minimum:g}"
         raise ValueError(f'config key "{key}" must be a finite number{bound}, got {value!r}')
     return float(value)
+
+
+def _config_array(config: dict, key: str, default=None) -> np.ndarray:
+    """config[key] as a float array; its entries' finiteness and shape are the caller's to check."""
+    value = config.get(key, default)
+    try:
+        return np.asarray(value, dtype=float)
+    except (OverflowError, TypeError, ValueError):
+        raise ValueError(
+            f'config key "{key}" must be an array of numbers in the float range, got {value!r}'
+        ) from None

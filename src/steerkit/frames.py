@@ -19,7 +19,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .config import _config_float
+from .config import _config_array, _config_float
 
 UNIT_TOL = 1e-6
 ORTHONORMAL_TOL = 1e-10
@@ -259,10 +259,10 @@ def frame_from_spec(spec: dict) -> MeasurementFrame:
             raise ValueError('pair frame spec requires key "normal"')
         phi = math.radians(_config_float(spec, "phi_deg", 0.0))
         alpha = math.radians(_config_float(spec, "alpha_deg", 0.0))
-        return tilted_pair(phi, alpha, spec["normal"])
+        return tilted_pair(phi, alpha, _config_array(spec, "normal"))
     if kind == "explicit":
         if "directions" not in spec:
             raise ValueError('explicit frame spec requires key "directions"')
-        dirs = [unit(d) for d in np.atleast_2d(np.asarray(spec["directions"], dtype=float))]
+        dirs = [unit(d) for d in np.atleast_2d(_config_array(spec, "directions"))]
         return MeasurementFrame(dirs)
     raise ValueError(f"unknown frame kind {kind!r}")

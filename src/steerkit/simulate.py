@@ -21,7 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .config import _config_float, _config_int
-from .frames import MeasurementFrame, frame_from_spec, require_orthonormal, tilted_pair, unit
+from .frames import MeasurementFrame, frame_from_spec, require_orthonormal, unit
 from .states import BlochState, state_from_spec, werner_state
 from .steering import (
     SteeringAssessment,
@@ -293,11 +293,11 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
             raise ValueError("sweep alpha list is empty")
     else:
         alphas = [_config_float(alice_mapping, "alpha_deg", 0.0)]
-    phi = math.radians(_config_float(scenario, "phi_deg", alice_mapping.get("phi_deg", 0.0)))
+    phi_deg = _config_float(scenario, "phi_deg", alice_mapping.get("phi_deg", 0.0))
 
     def alice_at(alpha_deg: float) -> MeasurementFrame:
         if alice_mapping.get("kind") == "pair":
-            return tilted_pair(phi, math.radians(alpha_deg), alice_spec["normal"])
+            return frame_from_spec(alice_spec | {"phi_deg": phi_deg, "alpha_deg": alpha_deg})
         return frame_from_spec(alice_spec)
 
     probe = alice_at(alphas[0])

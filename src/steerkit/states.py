@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .config import _config_float
+from .config import _config_array, _config_float
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -179,8 +179,8 @@ def state_from_spec(spec: dict) -> NDArray[np.complex128]:
     if kind == "matrix":
         if "re" not in spec:
             raise ValueError('matrix state spec requires key "re"')
-        re = np.asarray(spec["re"], dtype=float)
-        im = np.asarray(spec.get("im", np.zeros((4, 4))), dtype=float)
+        re = _config_array(spec, "re")
+        im = _config_array(spec, "im", np.zeros((4, 4)))
         if re.shape != (4, 4) or im.shape != (4, 4):
             raise ValueError("matrix state spec entries must be 4x4")
         return _require_state(re + 1.0j * im)

@@ -245,6 +245,8 @@ class TestSweep:
         ("state.W", "0.9"),
         pytest.param("bob_frame.alpha_deg", 10**400, id="bob_frame.alpha_deg-10**400"),
         ("bob_frame.phi_deg", math.inf),
+        pytest.param("bob_frame.normal", [0, 1, 10**400], id="bob_frame.normal-10**400"),
+        pytest.param("alice_frame.normal", [0, 1, 10**400], id="alice_frame.normal-10**400"),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, key, value):
         config = write_config(tmp_path, with_value(SWEEP_CONFIG, key, value))
@@ -415,6 +417,8 @@ class TestSimulate:
         ("state.W", "0.9"),
         pytest.param("alice_frame.alpha_deg", 10**400, id="alice_frame.alpha_deg-10**400"),
         ("alice_frame.phi_deg", math.inf),
+        pytest.param("alice_frame.normal", [0, 1, 10**400], id="alice_frame.normal-10**400"),
+        pytest.param("bob_frame.normal", [0, 1, 10**400], id="bob_frame.normal-10**400"),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, key, value):
         config = write_config(tmp_path, with_value(
@@ -538,6 +542,18 @@ class TestExplicitDirections:
         }))
         assert main(["simulate", "--config", config]) == EXIT_CONFIG
         assert "direction must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["predict", "simulate"])
+    @pytest.mark.parametrize("party", ["alice_frame", "bob_frame"])
+    def test_direction_past_float_range_exits_config(self, tmp_path, capsys, subcommand, party):
+        # exited 3 with "int too large to convert to float" before
+        config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=100) | {
+            party: {"kind": "explicit", "directions": [[1, 0, 0], [0, 1, 10**400]]},
+        })
+        assert main([subcommand, "--config", config]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert '"directions"' in captured.err
 
     @settings(max_examples=60, deadline=None)
     @given(alice=DIRECTIONS, bob=DIRECTIONS)
