@@ -61,10 +61,16 @@ def werner_state(w: float) -> NDArray[np.complex128]:
 
 
 def validate_state(rho: NDArray[np.complex128]) -> StateDiagnostics:
-    """Check hermiticity, unit trace, and positivity of a 4x4 matrix."""
+    """Check hermiticity, unit trace, and positivity of a 4x4 matrix.
+
+    Raises:
+        ValueError: on a wrong shape or a non-finite entry.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a (4, 4) matrix, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix entries must be finite")
     herm = float(np.abs(rho - rho.conj().T).max())
     trace_dev = float(abs(rho.trace() - 1.0))
     symmetrized = (rho + rho.conj().T) / 2.0

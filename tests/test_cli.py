@@ -175,6 +175,27 @@ class TestConfigErrors:
         config = write_config(tmp_path, bad)
         assert main(["predict", "--config", config]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("entry, message", [
+        ("1e400", "entries must be finite"),
+        ("-1e400", "entries must be finite"),
+        (str(10**400), '"re"'),
+    ], ids=["1e400", "-1e400", "10**400"])
+    def test_matrix_entry_past_float_range_exits_config(self, tmp_path, entry, message):
+        # 1e400 printed two numpy RuntimeWarnings before its error; 10**400 exited 3
+        re = (np.eye(4) / 4.0).tolist()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TRIAD_PREDICT, state={"kind": "matrix", "re": re}))
+                        .replace("0.25", entry, 1))
+        src = str(Path(steerkit.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "steerkit.cli", "predict", "--config", str(path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == EXIT_CONFIG
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and message in done.stderr
+        assert done.stderr.count("\n") == 1, done.stderr
+
     def test_non_object_root(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")

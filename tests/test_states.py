@@ -60,6 +60,14 @@ class TestValidateState:
         with pytest.raises(ValueError):
             validate_state(np.eye(3, dtype=complex) / 3.0)
 
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    def test_rejects_non_finite_entry(self, entry):
+        # inf - inf in the hermiticity residual warned before the exit-2 error
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[0, 0] = entry
+        with pytest.raises(ValueError, match="must be finite"):
+            validate_state(rho)
+
 
 class TestCorrelationStructure:
     def test_singlet_correlation_is_minus_identity(self):
