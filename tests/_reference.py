@@ -1,10 +1,15 @@
-"""Independent reference for the minimization theorem (criterion 4).
+"""Independent references for the steering predictions.
 
-min_nss_over_rotations returns the closed form ||P_A T P_B||_tr.  The
-search here finds the same minimum without it: it evaluates the
-two-setting parameter on a 0.5-degree grid over a quarter turn of
-Alice's pair within its plane, then refines by golden-section search to
-an interval of 1e-8.
+ris_predicted and nss_predicted evaluate the correlation matrix
+M = A T B^T.  For orthonormal frames the projector forms here give the
+same values: ||P_A T P_B||_tr, with the singular values of M, and
+|P_B T^T a+| + |P_B T^T a-| with a+- = (a1 +- a2)/sqrt(2).
+
+min_nss_over_rotations returns the closed form ||P_A T P_B||_tr
+(criterion 4).  The search here finds the same minimum without it: it
+evaluates the two-setting parameter on a 0.5-degree grid over a quarter
+turn of Alice's pair within its plane, then refines by golden-section
+search to an interval of 1e-8.
 """
 
 import math
@@ -14,6 +19,22 @@ import numpy as np
 from steerkit.frames import MeasurementFrame, projection_matrix
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def ris_by_projectors(t, alice: MeasurementFrame, bob: MeasurementFrame) -> float:
+    """||P_A T P_B||_tr for orthonormal frames."""
+    p = projection_matrix(alice) @ np.asarray(t, dtype=float) @ projection_matrix(bob)
+    return float(np.linalg.svd(p, compute_uv=False).sum())
+
+
+def nss_by_projectors(t, alice: MeasurementFrame, bob: MeasurementFrame) -> float:
+    """|P_B T^T a+| + |P_B T^T a-| for an orthonormal pair and frame."""
+    t = np.asarray(t, dtype=float)
+    a1, a2 = alice.directions
+    a_plus = (a1 + a2) / math.sqrt(2.0)
+    a_minus = (a1 - a2) / math.sqrt(2.0)
+    p_b = projection_matrix(bob)
+    return float(np.linalg.norm(p_b @ t.T @ a_plus) + np.linalg.norm(p_b @ t.T @ a_minus))
 
 
 def min_nss_by_search(t, alice: MeasurementFrame, bob: MeasurementFrame) -> float:

@@ -142,6 +142,15 @@ class TestPredict:
         # printed "ris: parameter 1.10227, ..., violated" with exit 0 before
         assert_bob_frame_rejected("predict", tmp_path, capsys)
 
+    @pytest.mark.parametrize("gram_error, code", [(5e-10, EXIT_CONFIG), (5e-11, EXIT_OK)])
+    def test_bob_frame_gram_tolerance(self, tmp_path, capsys, gram_error, code):
+        # Bob's frame was accepted up to a Gram error of 1e-9 before
+        config = write_config(tmp_path, dict(TRIAD_PREDICT, bob_frame={
+            "kind": "explicit", "directions": [[1.0, 0.0, 0.0], [gram_error, 1.0, 0.0]],
+        }))
+        assert main(["predict", "--config", config]) == code
+        assert ("bob_frame" in capsys.readouterr().err) == (code == EXIT_CONFIG)
+
     def test_out_file(self, tmp_path):
         config = write_config(tmp_path, TRIAD_PREDICT)
         out_path = tmp_path / "predict.json"

@@ -20,6 +20,7 @@ from steerkit.frames import (
     tilted_pair,
     unit,
 )
+from steerkit.steering import ris_predicted
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -71,6 +72,21 @@ class TestRequireOrthonormal:
     def test_rejects_tetrahedron(self):
         with pytest.raises(ValueError, match="bob_frame"):
             require_orthonormal(tetrahedron_frame(), "bob_frame")
+
+    @pytest.mark.parametrize("gram_error, accepted", [(5e-10, False), (5e-11, True)])
+    def test_tolerance_boundary(self, gram_error, accepted):
+        # one tolerance, ORTHONORMAL_TOL = 1e-10, for every check
+        frame = MeasurementFrame([[1.0, 0.0, 0.0], [gram_error, 1.0, 0.0]])
+        assert_allclose(frame.gram()[0, 1], gram_error, rtol=1e-6)
+        t = -np.eye(3)
+        if accepted:
+            require_orthonormal(frame, "bob_frame")
+            assert_allclose(ris_predicted(t, standard_triad(), frame), 2.0, atol=1e-9)
+        else:
+            with pytest.raises(ValueError, match="bob_frame"):
+                require_orthonormal(frame, "bob_frame")
+            with pytest.raises(ValueError, match="bob_frame"):
+                ris_predicted(t, standard_triad(), frame)
 
 
 class TestProjection:

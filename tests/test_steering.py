@@ -33,13 +33,21 @@ from steerkit.steering import (
     werner_ris_closed_form,
 )
 
-from _reference import min_nss_by_search
+from _reference import min_nss_by_search, nss_by_projectors, ris_by_projectors
 
 Y = np.array([0.0, 1.0, 0.0])
 
 # Finite entries bounded so that no square or rotated entry overflows.
 BOUNDED = st.floats(min_value=-1e100, max_value=1e100)
 SETTING_COUNTS = st.integers(min_value=1, max_value=3)
+# T of rho = A A^dag / Tr[A A^dag], a physical state for any complex A.
+STATE_TS = (
+    hnp.arrays(np.float64, (2, 4, 4), elements=st.floats(-1.0, 1.0))
+    .map(lambda parts: (parts[0] + 1j * parts[1]) @ (parts[0] + 1j * parts[1]).conj().T)
+    .filter(lambda gram: np.trace(gram).real > 1e-3)
+    .map(lambda gram: BlochState(gram / np.trace(gram).real).t)
+)
+ORTHONORMAL_FRAMES = st.sampled_from((pair_in_plane(Y, 0.0), standard_triad()))
 
 
 def random_correlation_tensor(rng):
@@ -365,20 +373,33 @@ class TestProperties:
 
     @settings(deadline=None)
     @given(
-        hnp.arrays(np.float64, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
+        STATE_TS,
         st.integers(min_value=0, max_value=2**32 - 1),
-        st.sampled_from((pair_in_plane(Y, 0.0), standard_triad())),
+        ORTHONORMAL_FRAMES,
         st.floats(0.0, 2.0 * math.pi),
     )
-    def test_closed_form_never_exceeds_a_rotated_pair(self, parts, seed, bob_frame, theta):
-        # rho = A A^dag / Tr[A A^dag] is a physical state for any complex A
-        a = parts[0] + 1j * parts[1]
-        gram = a @ a.conj().T
-        assume(np.trace(gram).real > 1e-3)
-        t = BlochState(gram / np.trace(gram).real).t
+    def test_closed_form_never_exceeds_a_rotated_pair(self, t, seed, bob_frame, theta):
         rng = np.random.default_rng(seed)
         rotation = random_rotation(rng)
         plane = projection_matrix(rotate_frame(pair_in_plane(Y, 0.0), rotation))
         alice = rotate_frame(pair_in_plane(Y, theta), rotation)
         bob = rotate_frame(bob_frame, random_rotation(rng))
         assert nss_predicted(t, alice, bob) >= min_nss_over_rotations(t, plane, bob) - 1e-12
+
+    @settings(deadline=None)
+    @given(
+        STATE_TS,
+        st.integers(min_value=0, max_value=2**32 - 1),
+        ORTHONORMAL_FRAMES,
+        ORTHONORMAL_FRAMES,
+    )
+    def test_predictions_match_projector_forms(self, t, seed, alice_frame, bob_frame):
+        rng = np.random.default_rng(seed)
+        alice = rotate_frame(alice_frame, random_rotation(rng))
+        bob = rotate_frame(bob_frame, random_rotation(rng))
+        ris = ris_by_projectors(t, alice, bob)
+        assert abs(ris_predicted(t, alice, bob) - ris) <= 1e-12
+        if alice.size == 2:
+            assert abs(nss_predicted(t, alice, bob) - nss_by_projectors(t, alice, bob)) <= 1e-12
+            plane = projection_matrix(alice)
+            assert abs(min_nss_over_rotations(t, plane, bob) - ris) <= 1e-12
