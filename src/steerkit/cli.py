@@ -130,13 +130,6 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _maybe_example(args) -> bool:
-    if getattr(args, "example_config", False):
-        sys.stdout.write(json.dumps(EXAMPLE_CONFIGS[args.subcommand], indent=2) + "\n")
-        return True
-    return False
-
-
 def _format_matrix(m: np.ndarray) -> str:
     return "\n".join("  " + "  ".join(f"{x: .6g}" for x in row) for row in np.atleast_2d(m))
 
@@ -150,8 +143,6 @@ def _assessment_line(a) -> str:
 
 
 def cmd_predict(args) -> int:
-    if _maybe_example(args):
-        return EXIT_OK
     config = _load_config(args.config)
     rho, alice, bob = _state_and_frames(config)
     t = spin_correlation_matrix(rho)
@@ -178,8 +169,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if _maybe_example(args):
-        return EXIT_OK
     rows = run_scenario(_with_flags(_load_config(args.config), args))
     if args.format == "json":
         _emit(json.dumps(rows_to_dicts(rows), indent=2), args.out)
@@ -212,8 +201,6 @@ def _verdict_dict(verdict: MembershipVerdict) -> dict:
 
 
 def cmd_lhs(args) -> int:
-    if _maybe_example(args):
-        return EXIT_OK
     config = _load_config(args.config)
     if "matrix" in config:
         matrix = _config_matrix(config["matrix"])
@@ -226,8 +213,6 @@ def cmd_lhs(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if _maybe_example(args):
-        return EXIT_OK
     config = _with_flags(_load_config(args.config), args)
     rho, alice, bob = _state_and_frames(config)
     pairs = _config_int(
@@ -268,8 +253,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if _maybe_example(args):
-        return EXIT_OK
     config = _with_flags({} if args.config is None else _load_config(args.config), args)
     pairs = _config_int(
         config, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1, MAX_PAIRS_PER_SETTING
@@ -333,6 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.example_config:
+        sys.stdout.write(json.dumps(EXAMPLE_CONFIGS[args.subcommand], indent=2) + "\n")
+        return EXIT_OK
     try:
         return args.handler(args)
     except ArithmeticError as exc:
