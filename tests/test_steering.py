@@ -43,7 +43,8 @@ SETTING_COUNTS = st.integers(min_value=1, max_value=3)
 # T of rho = A A^dag / Tr[A A^dag], a physical state for any complex A.
 STATE_TS = (
     hnp.arrays(np.float64, (2, 4, 4), elements=st.floats(-1.0, 1.0))
-    .map(lambda parts: (parts[0] + 1j * parts[1]) @ (parts[0] + 1j * parts[1]).conj().T)
+    .map(lambda parts: parts[0] + 1j * parts[1])
+    .map(lambda a: a @ a.conj().T)
     .filter(lambda gram: np.trace(gram).real > 1e-3)
     .map(lambda gram: BlochState(gram / np.trace(gram).real).t)
 )
