@@ -91,9 +91,9 @@ def require_orthonormal(frame: MeasurementFrame, name: str) -> None:
     """Reject a frame whose directions are not orthonormal, naming it in the error.
 
     The steering bounds and the LHS oracle take Bob's local states to fill
-    the unit ball of his setting space, and a frame's projector is d^T d,
-    both only for orthonormal directions; for any other frame a verdict
-    would be unsound.
+    the unit ball of his setting space, and d^T d is a frame's projector;
+    both hold only for orthonormal directions, so for any other frame a
+    verdict would be unsound.
     """
     if not frame.orthonormal:
         raise ValueError(
