@@ -23,8 +23,14 @@ DATA = Path(__file__).parent / "data"
 # golden file -> (argv before --config, config: None, "example" or a data file)
 GOLDEN = {
     "reproduce.json": (["reproduce", "--format", "json", "--pairs", "2000", "--seed", "5"], None),
+    "reproduce.txt": (["reproduce", "--format", "text", "--pairs", "2000", "--seed", "5"], None),
+    "predict_example.json": (["predict", "--format", "json"], "example"),
+    "predict_example.txt": (["predict", "--format", "text"], "example"),
+    "lhs_example.json": (["lhs", "--format", "json"], "example"),
     "simulate_example.json": (["simulate", "--format", "json", "--pairs", "2000"], "example"),
+    "simulate_example.txt": (["simulate", "--format", "text", "--pairs", "2000"], "example"),
     "sweep_example.json": (["sweep", "--format", "json", "--pairs", "2000"], "example"),
+    "sweep_example.csv": (["sweep", "--format", "csv", "--pairs", "2000"], "example"),
     # 0.9 singlet + 0.1 |HH><HH|: nonzero Bloch vectors r_A = r_B = (0, 0, 0.1)
     "simulate_matrix_state.json": (
         ["simulate", "--format", "json", "--pairs", "2000"], "matrix_state.json",
