@@ -3,7 +3,9 @@
 Subcommands: predict (ideal-model parameters for a state and frames),
 sweep (finite-statistics alpha sweep to CSV/JSON), lhs (membership
 oracle with certificates), simulate (one finite-statistics run), and
-reproduce (comparison table against the reference experiment).
+reproduce (comparison table against the reference experiment).  Each
+handler computes one result and returns its JSON payload and its text (or
+CSV) rendering; main loads the config, emits one of the two and maps errors.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (including
 a membership verdict that neither certificate settles).  Angles are
@@ -103,10 +105,13 @@ def _with_flags(config: dict, args) -> dict:
     return config | {k: v for k, v in vars(args).items() if k in keys and v is not None}
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
+def _load_config(args) -> dict:
+    """The --config file's object; reproduce alone runs without one, on {}."""
+    if args.config is None:
+        if args.subcommand == "reproduce":
+            return {}
         raise ValueError("this subcommand requires --config (see --example-config)")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError("config root must be a JSON object")
@@ -142,39 +147,26 @@ def _assessment_line(a) -> str:
     return f"{a.inequality}: parameter {value}, bound {a.bound:.6g}, margin {a.margin:.6g}, {flag}"
 
 
-def cmd_predict(args) -> int:
-    config = _load_config(args.config)
+def cmd_predict(config: dict) -> tuple[dict, str]:
     rho, alice, bob = _state_and_frames(config)
     t = spin_correlation_matrix(rho)
     m = predicted_correlation(t, alice, bob)
-    ris = assess_ris(m)
-    nss = assess_nss(m) if alice.size == 2 else None
-
-    if args.format == "json":
-        payload = {
-            "correlation": m.tolist(),
-            "spin_correlation": t.tolist(),
-            "ris": asdict(ris),
-        }
-        if nss is not None:
-            payload["nss"] = asdict(nss)
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = [f"correlation matrix ({alice.size} x {bob.size}):", _format_matrix(m)]
-        lines.append(_assessment_line(ris))
-        if nss is not None:
-            lines.append(_assessment_line(nss))
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK
+    assessments = {"ris": assess_ris(m)}
+    if alice.size == 2:
+        assessments["nss"] = assess_nss(m)
+    payload = {"correlation": m.tolist(), "spin_correlation": t.tolist()}
+    payload |= {tag: asdict(a) for tag, a in assessments.items()}
+    lines = [
+        f"correlation matrix ({alice.size} x {bob.size}):",
+        _format_matrix(m),
+        *(_assessment_line(a) for a in assessments.values()),
+    ]
+    return payload, "\n".join(lines)
 
 
-def cmd_sweep(args) -> int:
-    rows = run_scenario(_with_flags(_load_config(args.config), args))
-    if args.format == "json":
-        _emit(json.dumps(rows_to_dicts(rows), indent=2), args.out)
-    else:
-        _emit(rows_to_csv(rows), args.out)
-    return EXIT_OK
+def cmd_sweep(config: dict) -> tuple[list, str]:
+    rows = run_scenario(config)
+    return rows_to_dicts(rows), rows_to_csv(rows)
 
 
 def _verdict_dict(verdict: MembershipVerdict) -> dict:
@@ -200,20 +192,16 @@ def _verdict_dict(verdict: MembershipVerdict) -> dict:
     return payload
 
 
-def cmd_lhs(args) -> int:
-    config = _load_config(args.config)
+def cmd_lhs(config: dict) -> tuple[dict, None]:
     if "matrix" in config:
         matrix = _config_matrix(config["matrix"])
     else:
         rho, alice, bob = _state_and_frames(config)
         matrix = predicted_correlation(spin_correlation_matrix(rho), alice, bob)
-    verdict = lhs_membership(matrix)
-    _emit(json.dumps(_verdict_dict(verdict), indent=2), args.out)
-    return EXIT_OK
+    return _verdict_dict(lhs_membership(matrix)), None
 
 
-def cmd_simulate(args) -> int:
-    config = _with_flags(_load_config(args.config), args)
+def cmd_simulate(config: dict) -> tuple[dict, str]:
     rho, alice, bob = _state_and_frames(config)
     pairs = _config_int(
         config, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1, MAX_PAIRS_PER_SETTING
@@ -229,41 +217,31 @@ def cmd_simulate(args) -> int:
     if alice.size == 2:
         assessments["nss"] = assess_estimate(est, "nss", n_resamples, seed=(seed, 2))
 
-    if args.format == "json":
-        payload = {
-            "counts": record.counts.tolist(),
-            "correlation": est.matrix.tolist(),
-            "delta": est.delta.tolist(),
-            "stat_component": est.stat_component.tolist(),
-            "sys_component": est.sys_component.tolist(),
-            "assessments": {tag: asdict(a) for tag, a in assessments.items()},
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = [
-            f"estimated correlation ({alice.size} x {bob.size}), "
-            f"{pairs} pairs per setting:",
-            _format_matrix(est.matrix),
-            "entry uncertainties:",
-            _format_matrix(est.delta),
-            *(_assessment_line(a) for a in assessments.values()),
-        ]
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK
+    payload = {
+        "counts": record.counts.tolist(),
+        "correlation": est.matrix.tolist(),
+        "delta": est.delta.tolist(),
+        "stat_component": est.stat_component.tolist(),
+        "sys_component": est.sys_component.tolist(),
+        "assessments": {tag: asdict(a) for tag, a in assessments.items()},
+    }
+    lines = [
+        f"estimated correlation ({alice.size} x {bob.size}), {pairs} pairs per setting:",
+        _format_matrix(est.matrix),
+        "entry uncertainties:",
+        _format_matrix(est.delta),
+        *(_assessment_line(a) for a in assessments.values()),
+    ]
+    return payload, "\n".join(lines)
 
 
-def cmd_reproduce(args) -> int:
-    config = _with_flags({} if args.config is None else _load_config(args.config), args)
+def cmd_reproduce(config: dict) -> tuple[list, str]:
     pairs = _config_int(
         config, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1, MAX_PAIRS_PER_SETTING
     )
     seed = _config_int(config, "seed", DEFAULT_SEED, 0)
     rows = build_report(pairs_per_setting=pairs, seed=seed)
-    if args.format == "json":
-        _emit(json.dumps(report_to_dicts(rows), indent=2), args.out)
-    else:
-        _emit(format_report(rows), args.out)
-    return EXIT_OK
+    return report_to_dicts(rows), format_report(rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,13 +298,15 @@ def main(argv=None) -> int:
         sys.stdout.write(json.dumps(EXAMPLE_CONFIGS[args.subcommand], indent=2) + "\n")
         return EXIT_OK
     try:
-        return args.handler(args)
+        payload, text = args.handler(_with_flags(_load_config(args), args))
+        _emit(json.dumps(payload, indent=2) if args.format == "json" else text, args.out)
     except ArithmeticError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERIC
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":
