@@ -23,7 +23,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .config import _config_float, _config_int
+from .config import _config_array, _config_float, _config_int
 from .frames import frame_from_spec, require_orthonormal
 from .lhs import MembershipVerdict, lhs_membership
 from .reproduce import DEFAULT_SEED, build_report, format_report, report_to_dicts
@@ -84,19 +84,6 @@ def _config_value(config: dict, key: str):
     if key not in config:
         raise ValueError(f'config requires key "{key}"')
     return config[key]
-
-
-def _config_matrix(value) -> np.ndarray:
-    """The lhs config's "matrix": a rectangular nested list of numbers."""
-    try:
-        matrix = np.asarray(value)
-    except ValueError:  # ragged rows
-        matrix = np.asarray(None)
-    if matrix.dtype.kind not in "iuf":
-        raise ValueError(
-            f'config key "matrix" must be a rectangular array of numbers, got {value!r}'
-        )
-    return matrix.astype(float)
 
 
 def _with_flags(config: dict, args) -> dict:
@@ -194,7 +181,7 @@ def _verdict_dict(verdict: MembershipVerdict) -> dict:
 
 def cmd_lhs(config: dict) -> tuple[dict, None]:
     if "matrix" in config:
-        matrix = _config_matrix(config["matrix"])
+        matrix = _config_array(config, "matrix")
     else:
         rho, alice, bob = _state_and_frames(config)
         matrix = predicted_correlation(spin_correlation_matrix(rho), alice, bob)

@@ -28,9 +28,14 @@ def _config_int(
     return int(value)
 
 
+def _is_real(value) -> bool:
+    """A real number and not a bool: the type rule of every numeric config value."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _config_float(config: dict, key: str, default=None, minimum: float = -math.inf) -> float:
     value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+    if not _is_real(value) or not (
         max(minimum, -sys.float_info.max) <= value <= sys.float_info.max
     ):
         bound = "" if minimum == -math.inf else f" >= {minimum:g}"
@@ -38,12 +43,26 @@ def _config_float(config: dict, key: str, default=None, minimum: float = -math.i
     return float(value)
 
 
+def _all_real(value) -> bool:
+    """Whether value is _is_real, or a nested list, tuple or numeric array of such values."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    if isinstance(value, (list, tuple)):
+        return all(map(_all_real, value))
+    return type(value) is float or _is_real(value)  # the exact-type test is the fast path
+
+
 def _config_array(config: dict, key: str, default=None) -> np.ndarray:
-    """config[key] as a float array; its entries' finiteness and shape are the caller's to check."""
+    """config[key] as a rectangular float array whose every entry is _is_real.
+
+    The entries' finiteness and the array's shape are the caller's to check.
+    """
     value = config.get(key, default)
-    try:
-        return np.asarray(value, dtype=float)
-    except (OverflowError, TypeError, ValueError):
-        raise ValueError(
-            f'config key "{key}" must be an array of numbers in the float range, got {value!r}'
-        ) from None
+    if _all_real(value):
+        try:
+            return np.asarray(value, dtype=float)
+        except (OverflowError, ValueError):  # an int past the float range, or ragged rows
+            pass
+    raise ValueError(
+        f'config key "{key}" must be an array of numbers in the float range, got {value!r}'
+    )

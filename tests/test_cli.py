@@ -205,6 +205,27 @@ class TestConfigErrors:
         assert done.stderr.startswith("error: ") and message in done.stderr
         assert done.stderr.count("\n") == 1, done.stderr
 
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("alice_frame.normal", ["0", "1", "0"], id="normal-strings"),
+        pytest.param("bob_frame.directions", [[True, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                     id="directions-bool"),
+        pytest.param("state.re", [["0.25", 0.0, 0.0, 0.0]] + (np.eye(4) / 4.0).tolist()[1:],
+                     id="re-string"),
+        pytest.param("state.im", [[False] * 4] * 4, id="im-bools"),
+    ])
+    def test_non_number_array_entry_exits_config(self, tmp_path, capsys, key, value):
+        # each exited 0 before: numpy converted the strings and bools to floats
+        config = {
+            "state": {"kind": "matrix", "re": (np.eye(4) / 4.0).tolist()},
+            "alice_frame": {"kind": "pair", "normal": [0, 1, 0]},
+            "bob_frame": {"kind": "explicit", "directions": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+        }
+        path = write_config(tmp_path, with_value(config, key, value))
+        assert main(["predict", "--config", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f'config key "{key.rpartition(".")[2]}"' in captured.err
+
     def test_non_object_root(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")
@@ -277,6 +298,8 @@ class TestSweep:
         ("bob_frame.phi_deg", math.inf),
         pytest.param("bob_frame.normal", [0, 1, 10**400], id="bob_frame.normal-10**400"),
         pytest.param("alice_frame.normal", [0, 1, 10**400], id="alice_frame.normal-10**400"),
+        pytest.param("alice_frame.normal", ["0", "1", "0"], id="alice_frame.normal-strings"),
+        pytest.param("bob_frame.normal", [False, True, False], id="bob_frame.normal-bools"),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, key, value):
         config = write_config(tmp_path, with_value(SWEEP_CONFIG, key, value))
@@ -360,6 +383,8 @@ class TestLhs:
         [["a", "b"], ["c", "d"]],
         [[-0.5, None], [0.0, -0.5]],
         "x",
+        # ran as [[1.0, 0.0], [0.0, -0.5]] before
+        pytest.param([[True, 0.0], [0.0, -0.5]], id="bool-entry"),
     ])
     def test_malformed_matrix_exits_config(self, tmp_path, capsys, matrix):
         config = write_config(tmp_path, {"matrix": matrix})
@@ -449,6 +474,8 @@ class TestSimulate:
         ("alice_frame.phi_deg", math.inf),
         pytest.param("alice_frame.normal", [0, 1, 10**400], id="alice_frame.normal-10**400"),
         pytest.param("bob_frame.normal", [0, 1, 10**400], id="bob_frame.normal-10**400"),
+        pytest.param("alice_frame.normal", ["0", "1", "0"], id="alice_frame.normal-strings"),
+        pytest.param("bob_frame.normal", [False, True, False], id="bob_frame.normal-bools"),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, key, value):
         config = write_config(tmp_path, with_value(
