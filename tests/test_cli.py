@@ -91,6 +91,16 @@ SWEEP_CONFIG = {
 }
 
 
+# every subcommand's --format choices
+FORMATS = {
+    "predict": ("text", "json"),
+    "sweep": ("csv", "json"),
+    "lhs": ("json",),
+    "simulate": ("text", "json"),
+    "reproduce": ("text", "json"),
+}
+
+
 class TestExampleConfigs:
     @pytest.mark.parametrize("subcommand", sorted(EXAMPLE_CONFIGS))
     def test_example_config_prints_valid_json(self, subcommand, capsys):
@@ -98,14 +108,23 @@ class TestExampleConfigs:
         payload = json.loads(capsys.readouterr().out)
         assert isinstance(payload, dict)
 
-    def test_example_configs_actually_run(self, tmp_path, capsys):
-        # the printed templates must be accepted by their own subcommands
-        config = write_config(tmp_path, EXAMPLE_CONFIGS["predict"])
-        assert main(["predict", "--config", config]) == EXIT_OK
-        capsys.readouterr()
-        config = write_config(tmp_path, EXAMPLE_CONFIGS["lhs"])
-        assert main(["lhs", "--config", config]) == EXIT_OK
-        capsys.readouterr()
+    @pytest.mark.parametrize("subcommand, fmt", [
+        (subcommand, fmt) for subcommand, formats in FORMATS.items() for fmt in formats
+    ])
+    def test_example_configs_actually_run(self, tmp_path, capsys, subcommand, fmt):
+        # the printed templates must be accepted by their own subcommands, and
+        # every format must reach stdout and --out as the same bytes
+        argv = [subcommand, "--config", write_config(tmp_path, EXAMPLE_CONFIGS[subcommand]),
+                "--format", fmt]
+        if subcommand in ("sweep", "simulate", "reproduce"):
+            argv += ["--pairs", "2000"]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert main(argv) == EXIT_OK
+        written = out.read_bytes()
+        # on stdout _emit ends the output with a newline if it has none
+        expected = written if written.endswith(b"\n") else written + b"\n"
+        assert capsys.readouterr().out.encode() == expected
 
 
 class TestPredict:
