@@ -45,11 +45,12 @@ def _config_float(config: dict, key: str, default=None, minimum: float = -math.i
 
 def _all_real(value) -> bool:
     """Whether value is _is_real, or a nested list, tuple or numeric array of such values."""
+    if isinstance(value, (list, tuple)):
+        # the exact-type test spares the common float entry the slower ABC check
+        return all(type(v) is float or _all_real(v) for v in value)
     if isinstance(value, np.ndarray):
         return value.dtype.kind in "iuf"
-    if isinstance(value, (list, tuple)):
-        return all(map(_all_real, value))
-    return type(value) is float or _is_real(value)  # the exact-type test is the fast path
+    return _is_real(value)
 
 
 def _config_array(config: dict, key: str, default=None) -> np.ndarray:
