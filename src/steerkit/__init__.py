@@ -44,7 +44,6 @@ _EXPORTS = {
         "SourceModel",
         "assess_estimate",
         "estimate_correlation",
-        "outcome_probabilities",
         "propagate_uncertainty",
         "run_scenario",
         "simulate_counts",
@@ -52,8 +51,6 @@ _EXPORTS = {
     "states": (
         "BlochState",
         "StateDiagnostics",
-        "closest_werner_parameter",
-        "fidelity_with_pure",
         "singlet_state",
         "spin_correlation_matrix",
         "state_from_spec",
@@ -67,12 +64,9 @@ _EXPORTS = {
         "min_nss_over_rotations",
         "nss_parameter",
         "nss_predicted",
-        "optimal_pair_planes",
         "predicted_correlation",
         "ris_predicted",
         "trace_norm",
-        "werner_nss_closed_form",
-        "werner_ris_closed_form",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

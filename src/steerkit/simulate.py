@@ -21,7 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .config import _config_float, _config_int
-from .frames import MeasurementFrame, frame_from_spec, require_orthonormal, unit
+from .frames import MeasurementFrame, frame_from_spec, require_orthonormal
 from .states import BlochState, state_from_spec, werner_state
 from .steering import (
     SteeringAssessment,
@@ -92,11 +92,6 @@ def _born_probabilities(state: BlochState, a: np.ndarray, b: np.ndarray) -> np.n
     if not deviation <= 1e-12:
         raise ArithmeticError(f"outcome probabilities miss a unit sum by {deviation!r}")
     return probs
-
-
-def outcome_probabilities(rho, a, b) -> np.ndarray:
-    """Born probabilities (p++, p+-, p-+, p--) for spin measurements a, b."""
-    return _born_probabilities(BlochState(rho), unit(a), unit(b))
 
 
 @dataclass(frozen=True)

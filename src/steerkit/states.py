@@ -140,33 +140,6 @@ def spin_correlation_matrix(rho: NDArray[np.complex128]) -> NDArray[np.float64]:
     return BlochState(rho).t
 
 
-def fidelity_with_pure(rho: NDArray[np.complex128], psi: NDArray[np.complex128]) -> float:
-    """Overlap <psi| rho |psi> with a normalized pure state."""
-    rho = np.asarray(rho, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (4,):
-        raise ValueError(f"expected a 4-component ket, got shape {psi.shape}")
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"ket is not normalized: |psi| = {norm!r}")
-    val = complex(psi.conj() @ rho @ psi)
-    if abs(val.imag) > IMAG_RESIDUE_TOL:
-        raise ValueError(f"fidelity has imaginary residue {val.imag:.2e}")
-    return float(min(1.0, max(0.0, val.real)))
-
-
-def closest_werner_parameter(fidelity: float) -> float:
-    """Werner weight whose singlet fidelity matches the given value.
-
-    Inverts F = (1 + 3w)/4.  This is a convenience for mapping a reported
-    fidelity onto the isotropic-noise model; it is approximate for any
-    state that is not actually Werner.
-    """
-    if not 0.0 <= fidelity <= 1.0:
-        raise ValueError(f"fidelity must lie in [0, 1], got {fidelity}")
-    return (4.0 * fidelity - 1.0) / 3.0
-
-
 def state_from_spec(spec: dict) -> NDArray[np.complex128]:
     """Build a density matrix from a config mapping.
 

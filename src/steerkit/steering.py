@@ -145,29 +145,6 @@ def nss_predicted(
     return nss_parameter(predicted_correlation(t, alice, bob))
 
 
-def werner_ris_closed_form(w: float, phi: float) -> float:
-    """Trace-norm parameter of a Werner state for pairs in planes at dihedral phi.
-
-    W(1 + |cos phi|), independent of the in-plane angle alpha.
-    """
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"werner weight must lie in [0, 1], got {w}")
-    return w * (1.0 + abs(math.cos(phi)))
-
-
-def werner_nss_closed_form(w: float, phi: float, alpha: float) -> float:
-    """Two-setting parameter of a Werner state for pairs in planes at dihedral phi.
-
-    W(sqrt(1 + cos^2 phi + sin 2a sin^2 phi) + sqrt(1 + cos^2 phi - sin 2a sin^2 phi))/sqrt(2);
-    alpha is measured from the planes' intersection line.
-    """
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"werner weight must lie in [0, 1], got {w}")
-    c2 = math.cos(phi) ** 2
-    s = math.sin(2.0 * alpha) * math.sin(phi) ** 2
-    return w * (math.sqrt(1.0 + c2 + s) + math.sqrt(max(0.0, 1.0 + c2 - s))) / math.sqrt(2.0)
-
-
 def min_nss_over_rotations(
     t: NDArray[np.float64], alice_plane, bob: MeasurementFrame
 ) -> float:
@@ -190,41 +167,3 @@ def min_nss_over_rotations(
         raise ValueError(f"plane projector must have rank 2, its trace is {trace}")
     require_orthonormal(bob, "bob_frame")
     return trace_norm(p_a @ np.asarray(t, dtype=float) @ bob.directions.T)
-
-
-def _canonical_singular_vectors(u: np.ndarray, s: np.ndarray, vt: np.ndarray):
-    """Deterministic ordering for (possibly degenerate) singular triplets.
-
-    numpy's SVD already sorts by singular value; within groups of equal
-    values the triplets are reordered lexicographically by the rounded
-    left vector, and each vector's sign is fixed by its largest entry.
-    """
-    u = u.copy()
-    vt = vt.copy()
-    for i in range(len(s)):
-        col = u[:, i]
-        pivot = int(np.argmax(np.abs(col)))
-        if col[pivot] < 0.0:
-            u[:, i] = -col
-            vt[i, :] = -vt[i, :]
-    order = sorted(
-        range(len(s)),
-        key=lambda i: (-round(s[i], 12), tuple(np.round(u[:, i], 9))),
-    )
-    return u[:, order], s[order], vt[order, :]
-
-
-def optimal_pair_planes(t: NDArray[np.float64]):
-    """Plane pair maximizing the predicted trace-norm parameter.
-
-    Returns (alice projector, bob projector, value): the spans of the top
-    two left and right singular vectors of T, with value sigma_1 + sigma_2.
-    """
-    t = np.asarray(t, dtype=float)
-    if t.shape != (3, 3):
-        raise ValueError(f"expected a (3, 3) spin-correlation matrix, got shape {t.shape}")
-    u, s, vt = np.linalg.svd(t)
-    u, s, vt = _canonical_singular_vectors(u, s, vt)
-    p_alice = np.outer(u[:, 0], u[:, 0]) + np.outer(u[:, 1], u[:, 1])
-    p_bob = np.outer(vt[0], vt[0]) + np.outer(vt[1], vt[1])
-    return p_alice, p_bob, float(s[0] + s[1])

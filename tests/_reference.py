@@ -1,4 +1,4 @@
-"""Independent references for the steering predictions.
+"""Independent references for the steering predictions, and helpers only the tests call.
 
 ris_predicted and nss_predicted evaluate the correlation matrix
 M = A T B^T.  For orthonormal frames the projector forms here give the
@@ -10,13 +10,21 @@ min_nss_over_rotations returns the closed form ||P_A T P_B||_tr
 evaluates the two-setting parameter on a 0.5-degree grid over a quarter
 turn of Alice's pair within its plane, then refines by golden-section
 search to an interval of 1e-8.
+
+The Werner closed forms are criterion 5's reference for the predictions
+on pairs in two planes.  fidelity_with_pure, closest_werner_parameter,
+outcome_probabilities and optimal_pair_planes are helpers that no part of
+the package calls; their tests keep them here.
 """
 
 import math
 
 import numpy as np
+from numpy.typing import NDArray
 
-from steerkit.frames import MeasurementFrame, projection_matrix
+from steerkit.frames import MeasurementFrame, projection_matrix, unit
+from steerkit.simulate import _born_probabilities
+from steerkit.states import IMAG_RESIDUE_TOL, BlochState
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -77,3 +85,96 @@ def min_nss_by_search(t, alice: MeasurementFrame, bob: MeasurementFrame) -> floa
             x2 = lo + GOLDEN * (hi - lo)
             f2 = objective(x2)
     return min(values[best], f1, f2)
+
+
+def werner_ris_closed_form(w: float, phi: float) -> float:
+    """Trace-norm parameter of a Werner state for pairs in planes at dihedral phi.
+
+    W(1 + |cos phi|), independent of the in-plane angle alpha.
+    """
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"werner weight must lie in [0, 1], got {w}")
+    return w * (1.0 + abs(math.cos(phi)))
+
+
+def werner_nss_closed_form(w: float, phi: float, alpha: float) -> float:
+    """Two-setting parameter of a Werner state for pairs in planes at dihedral phi.
+
+    W(sqrt(1 + cos^2 phi + sin 2a sin^2 phi) + sqrt(1 + cos^2 phi - sin 2a sin^2 phi))/sqrt(2);
+    alpha is measured from the planes' intersection line.
+    """
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"werner weight must lie in [0, 1], got {w}")
+    c2 = math.cos(phi) ** 2
+    s = math.sin(2.0 * alpha) * math.sin(phi) ** 2
+    return w * (math.sqrt(1.0 + c2 + s) + math.sqrt(max(0.0, 1.0 + c2 - s))) / math.sqrt(2.0)
+
+
+def _canonical_singular_vectors(u: np.ndarray, s: np.ndarray, vt: np.ndarray):
+    """Deterministic ordering for (possibly degenerate) singular triplets.
+
+    numpy's SVD already sorts by singular value; within groups of equal
+    values the triplets are reordered lexicographically by the rounded
+    left vector, and each vector's sign is fixed by its largest entry.
+    """
+    u = u.copy()
+    vt = vt.copy()
+    for i in range(len(s)):
+        col = u[:, i]
+        pivot = int(np.argmax(np.abs(col)))
+        if col[pivot] < 0.0:
+            u[:, i] = -col
+            vt[i, :] = -vt[i, :]
+    order = sorted(
+        range(len(s)),
+        key=lambda i: (-round(s[i], 12), tuple(np.round(u[:, i], 9))),
+    )
+    return u[:, order], s[order], vt[order, :]
+
+
+def optimal_pair_planes(t: NDArray[np.float64]):
+    """Plane pair maximizing the predicted trace-norm parameter.
+
+    Returns (alice projector, bob projector, value): the spans of the top
+    two left and right singular vectors of T, with value sigma_1 + sigma_2.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.shape != (3, 3):
+        raise ValueError(f"expected a (3, 3) spin-correlation matrix, got shape {t.shape}")
+    u, s, vt = np.linalg.svd(t)
+    u, s, vt = _canonical_singular_vectors(u, s, vt)
+    p_alice = np.outer(u[:, 0], u[:, 0]) + np.outer(u[:, 1], u[:, 1])
+    p_bob = np.outer(vt[0], vt[0]) + np.outer(vt[1], vt[1])
+    return p_alice, p_bob, float(s[0] + s[1])
+
+
+def fidelity_with_pure(rho: NDArray[np.complex128], psi: NDArray[np.complex128]) -> float:
+    """Overlap <psi| rho |psi> with a normalized pure state."""
+    rho = np.asarray(rho, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (4,):
+        raise ValueError(f"expected a 4-component ket, got shape {psi.shape}")
+    norm = float(np.linalg.norm(psi))
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"ket is not normalized: |psi| = {norm!r}")
+    val = complex(psi.conj() @ rho @ psi)
+    if abs(val.imag) > IMAG_RESIDUE_TOL:
+        raise ValueError(f"fidelity has imaginary residue {val.imag:.2e}")
+    return float(min(1.0, max(0.0, val.real)))
+
+
+def closest_werner_parameter(fidelity: float) -> float:
+    """Werner weight whose singlet fidelity matches the given value.
+
+    Inverts F = (1 + 3w)/4.  This is a convenience for mapping a reported
+    fidelity onto the isotropic-noise model; it is approximate for any
+    state that is not actually Werner.
+    """
+    if not 0.0 <= fidelity <= 1.0:
+        raise ValueError(f"fidelity must lie in [0, 1], got {fidelity}")
+    return (4.0 * fidelity - 1.0) / 3.0
+
+
+def outcome_probabilities(rho, a, b) -> np.ndarray:
+    """Born probabilities (p++, p+-, p-+, p--) for spin measurements a, b."""
+    return _born_probabilities(BlochState(rho), unit(a), unit(b))

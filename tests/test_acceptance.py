@@ -41,11 +41,9 @@ from steerkit.steering import (
     predicted_correlation,
     ris_predicted,
     trace_norm,
-    werner_nss_closed_form,
-    werner_ris_closed_form,
 )
 
-from _reference import min_nss_by_search
+from _reference import min_nss_by_search, werner_nss_closed_form, werner_ris_closed_form
 
 Y = np.array([0.0, 1.0, 0.0])
 SQRT2 = math.sqrt(2.0)

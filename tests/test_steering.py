@@ -25,15 +25,19 @@ from steerkit.steering import (
     min_nss_over_rotations,
     nss_parameter,
     nss_predicted,
-    optimal_pair_planes,
     predicted_correlation,
     ris_predicted,
     trace_norm,
+)
+
+from _reference import (
+    min_nss_by_search,
+    nss_by_projectors,
+    optimal_pair_planes,
+    ris_by_projectors,
     werner_nss_closed_form,
     werner_ris_closed_form,
 )
-
-from _reference import min_nss_by_search, nss_by_projectors, ris_by_projectors
 
 Y = np.array([0.0, 1.0, 0.0])
 
