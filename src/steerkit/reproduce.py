@@ -38,6 +38,9 @@ DEFAULT_SEED = 1729
 # 1.40 = W (1 + cos 64 deg); the source quotes the prediction, not W.
 W_TILT_64 = 1.40 / (1.0 + math.cos(math.radians(64.0)))
 
+# Werner weight whose singlet fidelity F = (1 + 3W)/4 is the reported 0.96.
+W_FIDELITY_96 = (4.0 * 0.96 - 1.0) / 3.0
+
 NOT_REPRODUCIBLE = "not reproducible from ideal model (real-state asymmetry)"
 
 Y_AXIS = (0.0, 1.0, 0.0)
@@ -138,7 +141,7 @@ def _cases(pairs_per_setting: int) -> list[_Case]:
         ),
         _Case(
             "misaligned triads (W=0.9467)",
-            SourceModel.werner((4.0 * 0.96 - 1.0) / 3.0, pairs_per_setting),
+            SourceModel.werner(W_FIDELITY_96, pairs_per_setting),
             misaligned_triad(),
             standard_triad(),
             (
