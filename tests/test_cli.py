@@ -22,7 +22,9 @@ from steerkit.cli import (
     main,
 )
 from steerkit.frames import frame_from_spec
+from steerkit.reproduce import DEFAULT_SEED
 from steerkit.simulate import (
+    DEFAULT_PAIRS_PER_SETTING,
     MAX_PAIRS_PER_SETTING,
     MAX_RESAMPLES,
     SourceModel,
@@ -107,6 +109,11 @@ class TestExampleConfigs:
         assert main([subcommand, "--example-config"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert isinstance(payload, dict)
+
+    def test_reproduce_example_config_holds_the_defaults(self):
+        assert EXAMPLE_CONFIGS["reproduce"] == {
+            "pairs_per_setting": DEFAULT_PAIRS_PER_SETTING, "seed": DEFAULT_SEED,
+        }
 
     @pytest.mark.parametrize("subcommand, fmt", [
         (subcommand, fmt) for subcommand, formats in FORMATS.items() for fmt in formats

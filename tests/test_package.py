@@ -1,4 +1,5 @@
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -30,6 +31,14 @@ class TestLazyNamespace:
 
     def test_submodule_import_loads_only_that_submodule(self):
         assert loaded_submodules("import steerkit, steerkit.lhs") == ["steerkit.lhs"]
+
+    def test_lhs_on_a_matrix_loads_only_its_layers(self, tmp_path):
+        config = tmp_path / "matrix.json"
+        config.write_text(json.dumps({"matrix": [[-0.5, 0.0], [0.0, -0.5]]}))
+        out = tmp_path / "out.json"
+        argv = ["lhs", "--config", str(config), "--out", str(out)]
+        statement = f"from steerkit.cli import main; assert main({argv!r}) == 0"
+        assert loaded_submodules(statement) == ["steerkit.cli", "steerkit.config", "steerkit.lhs"]
 
     def test_names_are_the_submodule_objects(self):
         assert len(steerkit.__all__) == len(set(steerkit.__all__))
