@@ -18,6 +18,7 @@ import steerkit
 from steerkit.cli import (
     EXAMPLE_CONFIGS,
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     main,
 )
@@ -609,6 +610,47 @@ class TestScalarKeys:
                 assert code in (EXIT_OK, EXIT_CONFIG), (subcommand, key, value)
                 if code == EXIT_CONFIG:
                     assert key in err.getvalue(), (subcommand, key, value, err.getvalue())
+
+
+# Any JSON value tree: null, bools, ints, any float (NaN and +-inf included),
+# strings, lists and objects.  Some objects are specs of a known kind with
+# any subset of the spec keys, so that some trees pass the kind check.
+SPEC_KEYS = ("W", "re", "im", "name", "normal", "phi_deg", "alpha_deg", "directions")
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from(("standard_triad", "ris", "nss")),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=4)
+    | st.fixed_dictionaries(
+        {"kind": st.sampled_from(("werner", "matrix", "named", "pair", "explicit"))},
+        optional=dict.fromkeys(SPEC_KEYS, children),
+    ),
+    max_leaves=16,
+)
+# config key -> the subcommands that read it
+TREE_KEYS = {
+    "state": ("predict", "sweep", "lhs", "simulate"),
+    "alice_frame": ("predict", "sweep", "lhs", "simulate"),
+    "bob_frame": ("predict", "sweep", "lhs", "simulate"),
+    "sweep": ("sweep",),
+    "inequalities": ("sweep",),
+    "matrix": ("lhs",),
+}
+
+
+class TestJsonTrees:
+    @settings(max_examples=100, deadline=None)
+    @given(key=st.sampled_from(sorted(TREE_KEYS)), value=JSON_TREES)
+    def test_any_json_tree_exits_ok_config_or_numeric(self, key, value):
+        config = dict(SWEEP_CONFIG, pairs_per_setting=50, n_resamples=2,
+                      sweep={"alpha_deg": [0.0, 45.0]}) | {key: value}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), config)
+            out = str(Path(tmp) / "out.txt")
+            for subcommand in TREE_KEYS[key]:
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = main([subcommand, "--config", path, "--out", out])
+                assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC), (subcommand, key, value)
 
 
 # Direction components: a few plain values, so that some frames are accepted,
