@@ -75,7 +75,7 @@ class TestLazyNamespace:
         ("steering", "werner_nss_closed_form"),
         ("steering", "werner_ris_closed_form"),
     ])
-    def test_test_only_helpers_are_removed(self, module, name):
+    def test_removed_helpers_are_gone(self, module, name):
         with pytest.raises(AttributeError, match=name):
             getattr(steerkit, name)
         assert not hasattr(importlib.import_module(f"steerkit.{module}"), name)
