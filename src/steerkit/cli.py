@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import _config_array, _config_float, _config_int
+from .config import _config_array, _config_int, _state_and_frames
 
 if TYPE_CHECKING:
     from .lhs import MembershipVerdict
@@ -68,12 +67,6 @@ EXAMPLE_CONFIGS = {
 }
 
 
-def _config_value(config: dict, key: str):
-    if key not in config:
-        raise ValueError(f'config requires key "{key}"')
-    return config[key]
-
-
 def _with_flags(config: dict, args) -> dict:
     """The config with each given override flag written over its key, the flag's dest."""
     keys = ("pairs_per_setting", "seed", "sys_angle_deg")
@@ -91,18 +84,6 @@ def _load_config(args) -> dict:
     if not isinstance(config, dict):
         raise ValueError("config root must be a JSON object")
     return config
-
-
-def _state_and_frames(config: dict):
-    """The config's state and frames; Bob's frame must be orthonormal."""
-    from .frames import frame_from_spec, require_orthonormal
-    from .states import state_from_spec
-
-    rho = state_from_spec(_config_value(config, "state"))
-    alice = frame_from_spec(_config_value(config, "alice_frame"))
-    bob = frame_from_spec(_config_value(config, "bob_frame"))
-    require_orthonormal(bob, "bob_frame")
-    return rho, alice, bob
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -126,15 +107,12 @@ def _assessment_line(a) -> str:
 
 
 def cmd_predict(config: dict) -> tuple[dict, str]:
-    from .states import spin_correlation_matrix
-    from .steering import assess_nss, assess_ris, predicted_correlation
+    from .steering import assess, inequalities_for, predicted_correlation
 
-    rho, alice, bob = _state_and_frames(config)
-    t = spin_correlation_matrix(rho)
+    state, alice, bob = _state_and_frames(config)
+    t = state.t
     m = predicted_correlation(t, alice, bob)
-    assessments = {"ris": assess_ris(m)}
-    if alice.size == 2:
-        assessments["nss"] = assess_nss(m)
+    assessments = {tag: assess(m, tag) for tag in inequalities_for(alice.size)}
     payload = {"correlation": m.tolist(), "spin_correlation": t.tolist()}
     payload |= {tag: asdict(a) for tag, a in assessments.items()}
     lines = [
@@ -181,40 +159,32 @@ def cmd_lhs(config: dict) -> tuple[dict, None]:
     if "matrix" in config:
         matrix = _config_array(config, "matrix")
     else:
-        from .states import spin_correlation_matrix
         from .steering import predicted_correlation
 
-        rho, alice, bob = _state_and_frames(config)
-        matrix = predicted_correlation(spin_correlation_matrix(rho), alice, bob)
+        state, alice, bob = _state_and_frames(config)
+        matrix = predicted_correlation(state.t, alice, bob)
     return _verdict_dict(lhs_membership(matrix)), None
 
 
 def cmd_simulate(config: dict) -> tuple[dict, str]:
     from .simulate import (
-        DEFAULT_PAIRS_PER_SETTING,
-        DEFAULT_RESAMPLES,
-        MAX_PAIRS_PER_SETTING,
-        MAX_RESAMPLES,
         SourceModel,
+        _run_keys,
         assess_estimate,
         estimate_correlation,
         simulate_counts,
     )
+    from .steering import inequalities_for
 
-    rho, alice, bob = _state_and_frames(config)
-    pairs = _config_int(
-        config, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1, MAX_PAIRS_PER_SETTING
-    )
-    seed = _config_int(config, "seed", 0, 0)
-    sys_angle_deg = _config_float(config, "sys_angle_deg", 0.5, 0.0)
-    n_resamples = _config_int(config, "n_resamples", DEFAULT_RESAMPLES, 2, MAX_RESAMPLES)
-
-    record = simulate_counts(SourceModel.from_state(rho, pairs), alice, bob, seed)
-    est = estimate_correlation(record, math.radians(sys_angle_deg))
-
-    assessments = {"ris": assess_estimate(est, "ris", n_resamples, seed=(seed, 1))}
-    if alice.size == 2:
-        assessments["nss"] = assess_estimate(est, "nss", n_resamples, seed=(seed, 2))
+    state, alice, bob = _state_and_frames(config)
+    pairs, seed, sys_angle, n_resamples = _run_keys(config)
+    record = simulate_counts(SourceModel(state, pairs), alice, bob, seed)
+    est = estimate_correlation(record, sys_angle)
+    # each inequality bootstraps on stream 1 + its rank
+    assessments = {
+        tag: assess_estimate(est, tag, n_resamples, seed=(seed, 1 + rank))
+        for rank, tag in enumerate(inequalities_for(alice.size))
+    }
 
     payload = {
         "counts": record.counts.tolist(),

@@ -5,6 +5,7 @@ and raises a ValueError naming the key when the value has the wrong type,
 is not finite or lies out of range.  The spec readers in frames and
 states and the subcommands in simulate and cli read every scalar key
 through them, and every array key through _config_array.
+_state_and_frames is the one reader of the state and frame specs.
 """
 
 from __future__ import annotations
@@ -67,3 +68,22 @@ def _config_array(config: dict, key: str, default=None) -> np.ndarray:
     raise ValueError(
         f'config key "{key}" must be an array of numbers in the float range, got {value!r}'
     )
+
+
+def _state_and_frames(config: dict):
+    """The config's state as a BlochState, and Alice's and Bob's frames.
+
+    Bob's frame must be orthonormal.  The layers load here, not at import,
+    so that a caller that reads no spec does not build them.
+    """
+    from .frames import frame_from_spec, require_orthonormal
+    from .states import BlochState, state_from_spec
+
+    for key in ("state", "alice_frame", "bob_frame"):
+        if key not in config:
+            raise ValueError(f'config requires key "{key}"')
+    state = BlochState(state_from_spec(config["state"]))
+    alice = frame_from_spec(config["alice_frame"])
+    bob = frame_from_spec(config["bob_frame"])
+    require_orthonormal(bob, "bob_frame")
+    return state, alice, bob

@@ -30,7 +30,7 @@ from .simulate import (
     simulate_counts,
 )
 from .states import singlet_state
-from .steering import nss_parameter, predicted_correlation, trace_norm
+from .steering import assess, inequalities_for, predicted_correlation
 
 DEFAULT_SEED = 1729
 
@@ -179,26 +179,23 @@ def build_report(
     pairs_per_setting: int = DEFAULT_PAIRS_PER_SETTING,
     seed: int = DEFAULT_SEED,
     n_resamples: int = DEFAULT_RESAMPLES,
-    sys_angle: float | None = None,
 ) -> list[ReportRow]:
     """Evaluate every reference case: prediction, simulation, annotation."""
-    if sys_angle is None:
-        sys_angle = DEFAULT_SYS_ANGLE
     rows = []
     for index, case in enumerate(_cases(pairs_per_setting)):
         m_pred = predicted_correlation(case.source.state.t, case.alice, case.bob)
         record = simulate_counts(case.source, case.alice, case.bob, seed=(seed, index))
-        est = estimate_correlation(record, sys_angle)
+        est = estimate_correlation(record, DEFAULT_SYS_ANGLE)
         for tag, reported, reported_err, reproducible, note in case.entries:
-            predicted = trace_norm(m_pred) if tag == "ris" else nss_parameter(m_pred)
-            boot_seed = (seed, index, 1 if tag == "ris" else 2)
-            assessment = assess_estimate(est, tag, n_resamples, seed=boot_seed)
+            # each inequality bootstraps on stream 1 + its rank
+            rank = inequalities_for(case.alice.size).index(tag)
+            assessment = assess_estimate(est, tag, n_resamples, seed=(seed, index, 1 + rank))
             rows.append(ReportRow(
                 case=case.name,
                 inequality=tag,
                 reported=reported,
                 reported_err=reported_err,
-                predicted=predicted,
+                predicted=assess(m_pred, tag).parameter,
                 simulated=assessment.parameter,
                 sim_err=assessment.uncertainty,
                 bound=assessment.bound,

@@ -20,21 +20,20 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .config import _config_float, _config_int
-from .frames import MeasurementFrame, frame_from_spec, require_orthonormal
-from .states import BlochState, state_from_spec, werner_state
+from .config import _config_float, _config_int, _state_and_frames
+from .frames import MeasurementFrame, frame_from_spec
+from .states import BlochState, werner_state
 from .steering import (
+    RIS,
     SteeringAssessment,
-    _nss_parameters,
-    _trace_norms,
-    assess_nss,
-    assess_ris,
-    nss_parameter,
+    _parameter_functions,
+    assess,
+    inequalities_for,
     predicted_correlation,
-    trace_norm,
 )
 
-DEFAULT_SYS_ANGLE = math.radians(0.5)
+DEFAULT_SYS_ANGLE_DEG = 0.5
+DEFAULT_SYS_ANGLE = math.radians(DEFAULT_SYS_ANGLE_DEG)
 DEFAULT_PAIRS_PER_SETTING = 100_000
 DEFAULT_RESAMPLES = 200
 # Caps on the two size keys.  Poisson means stay far below numpy's limit
@@ -187,12 +186,7 @@ def propagate_uncertainty(
     [-1, 1]), evaluates the parameter on all resamples at once, and
     returns (mean, standard deviation) over n_resamples.
     """
-    if inequality == "ris":
-        evaluate = _trace_norms
-    elif inequality == "nss":
-        evaluate = _nss_parameters
-    else:
-        raise ValueError(f"inequality must be 'ris' or 'nss', got {inequality!r}")
+    _, evaluate = _parameter_functions(inequality)
     if n_resamples < 2:
         raise ValueError(f"n_resamples must be >= 2, got {n_resamples}")
     rng = np.random.default_rng(seed)
@@ -214,8 +208,18 @@ def assess_estimate(
     bootstrap standard deviation from propagate_uncertainty.
     """
     _, std = propagate_uncertainty(est, inequality, n_resamples, seed)
-    assess = assess_ris if inequality == "ris" else assess_nss
-    return replace(assess(est.matrix), uncertainty=std)
+    return replace(assess(est.matrix, inequality), uncertainty=std)
+
+
+def _run_keys(config: dict) -> tuple[int, int, float, int]:
+    """A run's pairs_per_setting, seed, systematic tilt in radians and n_resamples."""
+    return (
+        _config_int(config, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1,
+                    MAX_PAIRS_PER_SETTING),
+        _config_int(config, "seed", 0, 0),
+        math.radians(_config_float(config, "sys_angle_deg", DEFAULT_SYS_ANGLE_DEG, 0.0)),
+        _config_int(config, "n_resamples", DEFAULT_RESAMPLES, 2, MAX_RESAMPLES),
+    )
 
 
 @dataclass(frozen=True)
@@ -243,9 +247,9 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
 
     Required keys: "state", "alice_frame", "bob_frame".  Optional:
     "sweep" ({"alpha_deg": [...]}, pair frames only), "phi_deg" (overrides
-    the alice pair spec), "pairs_per_setting", "sys_angle_deg", "seed",
-    "inequalities" (default ris, plus nss when m = 2), "drift_sigma",
-    "n_resamples".
+    the alice pair spec, pair frames only), "pairs_per_setting",
+    "sys_angle_deg", "seed", "inequalities" (default inequalities_for(m);
+    ris is reported either way), "drift_sigma", "n_resamples".
 
     "drift_sigma" models slow source drift: each point draws its own
     Werner weight from a normal around the config's W with that width,
@@ -253,26 +257,16 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
     """
     if not isinstance(scenario, dict):
         raise ValueError(f"scenario must be a mapping, got {type(scenario).__name__}")
-    for key in ("state", "alice_frame", "bob_frame"):
-        if key not in scenario:
-            raise ValueError(f'scenario requires key "{key}"')
+    state, alice, bob = _state_and_frames(scenario)
+    pairs, seed, sys_angle, n_resamples = _run_keys(scenario)
     state_spec = scenario["state"]
-    rho = state_from_spec(state_spec)
-    pairs = _config_int(
-        scenario, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1, MAX_PAIRS_PER_SETTING
-    )
-    seed = _config_int(scenario, "seed", 0, 0)
-    n_resamples = _config_int(scenario, "n_resamples", DEFAULT_RESAMPLES, 2, MAX_RESAMPLES)
-    sys_angle = math.radians(_config_float(scenario, "sys_angle_deg", 0.5, 0.0))
     drift = _config_float(scenario, "drift_sigma", 0.0, 0.0)
     if drift > 0.0 and state_spec.get("kind") != "werner":
         raise ValueError("drift_sigma requires a werner state spec")
-    source = SourceModel.from_state(rho, pairs)
+    source = SourceModel(state, pairs)
 
-    bob = frame_from_spec(scenario["bob_frame"])
-    require_orthonormal(bob, "bob_frame")
     alice_spec = scenario["alice_frame"]
-    alice_mapping = alice_spec if isinstance(alice_spec, dict) else {}
+    pair = alice_spec.get("kind") == "pair"
     sweep = scenario.get("sweep")
     if sweep is not None:
         if not isinstance(sweep, dict):
@@ -281,35 +275,36 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
             raise ValueError('sweep requires key "alpha_deg"')
         if not isinstance(sweep["alpha_deg"], list):
             raise ValueError(f'config key "sweep" must map "alpha_deg" to a list, got {sweep!r}')
-        if alice_mapping.get("kind") != "pair":
+        if not pair:
             raise ValueError("sweeping alpha requires an alice pair frame spec")
         alphas = [_config_float({"alpha_deg": a}, "alpha_deg") for a in sweep["alpha_deg"]]
         if not alphas:
             raise ValueError("sweep alpha list is empty")
     else:
-        alphas = [_config_float(alice_mapping, "alpha_deg", 0.0)]
-    phi_deg = _config_float(scenario, "phi_deg", alice_mapping.get("phi_deg", 0.0))
+        alphas = [_config_float(alice_spec, "alpha_deg", 0.0)]
+    if "phi_deg" in scenario and not pair:
+        raise ValueError('config key "phi_deg" requires an alice pair frame spec')
+    phi_deg = _config_float(scenario, "phi_deg", alice_spec.get("phi_deg", 0.0))
 
     def alice_at(alpha_deg: float) -> MeasurementFrame:
-        if alice_mapping.get("kind") == "pair":
+        if pair:
             return frame_from_spec(alice_spec | {"phi_deg": phi_deg, "alpha_deg": alpha_deg})
-        return frame_from_spec(alice_spec)
+        return alice
 
-    probe = alice_at(alphas[0])
-    default_ineqs = ["ris", "nss"] if probe.size == 2 else ["ris"]
-    inequalities = scenario.get("inequalities", default_ineqs)
-    if not isinstance(inequalities, list):
-        raise ValueError(f'config key "inequalities" must be a list, got {inequalities!r}')
-    for tag in inequalities:
-        if tag not in ("ris", "nss"):
-            raise ValueError(f"unknown inequality tag {tag!r}")
-    if "nss" in inequalities and probe.size != 2:
-        raise ValueError("the nss inequality requires exactly 2 alice settings")
+    applicable = inequalities_for(alice.size)
+    chosen = scenario.get("inequalities", list(applicable))
+    if not isinstance(chosen, list):
+        raise ValueError(f'config key "inequalities" must be a list, got {chosen!r}')
+    for tag in chosen:
+        if tag not in applicable:
+            raise ValueError(
+                f'config key "inequalities" lists {tag!r}, not an inequality for '
+                f"{alice.size} alice settings: {list(applicable)}"
+            )
 
-    t_nominal = source.state.t
     rows = []
     for index, alpha_deg in enumerate(alphas):
-        alice = alice_at(alpha_deg)
+        point_alice = alice_at(alpha_deg)
         if drift > 0.0:
             jitter = np.random.default_rng((seed, index, 0)).normal(0.0, drift)
             w_eff = float(np.clip(_config_float(state_spec, "W") + jitter, 0.0, 1.0))
@@ -317,35 +312,23 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
         else:
             point_source = source
 
-        m_pred = predicted_correlation(t_nominal, alice, bob)
-        record = simulate_counts(point_source, alice, bob, seed=(seed, index, 1))
+        m_pred = predicted_correlation(state.t, point_alice, bob)
+        record = simulate_counts(point_source, point_alice, bob, seed=(seed, index, 1))
         est = estimate_correlation(record, sys_angle)
 
-        ris = assess_estimate(est, "ris", n_resamples, seed=(seed, index, 2))
-        ris_pred = trace_norm(m_pred)
-
-        nss_pred = nss_sim = nss_err = nss_bound = nss_violated = None
-        if "nss" in inequalities:
-            nss_pred = nss_parameter(m_pred)
-            nss = assess_estimate(est, "nss", n_resamples, seed=(seed, index, 3))
-            nss_sim = nss.parameter
-            nss_err = nss.uncertainty
-            nss_bound = nss.bound
-            nss_violated = nss.violated
-
-        rows.append(ScenarioRow(
-            alpha_deg=alpha_deg,
-            ris_pred=ris_pred,
-            ris_sim=ris.parameter,
-            ris_err=ris.uncertainty,
-            nss_pred=nss_pred,
-            nss_sim=nss_sim,
-            nss_err=nss_err,
-            ris_bound=ris.bound,
-            nss_bound=nss_bound,
-            ris_violated=ris.violated,
-            nss_violated=nss_violated,
-        ))
+        # ris is always reported; each inequality bootstraps on stream 2 + its rank
+        cells = dict.fromkeys(f.name for f in fields(ScenarioRow)) | {"alpha_deg": alpha_deg}
+        for rank, tag in enumerate(applicable):
+            if tag == RIS or tag in chosen:
+                sim = assess_estimate(est, tag, n_resamples, seed=(seed, index, 2 + rank))
+                cells |= {
+                    f"{tag}_pred": assess(m_pred, tag).parameter,
+                    f"{tag}_sim": sim.parameter,
+                    f"{tag}_err": sim.uncertainty,
+                    f"{tag}_bound": sim.bound,
+                    f"{tag}_violated": sim.violated,
+                }
+        rows.append(ScenarioRow(**cells))
     return rows
 
 

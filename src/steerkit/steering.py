@@ -8,6 +8,9 @@ local rotations of either party's orthonormal frame.  The two-setting
 bounded by sqrt(2) and depends on the in-plane angle alpha; minimizing it
 over Alice's in-plane rotations recovers the trace-norm value.
 
+inequalities_for and assess are the one rule for which inequality applies
+to m Alice settings and how it is judged; every subcommand goes through them.
+
 Sign conventions: the singlet gives negative correlations.  Both
 parameters are absolute norms, so signs never affect them; nothing is
 "corrected" here.
@@ -80,15 +83,6 @@ def trace_norm(matrix) -> float:
     return float(_trace_norms(_finite_matrix(matrix)))
 
 
-def assess_ris(matrix) -> SteeringAssessment:
-    """Trace-norm steering parameter against its sqrt(m) bound."""
-    m = np.asarray(matrix, dtype=float)
-    parameter = trace_norm(m)
-    bound = math.sqrt(m.shape[0])
-    margin = parameter - bound
-    return SteeringAssessment(RIS, parameter, bound, margin, margin > BOUNDARY_TOL)
-
-
 # Rows u+ and u- of the two-setting parameter.
 _U_PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -116,12 +110,44 @@ def nss_parameter(matrix) -> float:
     return value
 
 
+def inequalities_for(m: int) -> tuple[str, ...]:
+    """The inequalities that apply to m Alice settings: ris, plus nss when m = 2."""
+    return (RIS, NSS) if m == 2 else (RIS,)
+
+
+def _parameter_functions(inequality: str):
+    """An inequality's parameter of one matrix, and of each matrix in a stack.
+
+    The first checks its input; the second, the bootstrap's batch path over
+    the last two axes, does not.
+    """
+    if inequality == RIS:
+        return trace_norm, _trace_norms
+    if inequality == NSS:
+        return nss_parameter, _nss_parameters
+    raise ValueError(f"inequality must be 'ris' or 'nss', got {inequality!r}")
+
+
+def assess(matrix, inequality: str) -> SteeringAssessment:
+    """An inequality's parameter against its local-hidden-state bound sqrt(m).
+
+    m is the number of Alice settings; nss takes only m = 2, so its bound is sqrt(2).
+    """
+    m = np.asarray(matrix, dtype=float)
+    parameter = _parameter_functions(inequality)[0](m)
+    bound = math.sqrt(m.shape[0])
+    margin = parameter - bound
+    return SteeringAssessment(inequality, parameter, bound, margin, margin > BOUNDARY_TOL)
+
+
+def assess_ris(matrix) -> SteeringAssessment:
+    """Trace-norm steering parameter against its sqrt(m) bound."""
+    return assess(matrix, RIS)
+
+
 def assess_nss(matrix) -> SteeringAssessment:
     """Two-setting steering parameter against its sqrt(2) bound."""
-    parameter = nss_parameter(matrix)
-    bound = math.sqrt(2.0)
-    margin = parameter - bound
-    return SteeringAssessment(NSS, parameter, bound, margin, margin > BOUNDARY_TOL)
+    return assess(matrix, NSS)
 
 
 def ris_predicted(

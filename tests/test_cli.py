@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from steerkit.simulate import (
     simulate_counts,
 )
 from steerkit.states import state_from_spec
+from steerkit.steering import inequalities_for
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -92,6 +94,19 @@ SWEEP_CONFIG = {
     "n_resamples": 20,
     "seed": 5,
 }
+
+# A sweep config with Alice's standard triad, and so with no sweep list.
+TRIAD_SWEEP = {k: v for k, v in SWEEP_CONFIG.items() if k != "sweep"} | {
+    "alice_frame": TRIAD_PREDICT["alice_frame"],
+}
+
+
+@dataclass(frozen=True)
+class Around:
+    """A bad config value that with_value sets in config rather than in SWEEP_CONFIG."""
+
+    config: dict
+    value: object
 
 
 # every subcommand's --format choices
@@ -327,9 +342,19 @@ class TestSweep:
         pytest.param("alice_frame.normal", [0, 1, 10**400], id="alice_frame.normal-10**400"),
         pytest.param("alice_frame.normal", ["0", "1", "0"], id="alice_frame.normal-strings"),
         pytest.param("bob_frame.normal", [False, True, False], id="bob_frame.normal-bools"),
+        # the Alice pair spec's own numbers are checked under the sweep list
+        # and under a top-level phi_deg, which override them
+        ("alice_frame.alpha_deg", "x"),
+        pytest.param("alice_frame.phi_deg", Around(dict(SWEEP_CONFIG, phi_deg=30.0), True),
+                     id="alice_frame.phi_deg-True-under-phi_deg"),
+        # a top-level phi_deg tilts only a pair spec
+        pytest.param("phi_deg", Around(TRIAD_SWEEP, 45), id="phi_deg-45-triad"),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, key, value):
-        config = write_config(tmp_path, with_value(SWEEP_CONFIG, key, value))
+        base = SWEEP_CONFIG
+        if isinstance(value, Around):
+            base, value = value.config, value.value
+        config = write_config(tmp_path, with_value(base, key, value))
         assert main(["sweep", "--config", config]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -340,6 +365,31 @@ class TestSweep:
         config = write_config(tmp_path, SWEEP_CONFIG | {"sweep": {"alpha_deg": [0.0, alpha]}})
         assert main(["sweep", "--config", config]) == EXIT_CONFIG
         assert "alpha_deg" in capsys.readouterr().err
+
+
+class TestInequalities:
+    # Alice frames of m = 1, 2 and 3 settings against Bob's standard triad
+    @pytest.mark.parametrize("alice", [
+        {"kind": "explicit", "directions": [[0.0, 0.0, 1.0]]},
+        {"kind": "pair", "normal": [0, 1, 0], "alpha_deg": 20.0},
+        {"kind": "named", "name": "standard_triad"},
+    ], ids=["m1", "m2", "m3"])
+    def test_subcommands_agree_on_which_inequalities_apply(self, tmp_path, capsys, alice):
+        config = write_config(tmp_path, dict(TRIAD_PREDICT, alice_frame=alice,
+                                              pairs_per_setting=500, n_resamples=5))
+        m = frame_from_spec(alice).size
+        tags = set(inequalities_for(m))
+        outputs = {}
+        for subcommand in ("predict", "simulate", "sweep"):
+            assert main([subcommand, "--config", config, "--format", "json"]) == EXIT_OK
+            outputs[subcommand] = json.loads(capsys.readouterr().out)
+        assert {"ris", "nss"} & set(outputs["predict"]) == tags
+        assert ("nss" in outputs["predict"]) == (m == 2)
+        assert set(outputs["simulate"]["assessments"]) == tags
+        [row] = outputs["sweep"]
+        nss_cells = [row[f"nss_{column}"] for column in ("pred", "sim", "err", "bound", "violated")]
+        assert all(cell is not None for cell in nss_cells) == (m == 2)
+        assert all(cell is None for cell in nss_cells) == (m != 2)
 
 
 class TestLhs:
