@@ -44,11 +44,9 @@ EXAMPLE_CONFIGS = {
         "alice_frame": {"kind": "pair", "normal": [0.0, 1.0, 0.0], "phi_deg": 0.0},
         "bob_frame": {"kind": "pair", "normal": [0.0, 1.0, 0.0], "alpha_deg": 0.0},
         "sweep": {"alpha_deg": [0, 10, 20, 30, 40, 45, 50, 60, 70, 80, 90]},
-        "phi_deg": 0.0,
         "pairs_per_setting": 100000,
         "sys_angle_deg": 0.5,
         "seed": 7,
-        "inequalities": ["ris", "nss"],
         "drift_sigma": 0.0,
         "n_resamples": 200,
     },

@@ -4,7 +4,8 @@ Each reader returns config[key], or the default when the key is absent,
 and raises a ValueError naming the key when the value has the wrong type,
 is not finite or lies out of range.  The spec readers in frames and
 states and the subcommands in simulate and cli read every scalar key
-through them, and every array key through _config_array.
+through them, and every array key through _config_array, and reject a
+key their spec's kind does not read through _spec_keys.
 _state_and_frames is the one reader of the state and frame specs.
 """
 
@@ -68,6 +69,16 @@ def _config_array(config: dict, key: str, default=None) -> np.ndarray:
     raise ValueError(
         f'config key "{key}" must be an array of numbers in the float range, got {value!r}'
     )
+
+
+def _spec_keys(spec: dict, kind: str, *keys: str) -> None:
+    """Raise naming the first key of spec that a spec of this kind does not read."""
+    for key in spec:
+        if key != "kind" and key not in keys:
+            raise ValueError(
+                f'{kind} spec does not read key "{key}"; it reads "kind", '
+                + ", ".join(f'"{k}"' for k in keys)
+            )
 
 
 def _state_and_frames(config: dict):

@@ -19,7 +19,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .config import _config_array, _config_float
+from .config import _config_array, _config_float, _spec_keys
 
 UNIT_TOL = 1e-6
 ORTHONORMAL_TOL = 1e-10
@@ -244,23 +244,27 @@ def frame_from_spec(spec: dict) -> MeasurementFrame:
         {"kind": "pair", "normal": [x, y, z], "phi_deg": 0.0, "alpha_deg": 0.0}
         {"kind": "explicit", "directions": [[...], ...]}
     For pair frames phi_deg and alpha_deg default to zero; the normal is
-    Bob's plane normal, against which phi tilts (see tilted_pair).
+    Bob's plane normal, against which phi tilts (see tilted_pair).  A key
+    the spec's kind does not read raises.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"frame spec must be a mapping, got {type(spec).__name__}")
     kind = spec.get("kind")
     if kind == "named":
+        _spec_keys(spec, "named frame", "name")
         name = spec.get("name")
         if name not in _NAMED_FRAMES:
             raise ValueError(f"unknown frame name {name!r}; choices: {sorted(_NAMED_FRAMES)}")
         return _NAMED_FRAMES[name]()
     if kind == "pair":
+        _spec_keys(spec, "pair frame", "normal", "phi_deg", "alpha_deg")
         if "normal" not in spec:
             raise ValueError('pair frame spec requires key "normal"')
         phi = math.radians(_config_float(spec, "phi_deg", 0.0))
         alpha = math.radians(_config_float(spec, "alpha_deg", 0.0))
         return tilted_pair(phi, alpha, _config_array(spec, "normal"))
     if kind == "explicit":
+        _spec_keys(spec, "explicit frame", "directions")
         if "directions" not in spec:
             raise ValueError('explicit frame spec requires key "directions"')
         dirs = [unit(d) for d in np.atleast_2d(_config_array(spec, "directions"))]

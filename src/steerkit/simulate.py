@@ -24,7 +24,6 @@ from .config import _config_float, _config_int, _state_and_frames
 from .frames import MeasurementFrame, frame_from_spec
 from .states import BlochState, werner_state
 from .steering import (
-    RIS,
     SteeringAssessment,
     _parameter_functions,
     assess,
@@ -246,10 +245,10 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
     """Run a full sweep scenario from its config mapping.
 
     Required keys: "state", "alice_frame", "bob_frame".  Optional:
-    "sweep" ({"alpha_deg": [...]}, pair frames only), "phi_deg" (overrides
-    the alice pair spec, pair frames only), "pairs_per_setting",
-    "sys_angle_deg", "seed", "inequalities" (default inequalities_for(m);
-    ris is reported either way), "drift_sigma", "n_resamples".
+    "sweep" ({"alpha_deg": [...]}, pair frames only), "pairs_per_setting",
+    "sys_angle_deg", "seed", "drift_sigma", "n_resamples".  Each point takes
+    the alice spec at its alpha_deg and reports every inequality of
+    inequalities_for(m); the removed "phi_deg" and "inequalities" raise.
 
     "drift_sigma" models slow source drift: each point draws its own
     Werner weight from a normal around the config's W with that width,
@@ -257,6 +256,9 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
     """
     if not isinstance(scenario, dict):
         raise ValueError(f"scenario must be a mapping, got {type(scenario).__name__}")
+    for key, home in (("phi_deg", "alice_frame.phi_deg"), ("inequalities", "inequalities_for")):
+        if key in scenario:
+            raise ValueError(f'config key "{key}" was removed; its value now comes from {home}')
     state, alice, bob = _state_and_frames(scenario)
     pairs, seed, sys_angle, n_resamples = _run_keys(scenario)
     state_spec = scenario["state"]
@@ -266,45 +268,25 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
     source = SourceModel(state, pairs)
 
     alice_spec = scenario["alice_frame"]
-    pair = alice_spec.get("kind") == "pair"
     sweep = scenario.get("sweep")
-    if sweep is not None:
+    if sweep is None:
+        points = [(_config_float(alice_spec, "alpha_deg", 0.0), alice)]
+    else:
         if not isinstance(sweep, dict):
             raise ValueError(f'config key "sweep" must be a mapping, got {sweep!r}')
         if "alpha_deg" not in sweep:
             raise ValueError('sweep requires key "alpha_deg"')
         if not isinstance(sweep["alpha_deg"], list):
             raise ValueError(f'config key "sweep" must map "alpha_deg" to a list, got {sweep!r}')
-        if not pair:
+        if alice_spec.get("kind") != "pair":
             raise ValueError("sweeping alpha requires an alice pair frame spec")
         alphas = [_config_float({"alpha_deg": a}, "alpha_deg") for a in sweep["alpha_deg"]]
         if not alphas:
             raise ValueError("sweep alpha list is empty")
-    else:
-        alphas = [_config_float(alice_spec, "alpha_deg", 0.0)]
-    if "phi_deg" in scenario and not pair:
-        raise ValueError('config key "phi_deg" requires an alice pair frame spec')
-    phi_deg = _config_float(scenario, "phi_deg", alice_spec.get("phi_deg", 0.0))
-
-    def alice_at(alpha_deg: float) -> MeasurementFrame:
-        if pair:
-            return frame_from_spec(alice_spec | {"phi_deg": phi_deg, "alpha_deg": alpha_deg})
-        return alice
-
-    applicable = inequalities_for(alice.size)
-    chosen = scenario.get("inequalities", list(applicable))
-    if not isinstance(chosen, list):
-        raise ValueError(f'config key "inequalities" must be a list, got {chosen!r}')
-    for tag in chosen:
-        if tag not in applicable:
-            raise ValueError(
-                f'config key "inequalities" lists {tag!r}, not an inequality for '
-                f"{alice.size} alice settings: {list(applicable)}"
-            )
+        points = [(a, frame_from_spec(alice_spec | {"alpha_deg": a})) for a in alphas]
 
     rows = []
-    for index, alpha_deg in enumerate(alphas):
-        point_alice = alice_at(alpha_deg)
+    for index, (alpha_deg, point_alice) in enumerate(points):
         if drift > 0.0:
             jitter = np.random.default_rng((seed, index, 0)).normal(0.0, drift)
             w_eff = float(np.clip(_config_float(state_spec, "W") + jitter, 0.0, 1.0))
@@ -316,18 +298,17 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
         record = simulate_counts(point_source, point_alice, bob, seed=(seed, index, 1))
         est = estimate_correlation(record, sys_angle)
 
-        # ris is always reported; each inequality bootstraps on stream 2 + its rank
+        # each inequality bootstraps on stream 2 + its rank
         cells = dict.fromkeys(f.name for f in fields(ScenarioRow)) | {"alpha_deg": alpha_deg}
-        for rank, tag in enumerate(applicable):
-            if tag == RIS or tag in chosen:
-                sim = assess_estimate(est, tag, n_resamples, seed=(seed, index, 2 + rank))
-                cells |= {
-                    f"{tag}_pred": assess(m_pred, tag).parameter,
-                    f"{tag}_sim": sim.parameter,
-                    f"{tag}_err": sim.uncertainty,
-                    f"{tag}_bound": sim.bound,
-                    f"{tag}_violated": sim.violated,
-                }
+        for rank, tag in enumerate(inequalities_for(alice.size)):
+            sim = assess_estimate(est, tag, n_resamples, seed=(seed, index, 2 + rank))
+            cells |= {
+                f"{tag}_pred": assess(m_pred, tag).parameter,
+                f"{tag}_sim": sim.parameter,
+                f"{tag}_err": sim.uncertainty,
+                f"{tag}_bound": sim.bound,
+                f"{tag}_violated": sim.violated,
+            }
         rows.append(ScenarioRow(**cells))
     return rows
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .config import _config_array, _config_float
+from .config import _config_array, _config_float, _spec_keys
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -146,16 +146,19 @@ def state_from_spec(spec: dict) -> NDArray[np.complex128]:
     Supported forms:
         {"kind": "werner", "W": 0.985}
         {"kind": "matrix", "re": [[...4x4...]], "im": [[...4x4...]]}
-    The "im" block is optional and defaults to zero.
+    The "im" block is optional and defaults to zero.  A key the spec's
+    kind does not read raises.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"state spec must be a mapping, got {type(spec).__name__}")
     kind = spec.get("kind")
     if kind == "werner":
+        _spec_keys(spec, "werner state", "W")
         if "W" not in spec:
             raise ValueError('werner state spec requires key "W"')
         return werner_state(_config_float(spec, "W"))
     if kind == "matrix":
+        _spec_keys(spec, "matrix state", "re", "im")
         if "re" not in spec:
             raise ValueError('matrix state spec requires key "re"')
         re = _config_array(spec, "re")

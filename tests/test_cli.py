@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steerkit
+from steerkit import lhs
 from steerkit.cli import (
     EXAMPLE_CONFIGS,
     EXIT_CONFIG,
@@ -193,6 +194,21 @@ class TestPredict:
         assert main(["predict", "--config", config]) == code
         assert ("bob_frame" in capsys.readouterr().err) == (code == EXIT_CONFIG)
 
+    @pytest.mark.parametrize("key, spec, extra", [
+        ("alice_frame", {"kind": "explicit", "directions": [[0.0, 0.0, 1.0]], "phi_deg": 30.0},
+         "phi_deg"),
+        ("state", {"kind": "werner", "W": 0.984, "re": np.eye(4).tolist()}, "re"),
+    ], ids=["explicit-phi_deg", "werner-re"])
+    def test_spec_key_its_kind_does_not_read_exits_config(self, tmp_path, capsys, key, spec,
+                                                          extra):
+        # each exited 0 before, with the key ignored
+        config = write_config(tmp_path, TRIAD_PREDICT | {key: spec})
+        assert main(["predict", "--config", config]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f'{spec["kind"]} ' in captured.err
+        assert f'does not read key "{extra}"' in captured.err
+
     def test_out_file(self, tmp_path):
         config = write_config(tmp_path, TRIAD_PREDICT)
         out_path = tmp_path / "predict.json"
@@ -334,6 +350,9 @@ class TestSweep:
         ("sweep", 5),
         ("sweep", {"alpha_deg": 5}),
         ("inequalities", "ris"),
+        # the removed keys exit whatever their value, their old defaults too
+        ("phi_deg", 0.0),
+        pytest.param("inequalities", ["ris", "nss"], id="inequalities-default"),
         ("state.W", True),
         ("state.W", "0.9"),
         pytest.param("bob_frame.alpha_deg", 10**400, id="bob_frame.alpha_deg-10**400"),
@@ -343,12 +362,12 @@ class TestSweep:
         pytest.param("alice_frame.normal", ["0", "1", "0"], id="alice_frame.normal-strings"),
         pytest.param("bob_frame.normal", [False, True, False], id="bob_frame.normal-bools"),
         # the Alice pair spec's own numbers are checked under the sweep list
-        # and under a top-level phi_deg, which override them
         ("alice_frame.alpha_deg", "x"),
-        pytest.param("alice_frame.phi_deg", Around(dict(SWEEP_CONFIG, phi_deg=30.0), True),
-                     id="alice_frame.phi_deg-True-under-phi_deg"),
-        # a top-level phi_deg tilts only a pair spec
-        pytest.param("phi_deg", Around(TRIAD_SWEEP, 45), id="phi_deg-45-triad"),
+        ("alice_frame.phi_deg", True),
+        # a named frame reads no alpha_deg; it printed alpha_deg 30.0 and the
+        # untilted triad's ris_pred before
+        pytest.param("alice_frame.alpha_deg", Around(TRIAD_SWEEP, 30),
+                     id="alice_frame.alpha_deg-30-triad"),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, key, value):
         base = SWEEP_CONFIG
@@ -454,6 +473,17 @@ class TestLhs:
 
     def test_non_orthonormal_bob_frame_rejected(self, tmp_path, capsys):
         assert_bob_frame_rejected("lhs", tmp_path, capsys)
+
+    def test_undecided_verdict_exits_numeric(self, tmp_path, capsys, monkeypatch):
+        # a solver stopped at its starting point leaves the verdict undecided,
+        # as in test_lhs's test_undecided_matrix_raises
+        raw = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 3))
+        config = write_config(tmp_path, {"matrix": (raw / lhs.lhs_gauge(raw)).tolist()})
+        monkeypatch.setattr(lhs, "_smoothed_newton", lambda points: points.mean(axis=0))
+        assert main(["lhs", "--config", config]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "undecided" in captured.err
 
     @pytest.mark.parametrize("matrix", [
         [[-0.5, 0.0], [0.0]],
@@ -664,17 +694,23 @@ class TestScalarKeys:
 
 # Any JSON value tree: null, bools, ints, any float (NaN and +-inf included),
 # strings, lists and objects.  Some objects are specs of a known kind with
-# any subset of the spec keys, so that some trees pass the kind check.
-SPEC_KEYS = ("W", "re", "im", "name", "normal", "phi_deg", "alpha_deg", "directions")
+# any subset of that kind's keys, so that some trees pass the kind and key
+# checks; the spec reader tests cover keys a kind does not read.
+SPEC_KEYS = {
+    "werner": ("W",),
+    "matrix": ("re", "im"),
+    "named": ("name",),
+    "pair": ("normal", "phi_deg", "alpha_deg"),
+    "explicit": ("directions",),
+}
 JSON_TREES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
     | st.sampled_from(("standard_triad", "ris", "nss")),
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(st.text(max_size=3), children, max_size=4)
-    | st.fixed_dictionaries(
-        {"kind": st.sampled_from(("werner", "matrix", "named", "pair", "explicit"))},
-        optional=dict.fromkeys(SPEC_KEYS, children),
-    ),
+    | st.sampled_from(sorted(SPEC_KEYS)).flatmap(lambda kind: st.fixed_dictionaries(
+        {"kind": st.just(kind)}, optional=dict.fromkeys(SPEC_KEYS[kind], children),
+    )),
     max_leaves=16,
 )
 # config key -> the subcommands that read it

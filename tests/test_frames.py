@@ -212,3 +212,17 @@ class TestFrameFromSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             frame_from_spec({"kind": "spiral"})
+
+    def test_explicit_requires_directions(self):
+        with pytest.raises(ValueError, match='requires key "directions"'):
+            frame_from_spec({"kind": "explicit"})
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "named", "name": "standard_triad", "alpha_deg": 30.0}, "alpha_deg"),
+        ({"kind": "pair", "normal": [0, 1, 0], "directions": [[0.0, 0.0, 1.0]]}, "directions"),
+        ({"kind": "explicit", "directions": [[0.0, 0.0, 1.0]], "phi_deg": 64.0}, "phi_deg"),
+    ], ids=["named-alpha_deg", "pair-directions", "explicit-phi_deg"])
+    def test_rejects_key_its_kind_does_not_read(self, spec, key):
+        message = f'{spec["kind"]} frame spec does not read key "{key}"'
+        with pytest.raises(ValueError, match=message):
+            frame_from_spec(spec)

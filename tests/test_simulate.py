@@ -379,7 +379,7 @@ class TestRunScenario:
     def test_tilted_plane_dip(self):
         scenario = coplanar_scenario(
             state={"kind": "werner", "W": 0.973},
-            phi_deg=64.0,
+            alice_frame={"kind": "pair", "normal": [0, 1, 0], "phi_deg": 64.0},
             sweep={"alpha_deg": [0.0, 45.0, 90.0]},
             pairs_per_setting=50_000,
             seed=7,
@@ -448,20 +448,20 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="pair"):
             run_scenario(scenario)
 
-    def test_rejects_nss_for_triads(self):
-        scenario = {
-            "state": {"kind": "werner", "W": 0.9},
-            "alice_frame": {"kind": "named", "name": "standard_triad"},
-            "bob_frame": {"kind": "named", "name": "standard_triad"},
-            "inequalities": ["ris", "nss"],
-            "pairs_per_setting": 1000,
-        }
-        with pytest.raises(ValueError, match="nss"):
-            run_scenario(scenario)
+    def test_rejects_empty_sweep_list(self):
+        with pytest.raises(ValueError, match="sweep alpha list is empty"):
+            run_scenario(coplanar_scenario(sweep={"alpha_deg": []}))
 
-    def test_rejects_unknown_inequality(self):
-        with pytest.raises(ValueError, match="inequality"):
-            run_scenario(coplanar_scenario(inequalities=["ris", "chsh"]))
+    @pytest.mark.parametrize("key, value, home", [
+        ("phi_deg", 64.0, "alice_frame.phi_deg"),
+        ("inequalities", ["ris", "nss"], "inequalities_for"),
+    ], ids=["phi_deg", "inequalities"])
+    def test_rejects_removed_key(self, key, value, home):
+        # phi_deg overrode the alice pair spec's, and inequalities chose
+        # among inequalities_for(m); each now has that one home
+        with pytest.raises(ValueError, match=f'"{key}" was removed') as raised:
+            run_scenario(coplanar_scenario(**{key: value}))
+        assert home in str(raised.value)
 
     def test_rejects_drift_for_matrix_state(self):
         rho = werner_state(0.9)

@@ -182,3 +182,25 @@ class TestStateFromSpec:
     def test_rejects_unphysical_matrix(self):
         with pytest.raises(ValueError):
             state_from_spec({"kind": "matrix", "re": np.eye(4).tolist()})
+
+    def test_rejects_matrix_without_real_part(self):
+        with pytest.raises(ValueError, match='requires key "re"'):
+            state_from_spec({"kind": "matrix", "im": np.zeros((4, 4)).tolist()})
+
+    @pytest.mark.parametrize("key, block", [
+        ("re", np.eye(3) / 3.0),
+        ("im", np.zeros((4, 3))),
+    ], ids=["re-3x3", "im-4x3"])
+    def test_rejects_matrix_not_4x4(self, key, block):
+        spec = {"kind": "matrix", "re": werner_state(0.5).real.tolist()} | {key: block.tolist()}
+        with pytest.raises(ValueError, match="must be 4x4"):
+            state_from_spec(spec)
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "werner", "W": 0.7, "re": [[1.0]]}, "re"),
+        ({"kind": "matrix", "re": np.eye(4).tolist(), "W": 0.7}, "W"),
+    ], ids=["werner-re", "matrix-W"])
+    def test_rejects_key_its_kind_does_not_read(self, spec, key):
+        message = f'{spec["kind"]} state spec does not read key "{key}"'
+        with pytest.raises(ValueError, match=message):
+            state_from_spec(spec)
