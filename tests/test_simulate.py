@@ -463,6 +463,23 @@ class TestRunScenario:
             run_scenario(coplanar_scenario(**{key: value}))
         assert home in str(raised.value)
 
+    def test_rejects_nss_for_triads(self):
+        # a triad scenario reports ris alone; nss cannot be asked for
+        # because the inequalities key itself is refused
+        scenario = {
+            "state": {"kind": "werner", "W": 0.9},
+            "alice_frame": {"kind": "named", "name": "standard_triad"},
+            "bob_frame": {"kind": "named", "name": "standard_triad"},
+            "inequalities": ["ris", "nss"],
+            "pairs_per_setting": 1000,
+        }
+        with pytest.raises(ValueError, match='"inequalities" was removed'):
+            run_scenario(scenario)
+
+    def test_rejects_unknown_inequality(self):
+        with pytest.raises(ValueError, match='"inequalities" was removed'):
+            run_scenario(coplanar_scenario(inequalities=["ris", "chsh"]))
+
     def test_rejects_drift_for_matrix_state(self):
         rho = werner_state(0.9)
         scenario = coplanar_scenario(
