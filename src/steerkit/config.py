@@ -84,17 +84,23 @@ def _spec_keys(spec: dict, kind: str, *keys: str) -> None:
 def _state_and_frames(config: dict):
     """The config's state as a BlochState, and Alice's and Bob's frames.
 
-    Bob's frame must be orthonormal.  The layers load here, not at import,
-    so that a caller that reads no spec does not build them.
+    An error in a spec names its config key.  Bob's frame must be
+    orthonormal.  The layers load here, not at import, so that a caller
+    that reads no spec does not build them.
     """
     from .frames import frame_from_spec, require_orthonormal
     from .states import BlochState, state_from_spec
 
-    for key in ("state", "alice_frame", "bob_frame"):
+    def read(key, reader):
         if key not in config:
             raise ValueError(f'config requires key "{key}"')
-    state = BlochState(state_from_spec(config["state"]))
-    alice = frame_from_spec(config["alice_frame"])
-    bob = frame_from_spec(config["bob_frame"])
+        try:
+            return reader(config[key])
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+
+    state = read("state", lambda spec: BlochState(state_from_spec(spec)))
+    alice = read("alice_frame", frame_from_spec)
+    bob = read("bob_frame", frame_from_spec)
     require_orthonormal(bob, "bob_frame")
     return state, alice, bob

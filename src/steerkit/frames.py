@@ -1,9 +1,9 @@
 """Measurement directions, frames, and rotations on the Bloch sphere.
 
-A measurement frame is an ordered set of one to three unit directions.
-Frames need not be orthonormal; operations that require orthonormality
-(projector construction, the steering bounds) check it with
-require_orthonormal and raise otherwise.
+A measurement frame is an ordered set of one to MAX_ALICE_SETTINGS unit
+directions; Bob's, which must be orthonormal, holds at most three.  Frames
+need not be orthonormal otherwise: the projector and the steering bounds
+check it with require_orthonormal and raise.
 
 Plane conventions used throughout: a measurement plane is identified by
 its unit normal, and the in-plane reference direction is the normalized
@@ -20,6 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .config import _config_array, _config_float, _spec_keys
+from .lhs import MAX_ALICE_SETTINGS
 
 UNIT_TOL = 1e-6
 ORTHONORMAL_TOL = 1e-10
@@ -43,7 +44,7 @@ def unit(v) -> np.ndarray:
 
 
 class MeasurementFrame:
-    """Ordered set of 1-3 unit measurement directions.
+    """Ordered set of 1 to MAX_ALICE_SETTINGS unit measurement directions.
 
     Directions are stored as rows of a read-only (m, 3) array.  Inputs
     must already be unit length to within UNIT_TOL; they are then
@@ -55,8 +56,8 @@ class MeasurementFrame:
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ValueError(f"expected an (m, 3) array of directions, got shape {arr.shape}")
         m = arr.shape[0]
-        if not 1 <= m <= 3:
-            raise ValueError(f"a frame holds 1 to 3 directions, got {m}")
+        if not 1 <= m <= MAX_ALICE_SETTINGS:
+            raise ValueError(f"a frame holds 1 to {MAX_ALICE_SETTINGS} directions, got {m}")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"directions must be finite, got {arr.tolist()}")
         norms = np.linalg.norm(arr, axis=1)

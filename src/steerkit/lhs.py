@@ -12,28 +12,31 @@ global sign, turns membership into a gauge: M is LHS exactly when
 is at most 1, with a over the 2^(m-1) sign vectors whose first entry is
 +1 (Cavalcanti, Jones, Wiseman & Reid, PRA 80, 032112, 2009).  Writing S
 for the matrix of those sign vectors, S^T S = K I with K = 2^(m-1), so
-V0 = S M / K is one decomposition:
+V0 = S M / K is one decomposition, and every decomposition is V0 + N Z,
+where the K - m columns of N are an orthonormal basis of the null space
+of S^T.  The gauge is the minimum of sum_a |(V0 + N Z)_a| over Z, found
+by smoothed Newton continuation for any m up to MAX_ALICE_SETTINGS; Bob
+holds at most three settings.  N is empty for m <= 2, where V0 is the
+only decomposition and, for m = 2, the gauge is the two-setting parameter
+divided by sqrt(2).  For m = 3, N is +-z/2 with z = (1, -1, -1, 1), and
+the gauge is a Fermat-Weber problem over four points (Vardi & Zhang,
+PNAS 97, 1423, 2000).
 
-- m = 1, 2: S is square and V0 is the only decomposition.  For m = 2
-  the gauge is the two-setting parameter divided by sqrt(2).
-- m = 3: every decomposition is V0 + z t^T with z = (1, -1, -1, 1) the
-  null vector of S^T, and the gauge is the Fermat-Weber problem
-  min_t sum_k |t - p_k| over the four points p_k = -z_k V0_k (Weiszfeld
-  1937; Vardi & Zhang, PNAS 97, 1423, 2000).
-
-Verdicts are certified either way.  A feasible verdict carries the
-mixture of atoms (a, v_a/|v_a|) with weights |v_a|, plus a zero-mean pair
-that takes up the slack, and its reconstruction residual is re-checked.
-An infeasible verdict carries the dual functional G = S^T U / K built
-from the unit directions u_a of the v_a, scaled so that its exact support
-max_a |G^T a| over the LHS set is 1, and it is issued only when <G, M>
-clears that support.  A matrix that neither certificate settles raises
-instead of guessing.
+Verdicts are certified.  A feasible verdict carries the mixture of atoms
+(a, v_a/|v_a|) with weights |v_a|, plus a zero-mean pair that takes up
+the slack, and its reconstruction residual is re-checked.  An infeasible
+verdict carries the dual functional G = S^T U / K built from the unit
+directions u_a of the v_a, scaled so that its exact support max_a |G^T a|
+over the LHS set is 1, and it is issued only when <G, M> clears that
+support.  A matrix that neither certificate settles raises instead of
+guessing.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +48,20 @@ RESIDUAL_TOL = 1e-7
 # mixtures of unit Bob vectors sit exactly on it, and rounding moves them
 # by a few ulps either way.
 BOUNDARY_MARGIN = 1e-9
-# Points of the Fermat-Weber problem closer than this, relative to the
-# largest distance between them, are treated as one point.
-COINCIDENT_TOL = 1e-12
-# Smoothing levels eps of the Newton continuation, relative to that
-# distance.  The solve at each level stops once |grad f_eps| falls below
-# max(eps, GRADIENT_TOL), or after NEWTON_STEPS steps.
-SMOOTHING_LEVELS = 10.0 ** -np.arange(1, 17)
+# Alice's setting count is at most this: the Newton solve has
+# (2^(m-1) - m) n variables, 78 at m = 6 and 1506 at m = 10, and builds
+# their dense Hessian.
+MAX_ALICE_SETTINGS = 6
+# Smoothing levels eps of the Newton continuation, relative to the
+# largest row length of V0, each LEVEL_RATIO times the last.  The solve at
+# each level stops once |grad f_eps| falls below max(eps, GRADIENT_TOL),
+# or after NEWTON_STEPS steps.
+LEVEL_RATIO = 0.1
+SMOOTHING_LEVELS = LEVEL_RATIO ** np.arange(1, 17)
 GRADIENT_TOL = 1e-14
 NEWTON_STEPS = 50
+# Relative rounding of f_eps and of the Hessian's largest entry.
+ROUNDING = 4.0 * np.finfo(float).eps
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -61,8 +69,8 @@ INFEASIBLE = "infeasible"
 
 def alice_sign_vectors(m: int) -> np.ndarray:
     """All 2^m deterministic +-1 response vectors, in a fixed order."""
-    if not 1 <= m <= 3:
-        raise ValueError(f"alice setting count must be 1 to 3, got {m}")
+    if not 1 <= m <= MAX_ALICE_SETTINGS:
+        raise ValueError(f"alice setting count must be 1 to {MAX_ALICE_SETTINGS}, got {m}")
     return np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
 
 
@@ -162,107 +170,91 @@ def _unit_rows(x: np.ndarray):
     return (lengths * scale)[:, 0], units
 
 
-def _unit_directions(points: np.ndarray, t: np.ndarray):
-    """Unit vectors e_k = (t - p_k)/|t - p_k|, completed at the points near t.
+@functools.lru_cache(maxsize=None)
+def _sign_basis(m: int):
+    """Sign vectors S with first entry +1 and an orthonormal basis N of null(S^T), read-only."""
+    signs = alice_sign_vectors(m)[2 ** (m - 1):]
+    null = np.linalg.svd(signs)[0][:, m:]
+    signs.setflags(write=False)
+    null.setflags(write=False)
+    return signs, null
 
-    The near points are those within COINCIDENT_TOL of t, and always the
-    closest one.  Their directions are set to -r/c, where r sums the other
-    directions and c counts the near points, so that sum_k e_k = 0: a
-    subgradient of sum_k |t - p_k| at t.  They are shortened to -r/|r|
-    when that would exceed unit length.  Completing at the closest point
-    keeps the directions accurate when t lies close to a point, where
-    (t - p_k)/|t - p_k| is sensitive to small errors in t.  Returns the
-    directions and whether t is optimal, |r| <= c up to COINCIDENT_TOL.
+
+def _smoothed_gradient(null: np.ndarray, r: np.ndarray, eps: float):
+    """Smoothed row lengths s_a = sqrt(|R_a|^2 + eps^2), the gradient N^T (R / s) and its norm."""
+    s = np.sqrt(np.einsum("ai,ai->a", r, r) + eps * eps)
+    grad = null.T @ (r / s[:, None])
+    return s, grad, math.sqrt(np.vdot(grad, grad))
+
+
+def _smoothed_newton(v0: np.ndarray, null: np.ndarray):
+    """Minimizer R = V0 + N Z of sum_a |R_a| by Newton continuation, for unit scale.
+
+    Solves grad f_eps(Z) = 0 for f_eps(Z) = sum_a sqrt(|R_a|^2 + eps^2)
+    from Z = 0, with eps falling through SMOOTHING_LEVELS.  The smoothing
+    keeps the Hessian positive definite where rows of R vanish at the
+    optimum, the kinks of the gauge.  Such rows shrink in proportion to
+    eps, so a level starts from the linear extrapolation of the last two
+    levels' solutions when that has the smaller gradient.  Steps backtrack
+    until f_eps falls by the Armijo amount, or |grad f_eps| falls, which
+    still resolves progress where f_eps no longer does; f_eps may not rise
+    beyond rounding.  R moves by the steps N dZ, not recomputed from V0,
+    so that a row near 0 keeps its relative accuracy.  Returns R and the
+    units R / s at the last level.
     """
-    dist, e = _unit_rows(t - points)
-    is_near = dist <= COINCIDENT_TOL
-    is_near[np.argmin(dist)] = True
-    r = e[~is_near].sum(axis=0)
-    r_norm = float(np.linalg.norm(r))
-    count = int(is_near.sum())
-    e[is_near] = -r / max(count, r_norm)
-    return e, r_norm <= count * (1.0 + COINCIDENT_TOL)
-
-
-def _smoothed_gradient(points: np.ndarray, t: np.ndarray, eps: float):
-    """Offsets t - p_k, smoothed distances s_k and the gradient sum_k (t - p_k)/s_k."""
-    d = t - points
-    s = np.sqrt(np.einsum("ki,ki->k", d, d) + eps * eps)
-    return d, s, (d / s[:, None]).sum(axis=0)
-
-
-def _smoothed_newton(points: np.ndarray) -> np.ndarray:
-    """Minimizer of sum_k |t - p_k| by Newton continuation, for unit spread.
-
-    Solves grad f_eps(t) = 0 for f_eps(t) = sum_k sqrt(|t - p_k|^2 + eps^2),
-    with eps falling from 1e-1 to 1e-16 and each solve warm started from
-    the last.  The smoothing keeps the Hessian positive definite when the
-    optimum lies at or near a point, where plain Weiszfeld iteration
-    stalls.  Steps backtrack on |grad f_eps|, which, unlike f_eps itself,
-    still resolves progress once t is within sqrt(machine epsilon) of the
-    optimum.
-    """
-    t = points.mean(axis=0)
-    eye = np.eye(points.shape[1])
+    (k, p), n = null.shape, v0.shape[1]
+    r = previous = v0
     for eps in SMOOTHING_LEVELS:
-        d, s, grad = _smoothed_gradient(points, t, eps)
-        size = float(np.linalg.norm(grad))
+        predicted, previous = r + LEVEL_RATIO * (r - previous), r
+        starts = [(x, *_smoothed_gradient(null, x, eps)) for x in (r, predicted)]
+        r, s, grad, size = min(starts, key=lambda start: start[3])
         for _ in range(NEWTON_STEPS):
             if size <= max(GRADIENT_TOL, eps):
                 break
-            hess = eye * (1.0 / s).sum() - np.einsum("k,ki,kj->ij", s**-3, d, d)
-            step = np.linalg.solve(hess, grad)
+            # the Hessian sum_a (N_a N_a^T) (x) B_a from the rows' n x n blocks
+            # B_a = I/s_a - R_a R_a^T/s_a^3; where rounding loses a direction's
+            # curvature, as where the optimum is not unique, the damping
+            # takes a gradient step along it
+            blocks = np.eye(n) / s[:, None, None] - np.einsum("a,ai,aj->aij", s**-3, r, r)
+            weighted = null[:, :, None] * blocks.reshape(k, 1, n * n)
+            hess = (null.T @ weighted.reshape(k, p * n * n)).reshape(p, p, n, n)
+            hess = hess.transpose(0, 2, 1, 3).reshape(p * n, p * n)
+            hess += ROUNDING * hess.diagonal().max() * np.eye(p * n)
+            dz = np.linalg.solve(hess, grad.ravel())
+            decrease = max(1e-4 * float(grad.ravel() @ dz), 0.0)
+            step = null @ dz.reshape(p, n)
+            f = float(s.sum())
             alpha = 1.0
             while alpha > 1e-12:
-                trial = t - alpha * step
-                d_new, s_new, grad_new = _smoothed_gradient(points, trial, eps)
-                size_new = float(np.linalg.norm(grad_new))
-                if size_new <= (1.0 - 1e-4 * alpha) * size:
+                trial = r - alpha * step
+                s_new, grad_new, size_new = _smoothed_gradient(null, trial, eps)
+                f_new = float(s_new.sum())
+                progress = f_new < f - alpha * decrease or size_new <= (1 - 1e-4 * alpha) * size
+                if progress and f_new <= f + ROUNDING * f:
                     break
                 alpha *= 0.5
             else:
                 break
-            t, d, s, grad, size = trial, d_new, s_new, grad_new, size_new
-    return t
-
-
-def _fermat_weber(points: np.ndarray):
-    """Minimizer t of sum_k |t - p_k| and the unit directions at it.
-
-    The points are shifted and scaled to unit spread first.  A vertex p_j
-    is optimal exactly when the other points' unit directions sum to at
-    most the number of points coincident with p_j; this settles n = 1,
-    where the optimum is a median.  Otherwise the optimum is found by
-    smoothed Newton continuation.
-    """
-    origin = points[0]
-    spread = _unit_rows((points[:, None] - points[None]).reshape(-1, points.shape[1]))[0].max()
-    if spread == 0.0:
-        return origin, np.zeros_like(points)
-    q = (points - origin) / spread
-    for vertex in q:
-        e, optimal = _unit_directions(q, vertex)
-        if optimal:
-            return origin + spread * vertex, e
-    t = _smoothed_newton(q)
-    return origin + spread * t, _unit_directions(q, t)[0]
+            r, s, grad, size = trial, s_new, grad_new, size_new
+    return r, r / s[:, None]
 
 
 def _optimal_decomposition(m_mat: np.ndarray):
     """Sign vectors S, a minimizing V with M = S^T V, and dual directions U.
 
-    Rows of U are unit vectors along the rows of V (a subgradient where a
-    row vanishes), so that G = S^T U / K satisfies <G, M> = sum_a |v_a|
-    at the optimum.
+    Rows of U are unit vectors along the rows of V, or the smoothed solve's
+    subgradient where a row vanishes, so that G = S^T U / K satisfies
+    <G, M> = sum_a |v_a| at the optimum.  With no null space (m <= 2) V0 is
+    the only decomposition, and U its exact unit rows.
     """
-    m = m_mat.shape[0]
-    signs = alice_sign_vectors(m)[2 ** (m - 1):]
+    signs, null = _sign_basis(m_mat.shape[0])
     v = signs @ m_mat / len(signs)
-    if m < 3:
-        return signs, v, _unit_rows(v)[1]
-    z = signs.prod(axis=1)  # (1, -1, -1, 1): S^T z = 0
-    t, e = _fermat_weber(-z[:, None] * v)
-    return signs, v + np.outer(z, t), z[:, None] * e
+    lengths, units = _unit_rows(v)
+    scale = lengths.max()
+    if null.shape[1] == 0 or scale == 0.0:
+        return signs, v, units
+    r, u = _smoothed_newton(v / scale, null)
+    return signs, scale * r, u
 
 
 def _validated(matrix) -> np.ndarray:
@@ -270,8 +262,8 @@ def _validated(matrix) -> np.ndarray:
     if m_mat.ndim != 2:
         raise ValueError(f"expected a 2-d correlation matrix, got shape {m_mat.shape}")
     m, n = m_mat.shape
-    if not (1 <= m <= 3 and 1 <= n <= 3):
-        raise ValueError(f"correlation matrix must be at most 3x3, got {m}x{n}")
+    if not (1 <= m <= MAX_ALICE_SETTINGS and 1 <= n <= 3):
+        raise ValueError(f"correlation matrix must be at most {MAX_ALICE_SETTINGS}x3, got {m}x{n}")
     if not np.all(np.isfinite(m_mat)):
         raise ValueError("correlation entries must be finite")
     if np.abs(m_mat).max() > 1.0 + 1e-9:
@@ -319,8 +311,8 @@ def lhs_membership(matrix) -> MembershipVerdict:
     above 1 + BOUNDARY_MARGIN on M, with the functional as certificate.
 
     Raises:
-        ValueError: for a matrix that is not at most 3x3 with entries in
-            [-1, 1].
+        ValueError: for a matrix with more than MAX_ALICE_SETTINGS rows or
+            more than 3 columns, or with entries outside [-1, 1].
         ArithmeticError: when neither certificate holds.
     """
     m_mat = _validated(matrix)

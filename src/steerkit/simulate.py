@@ -36,8 +36,8 @@ DEFAULT_SYS_ANGLE = math.radians(DEFAULT_SYS_ANGLE_DEG)
 DEFAULT_PAIRS_PER_SETTING = 100_000
 DEFAULT_RESAMPLES = 200
 # Caps on the two size keys.  Poisson means stay far below numpy's limit
-# (~9.2e18), and the bootstrap's (R, m, n) float64 draws, m, n <= 3, stay
-# below 7.2 MB; both leave headroom above every documented use.
+# (~9.2e18), and the bootstrap's (R, m, n) float64 draws, m <= 6 and
+# n <= 3, stay below 14.4 MB; both leave headroom above every documented use.
 MAX_PAIRS_PER_SETTING = 10**9
 MAX_RESAMPLES = 100_000
 

@@ -15,6 +15,13 @@ The Werner closed forms are criterion 5's reference for the predictions
 on pairs in two planes.  fidelity_with_pure, closest_werner_parameter,
 outcome_probabilities and optimal_pair_planes are helpers that no part of
 the package calls; their tests keep them here.
+
+_optimal_decomposition below is the LHS oracle's earlier decomposition for
+up to three Alice settings, kept as the reference for the oracle's one
+null-space path: the closed form V0 = S M / K for m <= 2, and for m = 3 the
+Fermat-Weber problem over the null vector z of S^T, solved by a vertex
+test and else by smoothed Newton continuation.  Patched in for
+steerkit.lhs._optimal_decomposition, it gives that oracle's verdicts.
 """
 
 import math
@@ -23,10 +30,21 @@ import numpy as np
 from numpy.typing import NDArray
 
 from steerkit.frames import MeasurementFrame, projection_matrix, unit
+from steerkit.lhs import _unit_rows, alice_sign_vectors
 from steerkit.simulate import _born_probabilities
 from steerkit.states import IMAG_RESIDUE_TOL, BlochState
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Points of the Fermat-Weber problem closer than this, relative to the
+# largest distance between them, are treated as one point.
+COINCIDENT_TOL = 1e-12
+# Smoothing levels eps of the Newton continuation, relative to that
+# distance.  The solve at each level stops once |grad f_eps| falls below
+# max(eps, GRADIENT_TOL), or after NEWTON_STEPS steps.
+SMOOTHING_LEVELS = 10.0 ** -np.arange(1, 17)
+GRADIENT_TOL = 1e-14
+NEWTON_STEPS = 50
 
 
 def ris_by_projectors(t, alice: MeasurementFrame, bob: MeasurementFrame) -> float:
@@ -178,3 +196,106 @@ def closest_werner_parameter(fidelity: float) -> float:
 def outcome_probabilities(rho, a, b) -> np.ndarray:
     """Born probabilities (p++, p+-, p-+, p--) for spin measurements a, b."""
     return _born_probabilities(BlochState(rho), unit(a), unit(b))
+
+
+def _unit_directions(points: np.ndarray, t: np.ndarray):
+    """Unit vectors e_k = (t - p_k)/|t - p_k|, completed at the points near t.
+
+    The near points are those within COINCIDENT_TOL of t, and always the
+    closest one.  Their directions are set to -r/c, where r sums the other
+    directions and c counts the near points, so that sum_k e_k = 0: a
+    subgradient of sum_k |t - p_k| at t.  They are shortened to -r/|r|
+    when that would exceed unit length.  Completing at the closest point
+    keeps the directions accurate when t lies close to a point, where
+    (t - p_k)/|t - p_k| is sensitive to small errors in t.  Returns the
+    directions and whether t is optimal, |r| <= c up to COINCIDENT_TOL.
+    """
+    dist, e = _unit_rows(t - points)
+    is_near = dist <= COINCIDENT_TOL
+    is_near[np.argmin(dist)] = True
+    r = e[~is_near].sum(axis=0)
+    r_norm = float(np.linalg.norm(r))
+    count = int(is_near.sum())
+    e[is_near] = -r / max(count, r_norm)
+    return e, r_norm <= count * (1.0 + COINCIDENT_TOL)
+
+
+def _smoothed_gradient(points: np.ndarray, t: np.ndarray, eps: float):
+    """Offsets t - p_k, smoothed distances s_k and the gradient sum_k (t - p_k)/s_k."""
+    d = t - points
+    s = np.sqrt(np.einsum("ki,ki->k", d, d) + eps * eps)
+    return d, s, (d / s[:, None]).sum(axis=0)
+
+
+def _smoothed_newton(points: np.ndarray) -> np.ndarray:
+    """Minimizer of sum_k |t - p_k| by Newton continuation, for unit spread.
+
+    Solves grad f_eps(t) = 0 for f_eps(t) = sum_k sqrt(|t - p_k|^2 + eps^2),
+    with eps falling from 1e-1 to 1e-16 and each solve warm started from
+    the last.  The smoothing keeps the Hessian positive definite when the
+    optimum lies at or near a point, where plain Weiszfeld iteration
+    stalls.  Steps backtrack on |grad f_eps|, which, unlike f_eps itself,
+    still resolves progress once t is within sqrt(machine epsilon) of the
+    optimum.
+    """
+    t = points.mean(axis=0)
+    eye = np.eye(points.shape[1])
+    for eps in SMOOTHING_LEVELS:
+        d, s, grad = _smoothed_gradient(points, t, eps)
+        size = float(np.linalg.norm(grad))
+        for _ in range(NEWTON_STEPS):
+            if size <= max(GRADIENT_TOL, eps):
+                break
+            hess = eye * (1.0 / s).sum() - np.einsum("k,ki,kj->ij", s**-3, d, d)
+            step = np.linalg.solve(hess, grad)
+            alpha = 1.0
+            while alpha > 1e-12:
+                trial = t - alpha * step
+                d_new, s_new, grad_new = _smoothed_gradient(points, trial, eps)
+                size_new = float(np.linalg.norm(grad_new))
+                if size_new <= (1.0 - 1e-4 * alpha) * size:
+                    break
+                alpha *= 0.5
+            else:
+                break
+            t, d, s, grad, size = trial, d_new, s_new, grad_new, size_new
+    return t
+
+
+def _fermat_weber(points: np.ndarray):
+    """Minimizer t of sum_k |t - p_k| and the unit directions at it.
+
+    The points are shifted and scaled to unit spread first.  A vertex p_j
+    is optimal exactly when the other points' unit directions sum to at
+    most the number of points coincident with p_j; this settles n = 1,
+    where the optimum is a median.  Otherwise the optimum is found by
+    smoothed Newton continuation.
+    """
+    origin = points[0]
+    spread = _unit_rows((points[:, None] - points[None]).reshape(-1, points.shape[1]))[0].max()
+    if spread == 0.0:
+        return origin, np.zeros_like(points)
+    q = (points - origin) / spread
+    for vertex in q:
+        e, optimal = _unit_directions(q, vertex)
+        if optimal:
+            return origin + spread * vertex, e
+    t = _smoothed_newton(q)
+    return origin + spread * t, _unit_directions(q, t)[0]
+
+
+def _optimal_decomposition(m_mat: np.ndarray):
+    """Sign vectors S, a minimizing V with M = S^T V, and dual directions U.
+
+    Rows of U are unit vectors along the rows of V (a subgradient where a
+    row vanishes), so that G = S^T U / K satisfies <G, M> = sum_a |v_a|
+    at the optimum.
+    """
+    m = m_mat.shape[0]
+    signs = alice_sign_vectors(m)[2 ** (m - 1):]
+    v = signs @ m_mat / len(signs)
+    if m < 3:
+        return signs, v, _unit_rows(v)[1]
+    z = signs.prod(axis=1)  # (1, -1, -1, 1): S^T z = 0
+    t, e = _fermat_weber(-z[:, None] * v)
+    return signs, v + np.outer(z, t), z[:, None] * e

@@ -25,6 +25,7 @@ from steerkit.cli import (
     main,
 )
 from steerkit.frames import frame_from_spec
+from steerkit.lhs import MAX_ALICE_SETTINGS
 from steerkit.reproduce import DEFAULT_SEED
 from steerkit.simulate import (
     DEFAULT_PAIRS_PER_SETTING,
@@ -475,11 +476,11 @@ class TestLhs:
         assert_bob_frame_rejected("lhs", tmp_path, capsys)
 
     def test_undecided_verdict_exits_numeric(self, tmp_path, capsys, monkeypatch):
-        # a solver stopped at its starting point leaves the verdict undecided,
-        # as in test_lhs's test_undecided_matrix_raises
+        # a solver stopped at its starting point Z = 0 leaves the verdict
+        # undecided, as in test_lhs's test_undecided_matrix_raises
         raw = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 3))
         config = write_config(tmp_path, {"matrix": (raw / lhs.lhs_gauge(raw)).tolist()})
-        monkeypatch.setattr(lhs, "_smoothed_newton", lambda points: points.mean(axis=0))
+        monkeypatch.setattr(lhs, "_smoothed_newton", lambda v0, null: (v0, lhs._unit_rows(v0)[1]))
         assert main(["lhs", "--config", config]) == EXIT_NUMERIC
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -743,6 +744,10 @@ class TestJsonTrees:
 # mixed with any float, NaN and +-inf included.
 COMPONENTS = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 0.5)), st.floats())
 DIRECTIONS = st.lists(st.lists(COMPONENTS, min_size=3, max_size=3), min_size=1, max_size=3)
+# Alice's frames run one past her cap.
+ALICE_DIRECTIONS = st.lists(
+    st.lists(COMPONENTS, min_size=3, max_size=3), min_size=1, max_size=MAX_ALICE_SETTINGS + 1
+)
 
 
 class TestExplicitDirections:
@@ -766,8 +771,22 @@ class TestExplicitDirections:
         assert captured.out == ""
         assert '"directions"' in captured.err
 
+    @pytest.mark.parametrize("subcommand", ["predict", "lhs", "simulate"])
+    def test_too_many_alice_directions_exit_config(self, tmp_path, capsys, subcommand):
+        # one past the cap: the six axes through the edge midpoints of a cube,
+        # plus x
+        axes = [[0, 1, 1], [0, 1, -1], [1, 1, 0], [1, -1, 0], [1, 0, 1], [-1, 0, 1], [1, 0, 0]]
+        directions = [list(np.array(a) / np.linalg.norm(a)) for a in axes]
+        config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=100) | {
+            "alice_frame": {"kind": "explicit", "directions": directions},
+        })
+        assert main([subcommand, "--config", config]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "alice_frame: a frame holds 1 to 6 directions, got 7" in captured.err
+
     @settings(max_examples=60, deadline=None)
-    @given(alice=DIRECTIONS, bob=DIRECTIONS)
+    @given(alice=ALICE_DIRECTIONS, bob=DIRECTIONS)
     def test_any_explicit_directions_exit_ok_or_config(self, alice, bob):
         config = {
             "state": {"kind": "werner", "W": 0.9},

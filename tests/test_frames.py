@@ -43,8 +43,9 @@ class TestMeasurementFrame:
             MeasurementFrame([[bad, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
     def test_rejects_too_many_rows(self):
-        with pytest.raises(ValueError):
-            MeasurementFrame(np.vstack([np.eye(3), [1.0, 0.0, 0.0]]))
+        # one more than MAX_ALICE_SETTINGS
+        with pytest.raises(ValueError, match="1 to 6 directions, got 7"):
+            MeasurementFrame(np.vstack([np.eye(3), np.eye(3), [1.0, 0.0, 0.0]]))
 
     def test_directions_are_read_only(self):
         frame = standard_triad()

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+import _reference
 from steerkit import lhs
 from steerkit.lhs import (
+    MAX_ALICE_SETTINGS,
     LhsModel,
     alice_sign_vectors,
     evaluate_lhs_model,
@@ -20,7 +23,9 @@ from steerkit.steering import nss_parameter, trace_norm
 
 SQRT2 = math.sqrt(2.0)
 
-SETTING_COUNTS = st.integers(min_value=1, max_value=3)
+ALICE_COUNTS = st.integers(min_value=1, max_value=MAX_ALICE_SETTINGS)
+UP_TO_THREE = st.integers(min_value=1, max_value=3)
+BOB_COUNTS = UP_TO_THREE
 UNIT_INTERVAL = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
@@ -30,7 +35,7 @@ def random_unit(rng, n):
 
 
 @st.composite
-def correlation_matrices(draw, m=SETTING_COUNTS, n=SETTING_COUNTS):
+def correlation_matrices(draw, m=ALICE_COUNTS, n=BOB_COUNTS):
     """Matrices whose rows have length at most 1, so that M R stays in range."""
     shape = (draw(m), draw(n))
     raw = draw(hnp.arrays(np.float64, shape, elements=UNIT_INTERVAL))
@@ -39,9 +44,9 @@ def correlation_matrices(draw, m=SETTING_COUNTS, n=SETTING_COUNTS):
 
 
 @st.composite
-def explicit_mixtures(draw):
+def explicit_mixtures(draw, m=ALICE_COUNTS):
     """Mixtures of 1-7 atoms whose Bob vectors all have length 1."""
-    m, n = draw(SETTING_COUNTS), draw(SETTING_COUNTS)
+    m, n = draw(m), draw(BOB_COUNTS)
     atoms = draw(st.integers(min_value=1, max_value=7))
     weights = draw(hnp.arrays(np.float64, atoms, elements=st.floats(0.01, 1.0)))
     signs = draw(hnp.arrays(np.float64, (atoms, m), elements=st.sampled_from((-1.0, 1.0))))
@@ -51,6 +56,14 @@ def explicit_mixtures(draw):
     weights = weights / weights.sum()
     blochs = blochs / lengths[:, None]
     return np.einsum("i,ij,ik->jk", weights, signs, blochs)
+
+
+def verdict_status(matrix) -> str:
+    """lhs_membership's status, or "undecided" where it raises."""
+    try:
+        return lhs_membership(matrix).status
+    except ArithmeticError:
+        return "undecided"
 
 
 def haar_rotation(rng):
@@ -190,6 +203,26 @@ class TestMembership:
         verdict = lhs_membership(m)
         assert verdict.status == "feasible"
         assert np.abs(evaluate_lhs_model(verdict.model) - m).max() <= 1e-12
+        # Alice on the axes of a regular polyhedron and Bob on the triad:
+        # the gauge of -A is C_n, the inverse of the Werner weight at which
+        # the exact test starts to certify (Saunders et al., Nat. Phys. 6,
+        # 845, 2010), and -A / C_n lies on the boundary
+        phi = (1.0 + math.sqrt(5.0)) / 2.0
+        cube = [[1, 1, 1], [1, 1, -1], [1, -1, 1], [-1, 1, 1]]
+        icosahedron = [[0, 1, phi], [0, 1, -phi], [1, phi, 0], [1, -phi, 0], [phi, 0, 1],
+                       [-phi, 0, 1]]
+        table = [
+            (np.eye(3)[:2], SQRT2),
+            (np.eye(3), math.sqrt(3.0)),
+            (np.array(cube) / math.sqrt(3.0), math.sqrt(3.0)),
+            (np.array(icosahedron) / math.hypot(1.0, phi), 3.0 / phi),
+        ]
+        for axes, c_n in table:
+            assert abs(lhs_gauge(-axes) - c_n) <= 1e-9
+            boundary = -axes / c_n
+            verdict = lhs_membership(boundary)
+            assert verdict.status == "feasible"
+            assert np.abs(evaluate_lhs_model(verdict.model) - boundary).max() <= 1e-12
 
     def test_just_outside_boundary_infeasible(self):
         m = -(1.0 + 1e-6) / math.sqrt(3.0) * np.eye(3)
@@ -201,9 +234,9 @@ class TestMembership:
         rng = np.random.default_rng(5)
         raw = rng.uniform(-1.0, 1.0, size=(3, 3))
         m = raw / lhs_gauge(raw)
-        # a solver stopped at the starting point leaves the gauge bracketed
-        # around 1, which neither certificate may settle
-        monkeypatch.setattr(lhs, "_smoothed_newton", lambda points: points.mean(axis=0))
+        # a solver stopped at its starting point Z = 0 leaves the gauge
+        # bracketed around 1, which neither certificate may settle
+        monkeypatch.setattr(lhs, "_smoothed_newton", lambda v0, null: (v0, lhs._unit_rows(v0)[1]))
         with pytest.raises(ArithmeticError, match="undecided"):
             lhs_membership(m)
 
@@ -232,8 +265,11 @@ class TestMembership:
             lhs_membership(np.zeros((2, 3)), tol=1e-7)
 
     def test_rejects_oversized_matrix(self):
+        # Alice holds at most MAX_ALICE_SETTINGS settings and Bob three
         with pytest.raises(ValueError):
-            lhs_membership(np.zeros((4, 3)))
+            lhs_membership(np.zeros((7, 3)))
+        with pytest.raises(ValueError):
+            lhs_membership(np.zeros((3, 4)))
 
 
 class TestMaxTraceNorm:
@@ -274,6 +310,17 @@ class TestProperties:
         assert np.abs(evaluate_lhs_model(verdict.model) - matrix).max() <= 1e-9
 
     @settings(deadline=None)
+    @given(st.one_of(correlation_matrices(m=UP_TO_THREE), explicit_mixtures(m=UP_TO_THREE)))
+    def test_matches_reference_up_to_three_settings(self, matrix):
+        # the reference is the earlier closed form (m <= 2) and Fermat-Weber
+        # solve (m = 3), patched in for the null-space continuation
+        _, v, _ = _reference._optimal_decomposition(matrix)
+        assert abs(lhs_gauge(matrix) - lhs._unit_rows(v)[0].sum()) <= 1e-12
+        with mock.patch.object(lhs, "_optimal_decomposition", _reference._optimal_decomposition):
+            expected = verdict_status(matrix)
+        assert verdict_status(matrix) == expected
+
+    @settings(deadline=None)
     @given(correlation_matrices(m=st.just(2)))
     def test_two_setting_gauge_is_nss_over_sqrt2(self, matrix):
         assert abs(lhs_gauge(matrix) - nss_parameter(matrix) / SQRT2) <= 1e-12
@@ -282,8 +329,8 @@ class TestProperties:
     @given(
         correlation_matrices(),
         st.integers(min_value=0, max_value=2**32 - 1),
-        st.integers(min_value=0, max_value=2),
-        st.permutations(range(3)),
+        st.integers(min_value=0, max_value=MAX_ALICE_SETTINGS - 1),
+        st.permutations(range(MAX_ALICE_SETTINGS)),
     )
     def test_verdict_invariant_under_symmetries(self, matrix, seed, flipped, order):
         m, n = matrix.shape
