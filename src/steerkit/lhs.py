@@ -48,9 +48,8 @@ RESIDUAL_TOL = 1e-7
 # mixtures of unit Bob vectors sit exactly on it, and rounding moves them
 # by a few ulps either way.
 BOUNDARY_MARGIN = 1e-9
-# Alice's setting count is at most this: the Newton solve has
-# (2^(m-1) - m) n variables, 78 at m = 6 and 1506 at m = 10, and builds
-# their dense Hessian.
+# Alice's setting count is at most this: the Newton solve builds a dense
+# Hessian in (2^(m-1) - m) n variables, 78 at m = 6 but 1506 at m = 10.
 MAX_ALICE_SETTINGS = 6
 # Smoothing levels eps of the Newton continuation, relative to the
 # largest row length of V0, each LEVEL_RATIO times the last.  The solve at
@@ -196,13 +195,14 @@ def _smoothed_newton(v0: np.ndarray, null: np.ndarray):
     optimum, the kinks of the gauge.  Such rows shrink in proportion to
     eps, so a level starts from the linear extrapolation of the last two
     levels' solutions when that has the smaller gradient.  Steps backtrack
-    until f_eps falls by the Armijo amount, or |grad f_eps| falls, which
-    still resolves progress where f_eps no longer does; f_eps may not rise
-    beyond rounding.  R moves by the steps N dZ, not recomputed from V0,
-    so that a row near 0 keeps its relative accuracy.  Returns R and the
-    units R / s at the last level.
+    until f_eps falls by the Armijo amount beyond its rounding, or until
+    |grad f_eps| falls, which still resolves progress where f_eps no longer
+    does; f_eps may not rise beyond its rounding.  R moves by the steps
+    N dZ, not recomputed from V0, so that a row near 0 keeps its relative
+    accuracy.  Returns R and the units R / s at the last level.
     """
     (k, p), n = null.shape, v0.shape[1]
+    eye, identity = np.eye(n), np.eye(p * n)
     r = previous = v0
     for eps in SMOOTHING_LEVELS:
         predicted, previous = r + LEVEL_RATIO * (r - previous), r
@@ -215,11 +215,11 @@ def _smoothed_newton(v0: np.ndarray, null: np.ndarray):
             # B_a = I/s_a - R_a R_a^T/s_a^3; where rounding loses a direction's
             # curvature, as where the optimum is not unique, the damping
             # takes a gradient step along it
-            blocks = np.eye(n) / s[:, None, None] - np.einsum("a,ai,aj->aij", s**-3, r, r)
+            blocks = eye / s[:, None, None] - np.einsum("a,ai,aj->aij", s**-3, r, r)
             weighted = null[:, :, None] * blocks.reshape(k, 1, n * n)
             hess = (null.T @ weighted.reshape(k, p * n * n)).reshape(p, p, n, n)
             hess = hess.transpose(0, 2, 1, 3).reshape(p * n, p * n)
-            hess += ROUNDING * hess.diagonal().max() * np.eye(p * n)
+            hess += ROUNDING * hess.max() * identity
             dz = np.linalg.solve(hess, grad.ravel())
             decrease = max(1e-4 * float(grad.ravel() @ dz), 0.0)
             step = null @ dz.reshape(p, n)
@@ -229,8 +229,9 @@ def _smoothed_newton(v0: np.ndarray, null: np.ndarray):
                 trial = r - alpha * step
                 s_new, grad_new, size_new = _smoothed_gradient(null, trial, eps)
                 f_new = float(s_new.sum())
-                progress = f_new < f - alpha * decrease or size_new <= (1 - 1e-4 * alpha) * size
-                if progress and f_new <= f + ROUNDING * f:
+                resolved = f - f_new > alpha * decrease + ROUNDING * f
+                smaller = size_new <= (1 - 1e-4 * alpha) * size
+                if (resolved or smaller) and f_new <= f + ROUNDING * f:
                     break
                 alpha *= 0.5
             else:

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import os
@@ -475,6 +476,24 @@ class TestLhs:
     def test_non_orthonormal_bob_frame_rejected(self, tmp_path, capsys):
         assert_bob_frame_rejected("lhs", tmp_path, capsys)
 
+    def test_icosahedron_werner_certified_below_ris(self, capsys):
+        # Alice on the six icosahedron axes and W = 0.56, between 1/C_6 = 0.5393
+        # and the RIS threshold 1/sqrt(3): only the exact oracle certifies it
+        config = str(Path(__file__).parent / "data" / "icosahedron_werner.json")
+        assert main(["predict", "--format", "json", "--config", config]) == EXIT_OK
+        predicted = json.loads(capsys.readouterr().out)
+        assert predicted["ris"]["violated"] is False
+        assert abs(predicted["ris"]["parameter"] - 3.0 * math.sqrt(2.0) * 0.56) <= 1e-12
+        assert main(["lhs", "--config", config]) == EXIT_OK
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["status"] == "infeasible"
+        g = np.array(verdict["separator"])
+        support = max(np.linalg.norm(np.array(a) @ g) for a in itertools.product((-1, 1), repeat=6))
+        score = float(np.sum(g * np.array(predicted["correlation"])))
+        assert support <= 1.0 + 1e-12
+        assert score > support
+        assert main(["simulate", "--pairs", "2000", "--config", config]) == EXIT_OK
+
     def test_undecided_verdict_exits_numeric(self, tmp_path, capsys, monkeypatch):
         # a solver stopped at its starting point Z = 0 leaves the verdict
         # undecided, as in test_lhs's test_undecided_matrix_raises
@@ -776,7 +795,7 @@ class TestExplicitDirections:
         # one past the cap: the six axes through the edge midpoints of a cube,
         # plus x
         axes = [[0, 1, 1], [0, 1, -1], [1, 1, 0], [1, -1, 0], [1, 0, 1], [-1, 0, 1], [1, 0, 0]]
-        directions = [list(np.array(a) / np.linalg.norm(a)) for a in axes]
+        directions = (np.array(axes) / np.linalg.norm(axes, axis=1, keepdims=True)).tolist()
         config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=100) | {
             "alice_frame": {"kind": "explicit", "directions": directions},
         })
