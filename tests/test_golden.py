@@ -31,6 +31,8 @@ GOLDEN = {
     "simulate_example.txt": (["simulate", "--format", "text", "--pairs", "2000"], "example"),
     "sweep_example.json": (["sweep", "--format", "json", "--pairs", "2000"], "example"),
     "sweep_example.csv": (["sweep", "--format", "csv", "--pairs", "2000"], "example"),
+    # the example sweep with drift_sigma 0.03: a Werner state drawn per point
+    "sweep_drift.csv": (["sweep", "--format", "csv", "--pairs", "2000"], "drift_sweep.json"),
     # 0.9 singlet + 0.1 |HH><HH|: nonzero Bloch vectors r_A = r_B = (0, 0, 0.1)
     "simulate_matrix_state.json": (
         ["simulate", "--format", "json", "--pairs", "2000"], "matrix_state.json",

@@ -1,12 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from steerkit.config import _config_float, _config_int
-from steerkit.frames import MeasurementFrame, pair_in_plane, standard_triad
-from steerkit.reproduce import _cases
+from steerkit.cli import EXIT_OK, main
+from steerkit.config import _config_float, _config_int, _state_and_frames
+from steerkit.frames import MeasurementFrame, frame_from_spec, pair_in_plane, standard_triad
+from steerkit.reproduce import _cases, build_report
 from steerkit.simulate import (
     CSV_HEADER,
     MAX_PAIRS_PER_SETTING,
@@ -22,7 +24,14 @@ from steerkit.simulate import (
     simulate_counts,
 )
 from steerkit.states import BlochState, singlet_state, spin_correlation_matrix, werner_state
-from steerkit.steering import assess_nss, assess_ris, nss_parameter, trace_norm
+from steerkit.steering import (
+    assess,
+    assess_nss,
+    assess_ris,
+    inequalities_for,
+    nss_parameter,
+    trace_norm,
+)
 
 from _reference import outcome_probabilities
 
@@ -342,6 +351,72 @@ class TestAssessEstimate:
             expected.violated,
         )
         assert expected.uncertainty is None
+
+
+# numpy's SeedSequence drops a trailing zero from a key only while the key fits
+# in four 32-bit words: default_rng((s, 0)) differs from default_rng(s) once
+# s >= 2**96, and (s, i, 0) from (s, i) once s >= 2**64.  At this seed a caller
+# that wrote one of its streams with an extra zero entry would draw other numbers.
+LARGE_SEED = 2**100
+
+
+def reference_run(state, alice, bob, pairs, counts_seed, bootstrap_keys, n_resamples=20):
+    """Counts, estimate and {tag: (parameter, bootstrap std)} on literal stream keys."""
+    record = simulate_counts(SourceModel(state, pairs), alice, bob, seed=counts_seed)
+    est = estimate_correlation(record, math.radians(0.5))
+    return record, est, {
+        tag: (assess(est.matrix, tag).parameter,
+              propagate_uncertainty(est, tag, n_resamples, seed=key)[1])
+        for tag, key in bootstrap_keys.items()
+    }
+
+
+class TestSeedStreams:
+    def test_simulate_subcommand_streams(self, tmp_path, capsys):
+        config = coplanar_scenario(pairs_per_setting=2000, n_resamples=20, seed=LARGE_SEED)
+        del config["sweep"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(path), "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        state, alice, bob = _state_and_frames(config)
+        record, est, expected = reference_run(
+            state, alice, bob, 2000, LARGE_SEED,
+            {"ris": (LARGE_SEED, 1), "nss": (LARGE_SEED, 2)},
+        )
+        assert payload["counts"] == record.counts.tolist()
+        assert payload["correlation"] == est.matrix.tolist()
+        for tag, (parameter, std) in expected.items():
+            got = payload["assessments"][tag]
+            assert (got["parameter"], got["uncertainty"]) == (parameter, std)
+
+    def test_sweep_streams(self):
+        config = coplanar_scenario(sweep={"alpha_deg": [0.0, 30.0]}, pairs_per_setting=2000,
+                                   n_resamples=20, seed=LARGE_SEED)
+        state, _, bob = _state_and_frames(config)
+        for i, row in enumerate(run_scenario(config)):
+            alice = frame_from_spec(config["alice_frame"] | {"alpha_deg": row.alpha_deg})
+            _, _, expected = reference_run(
+                state, alice, bob, 2000, (LARGE_SEED, i, 1),
+                {"ris": (LARGE_SEED, i, 2), "nss": (LARGE_SEED, i, 3)},
+            )
+            assert (row.ris_sim, row.ris_err) == expected["ris"]
+            assert (row.nss_sim, row.nss_err) == expected["nss"]
+
+    def test_reproduce_streams(self):
+        rows = build_report(pairs_per_setting=2000, seed=LARGE_SEED, n_resamples=20)
+        checked = 0
+        for i, case in enumerate(_cases(2000)):
+            tags = inequalities_for(case.alice.size)
+            _, _, expected = reference_run(
+                case.source.state, case.alice, case.bob, 2000, (LARGE_SEED, i),
+                {tag: (LARGE_SEED, i, 1 + rank) for rank, tag in enumerate(tags)},
+            )
+            for row in rows:
+                if row.case == case.name:
+                    assert (row.simulated, row.sim_err) == expected[row.inequality]
+                    checked += 1
+        assert checked == len(rows)
 
 
 def coplanar_scenario(**overrides):
