@@ -41,12 +41,11 @@ _EXPORTS = {
         "CountsRecord",
         "EstimatedCorrelation",
         "ScenarioRow",
-        "SourceModel",
-        "assess_estimate",
         "estimate_correlation",
         "propagate_uncertainty",
         "run_scenario",
         "simulate_counts",
+        "simulate_run",
     ),
     "states": (
         "BlochState",

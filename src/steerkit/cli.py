@@ -165,24 +165,13 @@ def cmd_lhs(config: dict) -> tuple[dict, None]:
 
 
 def cmd_simulate(config: dict) -> tuple[dict, str]:
-    from .simulate import (
-        SourceModel,
-        _run_keys,
-        assess_estimate,
-        estimate_correlation,
-        simulate_counts,
-    )
-    from .steering import inequalities_for
+    from .simulate import _run_keys, simulate_run
 
     state, alice, bob = _state_and_frames(config)
     pairs, seed, sys_angle, n_resamples = _run_keys(config)
-    record = simulate_counts(SourceModel(state, pairs), alice, bob, seed)
-    est = estimate_correlation(record, sys_angle)
-    # each inequality bootstraps on stream 1 + its rank
-    assessments = {
-        tag: assess_estimate(est, tag, n_resamples, seed=(seed, 1 + rank))
-        for rank, tag in enumerate(inequalities_for(alice.size))
-    }
+    record, est, assessments = simulate_run(
+        state, alice, bob, pairs, sys_angle, n_resamples, seed, (seed, 1)
+    )
 
     payload = {
         "counts": record.counts.tolist(),

@@ -24,13 +24,10 @@ from .simulate import (
     DEFAULT_PAIRS_PER_SETTING,
     DEFAULT_RESAMPLES,
     DEFAULT_SYS_ANGLE,
-    SourceModel,
-    assess_estimate,
-    estimate_correlation,
-    simulate_counts,
+    simulate_run,
 )
-from .states import singlet_state
-from .steering import assess, inequalities_for, predicted_correlation
+from .states import BlochState, singlet_state, werner_state
+from .steering import assess, predicted_correlation
 
 DEFAULT_SEED = 1729
 
@@ -63,14 +60,14 @@ class ReportRow:
 @dataclass(frozen=True)
 class _Case:
     name: str
-    source: SourceModel
+    state: BlochState
     alice: MeasurementFrame
     bob: MeasurementFrame
     # one entry per inequality: (tag, reported, reported_err, reproducible, note)
     entries: tuple
 
 
-def _cases(pairs_per_setting: int) -> list[_Case]:
+def _cases() -> list[_Case]:
     pair_sub = MeasurementFrame([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     sixty_pair = MeasurementFrame([
         [0.0, 0.0, 1.0],
@@ -79,7 +76,7 @@ def _cases(pairs_per_setting: int) -> list[_Case]:
     return [
         _Case(
             "coplanar pairs, tilt 0 deg (W=0.985)",
-            SourceModel.werner(0.985, pairs_per_setting),
+            BlochState(werner_state(0.985)),
             pair_in_plane(Y_AXIS, 0.0),
             pair_in_plane(Y_AXIS, 0.0),
             (
@@ -91,7 +88,7 @@ def _cases(pairs_per_setting: int) -> list[_Case]:
         ),
         _Case(
             f"tilted pairs, 64 deg (W={W_TILT_64:.4f})",
-            SourceModel.werner(W_TILT_64, pairs_per_setting),
+            BlochState(werner_state(W_TILT_64)),
             tilted_pair(math.radians(64.0), 0.0, Y_AXIS),
             pair_in_plane(Y_AXIS, 0.0),
             (
@@ -101,7 +98,7 @@ def _cases(pairs_per_setting: int) -> list[_Case]:
         ),
         _Case(
             f"orthogonal planes, 90 deg (W={W_TILT_64:.4f})",
-            SourceModel.werner(W_TILT_64, pairs_per_setting),
+            BlochState(werner_state(W_TILT_64)),
             tilted_pair(math.radians(90.0), 0.0, Y_AXIS),
             pair_in_plane(Y_AXIS, 0.0),
             (
@@ -111,7 +108,7 @@ def _cases(pairs_per_setting: int) -> list[_Case]:
         ),
         _Case(
             "aligned triads (W=0.984)",
-            SourceModel.werner(0.984, pairs_per_setting),
+            BlochState(werner_state(0.984)),
             standard_triad(),
             standard_triad(),
             (
@@ -121,7 +118,7 @@ def _cases(pairs_per_setting: int) -> list[_Case]:
         ),
         _Case(
             "pair subset of the triads, m=2 n=3 (W=0.984)",
-            SourceModel.werner(0.984, pairs_per_setting),
+            BlochState(werner_state(0.984)),
             pair_sub,
             standard_triad(),
             (
@@ -132,7 +129,7 @@ def _cases(pairs_per_setting: int) -> list[_Case]:
         ),
         _Case(
             "triad vs pair subset, m=3 n=2 (W=0.984)",
-            SourceModel.werner(0.984, pairs_per_setting),
+            BlochState(werner_state(0.984)),
             standard_triad(),
             pair_sub,
             (
@@ -141,7 +138,7 @@ def _cases(pairs_per_setting: int) -> list[_Case]:
         ),
         _Case(
             "misaligned triads (W=0.9467)",
-            SourceModel.werner(W_FIDELITY_96, pairs_per_setting),
+            BlochState(werner_state(W_FIDELITY_96)),
             misaligned_triad(),
             standard_triad(),
             (
@@ -151,7 +148,7 @@ def _cases(pairs_per_setting: int) -> list[_Case]:
         ),
         _Case(
             "nonorthogonal 60 deg pair (singlet)",
-            SourceModel.from_state(singlet_state(), pairs_per_setting),
+            BlochState(singlet_state()),
             sixty_pair,
             pair_sub,
             (
@@ -165,7 +162,7 @@ def _cases(pairs_per_setting: int) -> list[_Case]:
         ),
         _Case(
             "tetrahedron vs triad (W=0.97)",
-            SourceModel.werner(0.97, pairs_per_setting),
+            BlochState(werner_state(0.97)),
             tetrahedron_frame(),
             standard_triad(),
             (
@@ -182,14 +179,14 @@ def build_report(
 ) -> list[ReportRow]:
     """Evaluate every reference case: prediction, simulation, annotation."""
     rows = []
-    for index, case in enumerate(_cases(pairs_per_setting)):
-        m_pred = predicted_correlation(case.source.state.t, case.alice, case.bob)
-        record = simulate_counts(case.source, case.alice, case.bob, seed=(seed, index))
-        est = estimate_correlation(record, DEFAULT_SYS_ANGLE)
+    for index, case in enumerate(_cases()):
+        m_pred = predicted_correlation(case.state.t, case.alice, case.bob)
+        _, _, assessments = simulate_run(
+            case.state, case.alice, case.bob, pairs_per_setting, DEFAULT_SYS_ANGLE,
+            n_resamples, (seed, index), (seed, index, 1),
+        )
         for tag, reported, reported_err, reproducible, note in case.entries:
-            # each inequality bootstraps on stream 1 + its rank
-            rank = inequalities_for(case.alice.size).index(tag)
-            assessment = assess_estimate(est, tag, n_resamples, seed=(seed, index, 1 + rank))
+            assessment = assessments[tag]
             rows.append(ReportRow(
                 case=case.name,
                 inequality=tag,

@@ -42,32 +42,6 @@ MAX_PAIRS_PER_SETTING = 10**9
 MAX_RESAMPLES = 100_000
 
 
-@dataclass(frozen=True)
-class SourceModel:
-    """Entangled-pair source: a validated state and the mean pairs per setting pair.
-
-    Slow source drift is not part of the source: run_scenario models it as
-    a per-point jitter of the config's Werner weight W.
-    """
-
-    state: BlochState
-    pairs_per_setting: int
-
-    def __post_init__(self):
-        if not isinstance(self.state, BlochState):
-            raise TypeError(f"source state must be a BlochState, got {type(self.state).__name__}")
-        if self.pairs_per_setting < 1:
-            raise ValueError(f"pairs_per_setting must be >= 1, got {self.pairs_per_setting}")
-
-    @classmethod
-    def werner(cls, w: float, pairs_per_setting: int) -> "SourceModel":
-        return cls(BlochState(werner_state(w)), pairs_per_setting)
-
-    @classmethod
-    def from_state(cls, rho, pairs_per_setting: int) -> "SourceModel":
-        return cls(BlochState(rho), pairs_per_setting)
-
-
 # Outcome signs (s, t) in the order (++, +-, -+, --).
 _SIGN_A = np.array([1.0, 1.0, -1.0, -1.0])
 _SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
@@ -102,29 +76,34 @@ class CountsRecord:
     """
 
     counts: NDArray[np.int64]
-    seed: object
     state: BlochState
     alice: MeasurementFrame
     bob: MeasurementFrame
 
 
 def simulate_counts(
-    source: SourceModel, alice: MeasurementFrame, bob: MeasurementFrame, seed
+    state: BlochState,
+    alice: MeasurementFrame,
+    bob: MeasurementFrame,
+    pairs_per_setting: int,
+    seed,
 ) -> CountsRecord:
-    """Draw Poisson totals and multinomial outcome splits for every setting pair."""
+    """Draw Poisson totals around pairs_per_setting and multinomial outcome splits."""
+    if not isinstance(state, BlochState):
+        raise TypeError(f"state must be a BlochState, got {type(state).__name__}")
+    if pairs_per_setting < 1:
+        raise ValueError(f"pairs_per_setting must be >= 1, got {pairs_per_setting}")
     rng = np.random.default_rng(seed)
     m, n = alice.size, bob.size
-    probs = _born_probabilities(
-        source.state, alice.directions[:, None, :], bob.directions[None, :, :]
-    )
+    probs = _born_probabilities(state, alice.directions[:, None, :], bob.directions[None, :, :])
     counts = np.zeros((m, n, 4), dtype=np.int64)
     for j in range(m):
         for k in range(n):
-            total = rng.poisson(source.pairs_per_setting)
+            total = rng.poisson(pairs_per_setting)
             if total > 0:
                 counts[j, k] = rng.multinomial(total, probs[j, k] / probs[j, k].sum())
     counts.setflags(write=False)
-    return CountsRecord(counts, seed, source.state, alice, bob)
+    return CountsRecord(counts, state, alice, bob)
 
 
 @dataclass(frozen=True)
@@ -195,19 +174,31 @@ def propagate_uncertainty(
     return float(values.mean()), float(values.std())
 
 
-def assess_estimate(
-    est: EstimatedCorrelation,
-    inequality: str,
-    n_resamples: int = DEFAULT_RESAMPLES,
-    seed=0,
-) -> SteeringAssessment:
-    """Assess an estimated correlation matrix against its LHS bound.
+def simulate_run(
+    state: BlochState,
+    alice: MeasurementFrame,
+    bob: MeasurementFrame,
+    pairs_per_setting: int,
+    sys_angle: float,
+    n_resamples: int,
+    counts_seed,
+    bootstrap_key: tuple,
+) -> tuple[CountsRecord, EstimatedCorrelation, dict[str, SteeringAssessment]]:
+    """One simulated run: counts, estimate and an assessment per inequality.
 
-    The parameter is evaluated on est.matrix; its uncertainty is the
-    bootstrap standard deviation from propagate_uncertainty.
+    The counts are drawn on counts_seed.  Every tag of inequalities_for(m)
+    is assessed on the estimate, with its bootstrap standard deviation as
+    uncertainty; the tag of rank r bootstraps on bootstrap_key with its last
+    entry advanced by r.
     """
-    _, std = propagate_uncertainty(est, inequality, n_resamples, seed)
-    return replace(assess(est.matrix, inequality), uncertainty=std)
+    record = simulate_counts(state, alice, bob, pairs_per_setting, counts_seed)
+    est = estimate_correlation(record, sys_angle)
+    *head, last = bootstrap_key
+    assessments = {}
+    for rank, tag in enumerate(inequalities_for(alice.size)):
+        _, std = propagate_uncertainty(est, tag, n_resamples, (*head, last + rank))
+        assessments[tag] = replace(assess(est.matrix, tag), uncertainty=std)
+    return record, est, assessments
 
 
 def _run_keys(config: dict) -> tuple[int, int, float, int]:
@@ -265,7 +256,6 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
     drift = _config_float(scenario, "drift_sigma", 0.0, 0.0)
     if drift > 0.0 and state_spec.get("kind") != "werner":
         raise ValueError("drift_sigma requires a werner state spec")
-    source = SourceModel(state, pairs)
 
     alice_spec = scenario["alice_frame"]
     sweep = scenario.get("sweep")
@@ -287,21 +277,17 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
 
     rows = []
     for index, (alpha_deg, point_alice) in enumerate(points):
+        point_state = state
         if drift > 0.0:
             jitter = np.random.default_rng((seed, index, 0)).normal(0.0, drift)
             w_eff = float(np.clip(_config_float(state_spec, "W") + jitter, 0.0, 1.0))
-            point_source = SourceModel.werner(w_eff, pairs)
-        else:
-            point_source = source
+            point_state = BlochState(werner_state(w_eff))
 
         m_pred = predicted_correlation(state.t, point_alice, bob)
-        record = simulate_counts(point_source, point_alice, bob, seed=(seed, index, 1))
-        est = estimate_correlation(record, sys_angle)
-
-        # each inequality bootstraps on stream 2 + its rank
+        _, _, assessments = simulate_run(point_state, point_alice, bob, pairs, sys_angle,
+                                         n_resamples, (seed, index, 1), (seed, index, 2))
         cells = dict.fromkeys(f.name for f in fields(ScenarioRow)) | {"alpha_deg": alpha_deg}
-        for rank, tag in enumerate(inequalities_for(alice.size)):
-            sim = assess_estimate(est, tag, n_resamples, seed=(seed, index, 2 + rank))
+        for tag, sim in assessments.items():
             cells |= {
                 f"{tag}_pred": assess(m_pred, tag).parameter,
                 f"{tag}_sim": sim.parameter,

@@ -32,8 +32,8 @@ from steerkit.frames import (
     tilted_pair,
 )
 from steerkit.lhs import lhs_membership
-from steerkit.simulate import SourceModel, estimate_correlation, propagate_uncertainty, simulate_counts
-from steerkit.states import singlet_state, spin_correlation_matrix, werner_state
+from steerkit.simulate import estimate_correlation, propagate_uncertainty, simulate_counts
+from steerkit.states import BlochState, singlet_state, spin_correlation_matrix, werner_state
 from steerkit.steering import (
     min_nss_over_rotations,
     nss_parameter,
@@ -290,8 +290,8 @@ class TestAcceptance:
         sys_angle = math.radians(0.5)
 
         def uncertainty(pairs, seed):
-            source = SourceModel.werner(0.984, pairs)
-            record = simulate_counts(source, triad, triad, seed=seed)
+            state = BlochState(werner_state(0.984))
+            record = simulate_counts(state, triad, triad, pairs, seed=seed)
             est = estimate_correlation(record, sys_angle)
             _, std = propagate_uncertainty(est, "ris", n_resamples=200, seed=(seed, 1))
             return est, std

@@ -32,12 +32,11 @@ from steerkit.simulate import (
     DEFAULT_PAIRS_PER_SETTING,
     MAX_PAIRS_PER_SETTING,
     MAX_RESAMPLES,
-    SourceModel,
     estimate_correlation,
     propagate_uncertainty,
     simulate_counts,
 )
-from steerkit.states import state_from_spec
+from steerkit.states import BlochState, state_from_spec
 from steerkit.steering import inequalities_for
 
 
@@ -561,9 +560,9 @@ class TestSimulate:
         path = write_config(tmp_path, config)
         assert main(["simulate", "--config", path, "--format", "json"]) == EXIT_OK
         assessments = json.loads(capsys.readouterr().out)["assessments"]
-        source = SourceModel.from_state(state_from_spec(config["state"]), 2000)
-        record = simulate_counts(source, frame_from_spec(config["alice_frame"]),
-                                 frame_from_spec(config["bob_frame"]), seed=3)
+        state = BlochState(state_from_spec(config["state"]))
+        record = simulate_counts(state, frame_from_spec(config["alice_frame"]),
+                                 frame_from_spec(config["bob_frame"]), 2000, seed=3)
         est = estimate_correlation(record)
         for tag, stream in (("ris", 1), ("nss", 2)):
             assert list(assessments[tag]) == [

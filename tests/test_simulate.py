@@ -14,14 +14,13 @@ from steerkit.simulate import (
     MAX_PAIRS_PER_SETTING,
     MAX_RESAMPLES,
     CountsRecord,
-    SourceModel,
-    assess_estimate,
     estimate_correlation,
     propagate_uncertainty,
     rows_to_csv,
     rows_to_dicts,
     run_scenario,
     simulate_counts,
+    simulate_run,
 )
 from steerkit.states import BlochState, singlet_state, spin_correlation_matrix, werner_state
 from steerkit.steering import (
@@ -37,6 +36,8 @@ from _reference import outcome_probabilities
 
 Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
+# Alice's and Bob's coplanar pairs at alpha = 0
+PAIRS = (pair_in_plane(Y, 0.0), pair_in_plane(Y, 0.0))
 
 
 def random_density_matrix(rng):
@@ -103,47 +104,45 @@ class TestOutcomeProbabilities:
             assert_allclose(outcome_probabilities(rho, a, b), ref, rtol=0.0, atol=1e-14)
 
 
-class TestSourceModel:
-    def test_werner_shorthand(self):
-        source = SourceModel.werner(0.9, 1000)
-        assert_allclose(source.state.table, BlochState(werner_state(0.9)).table, atol=1e-15)
+class TestSimulateCounts:
+    def test_deterministic_under_seed(self):
+        state = BlochState(werner_state(0.9))
+        alice = pair_in_plane(Y, 0.0)
+        bob = pair_in_plane(Y, 0.0)
+        first = simulate_counts(state, alice, bob, 5000, seed=11)
+        second = simulate_counts(state, alice, bob, 5000, seed=11)
+        assert np.array_equal(first.counts, second.counts)
+        third = simulate_counts(state, alice, bob, 5000, seed=12)
+        assert not np.array_equal(first.counts, third.counts)
+
+    def test_record_carries_werner_state(self):
+        record = simulate_counts(BlochState(werner_state(0.9)), *PAIRS, 1000, seed=0)
+        assert_allclose(record.state.table, BlochState(werner_state(0.9)).table, atol=1e-15)
 
     def test_rejects_unphysical_state(self):
         with pytest.raises(ValueError):
-            SourceModel.from_state(np.eye(4, dtype=complex), 1000)
+            simulate_counts(BlochState(np.eye(4, dtype=complex)), *PAIRS, 1000, seed=0)
 
     def test_rejects_density_matrix(self):
-        # a state is validated once, as a BlochState, before it reaches the source
+        # a state is validated once, as a BlochState, before it reaches the counts
         with pytest.raises(TypeError, match="BlochState"):
-            SourceModel(werner_state(0.9), 10)
+            simulate_counts(werner_state(0.9), *PAIRS, 10, seed=0)
 
     def test_rejects_zero_pairs(self):
         with pytest.raises(ValueError):
-            SourceModel.werner(0.9, 0)
-
-
-class TestSimulateCounts:
-    def test_deterministic_under_seed(self):
-        source = SourceModel.werner(0.9, 5000)
-        alice = pair_in_plane(Y, 0.0)
-        bob = pair_in_plane(Y, 0.0)
-        first = simulate_counts(source, alice, bob, seed=11)
-        second = simulate_counts(source, alice, bob, seed=11)
-        assert np.array_equal(first.counts, second.counts)
-        third = simulate_counts(source, alice, bob, seed=12)
-        assert not np.array_equal(first.counts, third.counts)
+            simulate_counts(BlochState(werner_state(0.9)), *PAIRS, 0, seed=0)
 
     def test_counts_shape_and_totals(self):
-        source = SourceModel.werner(0.8, 20_000)
-        record = simulate_counts(source, standard_triad(), standard_triad(), seed=3)
+        state = BlochState(werner_state(0.8))
+        record = simulate_counts(state, standard_triad(), standard_triad(), 20_000, seed=3)
         assert record.counts.shape == (3, 3, 4)
         totals = record.counts.sum(axis=2)
         # Poisson totals concentrate around the mean
         assert np.all(np.abs(totals - 20_000) < 5.0 * math.sqrt(20_000))
 
     def test_unpolarized_source_splits_evenly(self):
-        source = SourceModel.werner(0.0, 40_000)
-        record = simulate_counts(source, pair_in_plane(Y, 0.0), pair_in_plane(Y, 0.0), seed=5)
+        state = BlochState(werner_state(0.0))
+        record = simulate_counts(state, *PAIRS, 40_000, seed=5)
         for j in range(2):
             for k in range(2):
                 counts = record.counts[j, k]
@@ -176,9 +175,9 @@ def random_frame(rng, size):
 
 class TestEstimateCorrelation:
     def test_sys_matches_loop_on_reproduce_frames(self):
-        for case in _cases(1000):
+        for case in _cases():
             counts = np.ones((case.alice.size, case.bob.size, 4), dtype=np.int64)
-            record = CountsRecord(counts, None, case.source.state, case.alice, case.bob)
+            record = CountsRecord(counts, case.state, case.alice, case.bob)
             est = estimate_correlation(record)
             ref = reference_sys_component(record, math.radians(0.5))
             assert_allclose(est.sys_component, ref, rtol=0.0, atol=1e-15, err_msg=case.name)
@@ -189,7 +188,7 @@ class TestEstimateCorrelation:
             alice = random_frame(rng, int(rng.integers(1, 4)))
             bob = random_frame(rng, int(rng.integers(1, 4)))
             counts = np.ones((alice.size, bob.size, 4), dtype=np.int64)
-            record = CountsRecord(counts, None, BlochState(random_density_matrix(rng)), alice, bob)
+            record = CountsRecord(counts, BlochState(random_density_matrix(rng)), alice, bob)
             sys_angle = float(rng.uniform(0.0, 0.1))
             est = estimate_correlation(record, sys_angle)
             ref = reference_sys_component(record, sys_angle)
@@ -206,7 +205,7 @@ class TestEstimateCorrelation:
             for k in range(2):
                 probs = outcome_probabilities(rho, alice.directions[j], bob.directions[k])
                 counts[j, k] = np.round(n * probs).astype(np.int64)
-        record = CountsRecord(counts, seed=None, state=BlochState(rho), alice=alice, bob=bob)
+        record = CountsRecord(counts, state=BlochState(rho), alice=alice, bob=bob)
         est = estimate_correlation(record, sys_angle=0.0)
         assert np.abs(est.matrix + np.eye(2)).max() <= 1.0 / n
 
@@ -214,28 +213,28 @@ class TestEstimateCorrelation:
         alice = MeasurementFrame([Z])
         bob = MeasurementFrame([Z])
         counts = np.array([[[1000, 0, 0, 0]]], dtype=np.int64)
-        record = CountsRecord(counts, None, BlochState(werner_state(0.0)), alice, bob)
+        record = CountsRecord(counts, BlochState(werner_state(0.0)), alice, bob)
         est = estimate_correlation(record, sys_angle=0.0)
         assert_allclose(est.matrix, [[1.0]])
         assert_allclose(est.stat_component, [[0.0]])
 
     def test_zero_sys_angle_collapses_delta_to_stat(self):
-        source = SourceModel.werner(0.9, 2000)
-        record = simulate_counts(source, pair_in_plane(Y, 0.2), pair_in_plane(Y, 0.0), seed=7)
+        state = BlochState(werner_state(0.9))
+        record = simulate_counts(state, pair_in_plane(Y, 0.2), pair_in_plane(Y, 0.0), 2000, seed=7)
         est = estimate_correlation(record, sys_angle=0.0)
         assert_allclose(est.delta, est.stat_component)
         assert_allclose(est.sys_component, np.zeros((2, 2)))
 
     def test_quadrature_identity(self):
-        source = SourceModel.werner(0.95, 2000)
-        record = simulate_counts(source, standard_triad(), standard_triad(), seed=9)
+        state = BlochState(werner_state(0.95))
+        record = simulate_counts(state, standard_triad(), standard_triad(), 2000, seed=9)
         est = estimate_correlation(record, sys_angle=math.radians(0.5))
         assert_allclose(est.delta**2, est.sys_component**2 + est.stat_component**2, atol=1e-15)
         assert np.all(est.delta >= 0.0)
 
     def test_sys_scales_with_angle(self):
-        source = SourceModel.werner(0.95, 2000)
-        record = simulate_counts(source, standard_triad(), standard_triad(), seed=13)
+        state = BlochState(werner_state(0.95))
+        record = simulate_counts(state, standard_triad(), standard_triad(), 2000, seed=13)
         small = estimate_correlation(record, sys_angle=math.radians(0.1))
         large = estimate_correlation(record, sys_angle=math.radians(1.0))
         assert large.sys_component.max() > 5.0 * small.sys_component.max()
@@ -244,15 +243,15 @@ class TestEstimateCorrelation:
         alice = MeasurementFrame([Z])
         bob = MeasurementFrame([Z])
         counts = np.zeros((1, 1, 4), dtype=np.int64)
-        record = CountsRecord(counts, None, BlochState(werner_state(0.5)), alice, bob)
+        record = CountsRecord(counts, BlochState(werner_state(0.5)), alice, bob)
         with pytest.raises(ValueError, match="pairs_per_setting"):
             estimate_correlation(record)
 
     @pytest.mark.parametrize("sys_angle", [math.nan, math.inf, -math.inf, -0.01])
     def test_rejects_sys_angle_outside_nonnegative_reals(self, sys_angle):
         # NaN used to drop the systematic silently (NaN > 0 is False)
-        source = SourceModel.werner(0.9, 2000)
-        record = simulate_counts(source, standard_triad(), standard_triad(), seed=9)
+        state = BlochState(werner_state(0.9))
+        record = simulate_counts(state, standard_triad(), standard_triad(), 2000, seed=9)
         with pytest.raises(ValueError, match="sys_angle"):
             estimate_correlation(record, sys_angle=sys_angle)
 
@@ -262,11 +261,11 @@ class TestEstimateCorrelation:
         t = spin_correlation_matrix(werner_state(0.9))
         alice = standard_triad()
         bob = standard_triad()
-        source = SourceModel.werner(0.9, 10_000)
+        state = BlochState(werner_state(0.9))
         inside = 0
         total = 0
         for seed in range(100):
-            record = simulate_counts(source, alice, bob, seed=seed)
+            record = simulate_counts(state, alice, bob, 10_000, seed=seed)
             est = estimate_correlation(record, sys_angle=0.0)
             err = np.abs(est.matrix - t)
             inside += int(np.sum(err <= 3.0 * np.maximum(est.stat_component, 1e-12)))
@@ -277,8 +276,8 @@ class TestEstimateCorrelation:
         t = spin_correlation_matrix(werner_state(0.9))
         errors = []
         for pairs in (1_000, 10_000, 100_000):
-            source = SourceModel.werner(0.9, pairs)
-            record = simulate_counts(source, pair_in_plane(Y, 0.0), pair_in_plane(Y, 0.0), seed=17)
+            state = BlochState(werner_state(0.9))
+            record = simulate_counts(state, *PAIRS, pairs, seed=17)
             est = estimate_correlation(record, sys_angle=0.0)
             m_model = pair_in_plane(Y, 0.0).directions @ t @ pair_in_plane(Y, 0.0).directions.T
             errors.append(np.abs(est.matrix - m_model).max())
@@ -287,8 +286,8 @@ class TestEstimateCorrelation:
 
 class TestPropagateUncertainty:
     def _estimate(self, seed=19, sys_angle=math.radians(0.5)):
-        source = SourceModel.werner(0.95, 20_000)
-        record = simulate_counts(source, pair_in_plane(Y, 0.0), pair_in_plane(Y, 0.0), seed=seed)
+        state = BlochState(werner_state(0.95))
+        record = simulate_counts(state, *PAIRS, 20_000, seed=seed)
         return estimate_correlation(record, sys_angle=sys_angle)
 
     def test_zero_delta_gives_zero_uncertainty(self):
@@ -336,15 +335,19 @@ class TestPropagateUncertainty:
             propagate_uncertainty(self._estimate(), "ris", n_resamples=1)
 
 
-class TestAssessEstimate:
+class TestSimulateRun:
     @pytest.mark.parametrize("inequality, assess", [("ris", assess_ris), ("nss", assess_nss)])
     def test_is_assessment_plus_bootstrap_std(self, inequality, assess):
-        source = SourceModel.werner(0.95, 20_000)
-        record = simulate_counts(source, pair_in_plane(Y, 0.0), pair_in_plane(Y, 0.0), seed=19)
-        est = estimate_correlation(record)
-        _, std = propagate_uncertainty(est, inequality, n_resamples=60, seed=(4, 2))
+        state = BlochState(werner_state(0.95))
+        record, est, assessments = simulate_run(
+            state, *PAIRS, 20_000, math.radians(0.5), 60, 19, (4, 2)
+        )
+        assert np.array_equal(record.counts, simulate_counts(state, *PAIRS, 20_000, 19).counts)
+        assert np.array_equal(est.matrix, estimate_correlation(record).matrix)
+        rank = inequalities_for(2).index(inequality)
+        _, std = propagate_uncertainty(est, inequality, n_resamples=60, seed=(4, 2 + rank))
         expected = assess(est.matrix)
-        got = assess_estimate(est, inequality, n_resamples=60, seed=(4, 2))
+        got = assessments[inequality]
         assert got.uncertainty == std
         assert (got.inequality, got.parameter, got.bound, got.margin, got.violated) == (
             expected.inequality, expected.parameter, expected.bound, expected.margin,
@@ -362,7 +365,7 @@ LARGE_SEED = 2**100
 
 def reference_run(state, alice, bob, pairs, counts_seed, bootstrap_keys, n_resamples=20):
     """Counts, estimate and {tag: (parameter, bootstrap std)} on literal stream keys."""
-    record = simulate_counts(SourceModel(state, pairs), alice, bob, seed=counts_seed)
+    record = simulate_counts(state, alice, bob, pairs, seed=counts_seed)
     est = estimate_correlation(record, math.radians(0.5))
     return record, est, {
         tag: (assess(est.matrix, tag).parameter,
@@ -406,10 +409,10 @@ class TestSeedStreams:
     def test_reproduce_streams(self):
         rows = build_report(pairs_per_setting=2000, seed=LARGE_SEED, n_resamples=20)
         checked = 0
-        for i, case in enumerate(_cases(2000)):
+        for i, case in enumerate(_cases()):
             tags = inequalities_for(case.alice.size)
             _, _, expected = reference_run(
-                case.source.state, case.alice, case.bob, 2000, (LARGE_SEED, i),
+                case.state, case.alice, case.bob, 2000, (LARGE_SEED, i),
                 {tag: (LARGE_SEED, i, 1 + rank) for rank, tag in enumerate(tags)},
             )
             for row in rows:
