@@ -189,7 +189,9 @@ def simulate_run(
     The counts are drawn on counts_seed.  Every tag of inequalities_for(m)
     is assessed on the estimate, with its bootstrap standard deviation as
     uncertainty; the tag of rank r bootstraps on bootstrap_key with its last
-    entry advanced by r.
+    entry advanced by r.  The counts get a key of their own: numpy drops a
+    trailing zero from a key only while it fits in four 32-bit words, so
+    (seed, 0) and seed are different streams once seed >= 2**96.
     """
     record = simulate_counts(state, alice, bob, pairs_per_setting, counts_seed)
     est = estimate_correlation(record, sys_angle)
