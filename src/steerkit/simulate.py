@@ -122,8 +122,8 @@ def estimate_correlation(
     """Entrywise correlation estimate with statistical and systematic errors.
 
     M_hat = (N++ + N-- - N+- - N-+)/N; stat is the binomial standard
-    error; sys is the worst-case response of the model correlation to
-    tilting Bob's analyzer by sys_angle in either transverse direction.
+    error; sys is the worst-case response of the model correlation over
+    every tilt of Bob's analyzer by sys_angle.
     """
     if not 0.0 <= sys_angle < math.inf:
         raise ValueError(f"sys_angle must be finite and nonnegative, got {sys_angle}")
@@ -134,18 +134,15 @@ def estimate_correlation(
     mhat = (counts[:, :, 0] + counts[:, :, 3] - counts[:, :, 1] - counts[:, :, 2]) / totals
     stat = np.sqrt(np.clip(1.0 - mhat**2, 0.0, None) / totals)
 
-    # Tilt each Bob direction b towards +-t1 and +-t2, unit vectors
-    # orthogonal to b and to each other.
+    # Tilting b by theta towards a unit t orthogonal to b moves u.b, with
+    # u = T^T a, by (cos theta - 1) u.b + sin theta u.t.  The worst t is
+    # parallel to the projection u - (u.b) b, so the maximum has a closed
+    # form; 1 - cos theta is written 2 sin^2(theta/2) to keep its digits.
     b = record.bob.directions
-    t1 = np.cross(b, np.eye(3)[np.argmin(np.abs(b), axis=1)])
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 = np.cross(b, t1)
-    tilts = np.stack([t1, -t1, t2, -t2], axis=1)
-    tilted = math.cos(sys_angle) * b[:, None, :] + math.sin(sys_angle) * tilts
-    a_t = record.alice.directions @ record.state.t
-    # a^T T (b' - b) for every Alice setting, Bob setting and tilt b'.
-    responses = np.einsum("ji,kti->jkt", a_t, tilted - b[:, None, :])
-    sys = np.abs(responses).max(axis=2)
+    u = record.alice.directions @ record.state.t
+    c = u @ b.T
+    transverse = np.linalg.norm(u[:, None, :] - c[:, :, None] * b, axis=2)
+    sys = 2.0 * math.sin(sys_angle / 2.0) ** 2 * np.abs(c) + abs(math.sin(sys_angle)) * transverse
     delta = np.sqrt(sys**2 + stat**2)
     for arr in (mhat, delta, sys, stat):
         arr.setflags(write=False)

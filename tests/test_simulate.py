@@ -3,11 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from steerkit.cli import EXIT_OK, main
 from steerkit.config import _config_float, _config_int, _state_and_frames
-from steerkit.frames import MeasurementFrame, frame_from_spec, pair_in_plane, standard_triad
+from steerkit.frames import (
+    MeasurementFrame,
+    frame_from_spec,
+    pair_in_plane,
+    rotate_frame,
+    standard_triad,
+)
 from steerkit.reproduce import _cases, build_report
 from steerkit.simulate import (
     CSV_HEADER,
@@ -36,6 +45,7 @@ from _reference import outcome_probabilities
 
 Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 # Alice's and Bob's coplanar pairs at alpha = 0
 PAIRS = (pair_in_plane(Y, 0.0), pair_in_plane(Y, 0.0))
 
@@ -150,23 +160,36 @@ class TestSimulateCounts:
                 assert np.all(np.abs(counts - expected) < 5.0 * math.sqrt(expected))
 
 
-def reference_sys_component(record, sys_angle):
-    """Per-entry loop over the four transverse tilts of each Bob setting."""
-    t = record.state.t
-    cos_s, sin_s = math.cos(sys_angle), math.sin(sys_angle)
+def cone_grid_sys_component(record, sys_angle, points=20_001):
+    """Largest |a^T T (b' - b)| over a phi-grid of tilts b' of each Bob setting b.
+
+    b' - b = -2 sin^2(theta/2) b + sin(theta) (cos(phi) e1 + sin(phi) e2), with
+    (e1, e2) an orthonormal basis of the plane orthogonal to b.
+    """
+    u = record.alice.directions @ record.state.t
+    phi = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
     sys = np.zeros((record.alice.size, record.bob.size))
     for k, b in enumerate(record.bob.directions):
-        axis = np.zeros(3)
-        axis[int(np.argmin(np.abs(b)))] = 1.0
-        t1 = np.cross(b, axis)
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(b, t1)
-        for j, a in enumerate(record.alice.directions):
-            base = a @ t @ b
-            sys[j, k] = max(
-                abs(a @ t @ (cos_s * b + sin_s * tilt) - base) for tilt in (t1, -t1, t2, -t2)
-            )
+        e1, e2 = np.linalg.svd(b[None, :])[2][1:]
+        tilts = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
+        shifts = -2.0 * math.sin(sys_angle / 2.0) ** 2 * b + math.sin(sys_angle) * tilts
+        sys[:, k] = np.abs(u @ shifts.T).max(axis=1)
     return sys
+
+
+def assert_on_cone_grid(sys, grid, err_msg=""):
+    """The closed form is never below the grid maximum and at most 1e-7 above it."""
+    assert np.all(sys >= grid), err_msg
+    assert np.all(sys <= grid * (1.0 + 1e-7)), err_msg
+
+
+def su2_with_rotation(rng):
+    """Haar-random U in SU(2) and its rotation R, U sigma_j U^dagger = sum_i R_ij sigma_i."""
+    q = rng.standard_normal(4)
+    q /= np.linalg.norm(q)
+    u = q[0] * np.eye(2) - 1.0j * np.einsum("i,ijk->jk", q[1:], PAULI)
+    r = np.einsum("iab,bc,jcd,da->ij", PAULI, u, PAULI, u.conj().T).real / 2.0
+    return u, r
 
 
 def random_frame(rng, size):
@@ -174,15 +197,15 @@ def random_frame(rng, size):
 
 
 class TestEstimateCorrelation:
-    def test_sys_matches_loop_on_reproduce_frames(self):
+    def test_sys_matches_cone_grid_on_reproduce_frames(self):
         for case in _cases():
             counts = np.ones((case.alice.size, case.bob.size, 4), dtype=np.int64)
             record = CountsRecord(counts, case.state, case.alice, case.bob)
             est = estimate_correlation(record)
-            ref = reference_sys_component(record, math.radians(0.5))
-            assert_allclose(est.sys_component, ref, rtol=0.0, atol=1e-15, err_msg=case.name)
+            grid = cone_grid_sys_component(record, math.radians(0.5))
+            assert_on_cone_grid(est.sys_component, grid, case.name)
 
-    def test_sys_matches_loop_on_random_frames(self):
+    def test_sys_matches_cone_grid_on_random_frames(self):
         rng = np.random.default_rng(83)
         for _ in range(50):
             alice = random_frame(rng, int(rng.integers(1, 4)))
@@ -191,8 +214,46 @@ class TestEstimateCorrelation:
             record = CountsRecord(counts, BlochState(random_density_matrix(rng)), alice, bob)
             sys_angle = float(rng.uniform(0.0, 0.1))
             est = estimate_correlation(record, sys_angle)
-            ref = reference_sys_component(record, sys_angle)
-            assert_allclose(est.sys_component, ref, rtol=0.0, atol=1e-15)
+            assert_on_cone_grid(est.sys_component, cone_grid_sys_component(record, sys_angle))
+
+    @settings(deadline=None)
+    @given(
+        hnp.arrays(np.float64, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=0.0, max_value=0.1),
+    )
+    def test_sys_invariant_under_common_rotation(self, parts, seed, sys_angle):
+        # (U x U) rho (U x U)^dagger with both frames rotated by R is the same
+        # experiment in other lab axes, so it has the same systematic error.
+        a = parts[0] + 1.0j * parts[1]
+        rho = a @ a.conj().T
+        assume(np.trace(rho).real > 1e-3)
+        rho /= np.trace(rho).real
+        rng = np.random.default_rng(seed)
+        alice = random_frame(rng, int(rng.integers(1, 7)))
+        bob = random_frame(rng, int(rng.integers(1, 4)))
+        u, r = su2_with_rotation(rng)
+        uu = np.kron(u, u)
+        counts = np.ones((alice.size, bob.size, 4), dtype=np.int64)
+        lab = estimate_correlation(CountsRecord(counts, BlochState(rho), alice, bob), sys_angle)
+        rotated = CountsRecord(
+            counts, BlochState(uu @ rho @ uu.conj().T), rotate_frame(alice, r), rotate_frame(bob, r)
+        )
+        assert_allclose(
+            estimate_correlation(rotated, sys_angle).sys_component, lab.sys_component,
+            rtol=0.0, atol=1e-15,
+        )
+
+    def test_aligned_triad_diagonal_is_exact(self):
+        # 1 - cos(theta) as 2 sin^2(theta/2) keeps every digit of the diagonal,
+        # where the tilt has no transverse response.
+        w, sys_angle = 0.984, math.radians(0.5)
+        record = CountsRecord(
+            np.ones((3, 3, 4), dtype=np.int64), BlochState(werner_state(w)),
+            standard_triad(), standard_triad(),
+        )
+        diagonal = np.diag(estimate_correlation(record, sys_angle).sys_component)
+        assert_allclose(diagonal, w * 2.0 * math.sin(sys_angle / 2.0) ** 2, rtol=1e-15, atol=0.0)
 
     def test_pseudo_count_consistency(self):
         # exact-probability pseudo-counts recover the model correlation
