@@ -63,6 +63,9 @@ EXAMPLE_CONFIGS = {
     # the defaults; a test holds them to simulate's and reproduce's constants
     "reproduce": {"pairs_per_setting": 100000, "seed": 1729},
 }
+# Every top-level key some subcommand reads, and the two removed keys that
+# sweep rejects with a message of its own.
+_KNOWN_KEYS = frozenset().union(*EXAMPLE_CONFIGS.values(), ("phi_deg", "inequalities"))
 
 
 def _with_flags(config: dict, args) -> dict:
@@ -81,6 +84,10 @@ def _load_config(args) -> dict:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError("config root must be a JSON object")
+    unknown = [f'"{key}"' for key in config if key not in _KNOWN_KEYS]
+    if unknown:
+        noun = "key" if len(unknown) == 1 else "keys"
+        raise ValueError(f"no subcommand reads config {noun} {', '.join(unknown)}")
     return config
 
 

@@ -694,6 +694,21 @@ class TestScalarKeys:
         assert captured.out == ""
         assert key in captured.err
 
+    @pytest.mark.parametrize("subcommand", sorted(EXAMPLE_CONFIGS))
+    def test_unknown_key_exits_config(self, tmp_path, capsys, subcommand):
+        # a misspelt key used to run on the default it meant to override
+        config = write_config(tmp_path, EXAMPLE_CONFIGS[subcommand] | {"pair_per_setting": 50})
+        assert main([subcommand, "--config", config]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert '"pair_per_setting"' in captured.err
+
+    @pytest.mark.parametrize("key, value", [("phi_deg", 64.0), ("inequalities", ["ris"])])
+    def test_removed_sweep_key_keeps_its_message(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, SWEEP_CONFIG | {key: value})
+        assert main(["sweep", "--config", config]) == EXIT_CONFIG
+        assert f'"{key}" was removed' in capsys.readouterr().err
+
     @settings(max_examples=60, deadline=None)
     @given(key=st.sampled_from(SCALAR_KEYS), value=JSON_VALUES)
     def test_any_scalar_value_exits_ok_or_names_key(self, key, value):
