@@ -15,6 +15,12 @@ import importlib
 
 __version__ = "0.1.0"
 
+# Alice's setting count is at most this, in a frame and in the LHS oracle:
+# the oracle's Newton solve builds a dense Hessian in (2^(m-1) - m) n
+# variables, 78 at m = 6 but 1506 at m = 10.  It lives here, where frames
+# and lhs both read it, so that building a frame does not load the oracle.
+MAX_ALICE_SETTINGS = 6
+
 # Submodule -> the names the package re-exports from it.
 _EXPORTS = {
     "frames": (

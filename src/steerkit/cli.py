@@ -63,9 +63,10 @@ EXAMPLE_CONFIGS = {
     # the defaults; a test holds them to simulate's and reproduce's constants
     "reproduce": {"pairs_per_setting": 100000, "seed": 1729},
 }
-# Every top-level key some subcommand reads, and the two removed keys that
-# sweep rejects with a message of its own.
-_KNOWN_KEYS = frozenset().union(*EXAMPLE_CONFIGS.values(), ("phi_deg", "inequalities"))
+# Every top-level key some subcommand reads.
+_KNOWN_KEYS = frozenset().union(*EXAMPLE_CONFIGS.values())
+# Each removed top-level key -> where its value now comes from.
+_REMOVED_KEYS = {"phi_deg": "alice_frame.phi_deg", "inequalities": "inequalities_for"}
 
 
 def _with_flags(config: dict, args) -> dict:
@@ -84,6 +85,9 @@ def _load_config(args) -> dict:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError("config root must be a JSON object")
+    for key, home in _REMOVED_KEYS.items():
+        if key in config:
+            raise ValueError(f'config key "{key}" was removed; its value now comes from {home}')
     unknown = [f'"{key}"' for key in config if key not in _KNOWN_KEYS]
     if unknown:
         noun = "key" if len(unknown) == 1 else "keys"

@@ -74,9 +74,9 @@ def _config_array(config: dict, key: str, default=None) -> np.ndarray:
 def _spec_keys(spec: dict, kind: str, *keys: str) -> None:
     """Raise naming the first key of spec that a spec of this kind does not read."""
     for key in spec:
-        if key != "kind" and key not in keys:
+        if key not in keys:
             raise ValueError(
-                f'{kind} spec does not read key "{key}"; it reads "kind", '
+                f'{kind} spec does not read key "{key}"; it reads '
                 + ", ".join(f'"{k}"' for k in keys)
             )
 

@@ -1,9 +1,11 @@
 """Measurement directions, frames, and rotations on the Bloch sphere.
 
 A measurement frame is an ordered set of one to MAX_ALICE_SETTINGS unit
-directions; Bob's, which must be orthonormal, holds at most three.  Frames
-need not be orthonormal otherwise: the projector and the steering bounds
-check it with require_orthonormal and raise.
+directions; Bob's, which must be orthonormal, holds at most three.  The
+cap is the LHS oracle's, read from the package root so that this module
+loads config alone and never the oracle.  Frames need not be orthonormal
+otherwise: the projector and the steering bounds check it with
+require_orthonormal and raise.
 
 Plane conventions used throughout: a measurement plane is identified by
 its unit normal, and the in-plane reference direction is the normalized
@@ -15,12 +17,15 @@ about the stated axis.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
+from . import MAX_ALICE_SETTINGS
 from .config import _config_array, _config_float, _spec_keys
-from .lhs import MAX_ALICE_SETTINGS
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 UNIT_TOL = 1e-6
 ORTHONORMAL_TOL = 1e-10
@@ -252,20 +257,20 @@ def frame_from_spec(spec: dict) -> MeasurementFrame:
         raise ValueError(f"frame spec must be a mapping, got {type(spec).__name__}")
     kind = spec.get("kind")
     if kind == "named":
-        _spec_keys(spec, "named frame", "name")
+        _spec_keys(spec, "named frame", "kind", "name")
         name = spec.get("name")
         if name not in _NAMED_FRAMES:
             raise ValueError(f"unknown frame name {name!r}; choices: {sorted(_NAMED_FRAMES)}")
         return _NAMED_FRAMES[name]()
     if kind == "pair":
-        _spec_keys(spec, "pair frame", "normal", "phi_deg", "alpha_deg")
+        _spec_keys(spec, "pair frame", "kind", "normal", "phi_deg", "alpha_deg")
         if "normal" not in spec:
             raise ValueError('pair frame spec requires key "normal"')
         phi = math.radians(_config_float(spec, "phi_deg", 0.0))
         alpha = math.radians(_config_float(spec, "alpha_deg", 0.0))
         return tilted_pair(phi, alpha, _config_array(spec, "normal"))
     if kind == "explicit":
-        _spec_keys(spec, "explicit frame", "directions")
+        _spec_keys(spec, "explicit frame", "kind", "directions")
         if "directions" not in spec:
             raise ValueError('explicit frame spec requires key "directions"')
         dirs = [unit(d) for d in np.atleast_2d(_config_array(spec, "directions"))]

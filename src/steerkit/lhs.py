@@ -38,9 +38,14 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
+
+from . import MAX_ALICE_SETTINGS
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 # A feasible certificate must reproduce M within this L1 residual.
 RESIDUAL_TOL = 1e-7
@@ -48,9 +53,6 @@ RESIDUAL_TOL = 1e-7
 # mixtures of unit Bob vectors sit exactly on it, and rounding moves them
 # by a few ulps either way.
 BOUNDARY_MARGIN = 1e-9
-# Alice's setting count is at most this: the Newton solve builds a dense
-# Hessian in (2^(m-1) - m) n variables, 78 at m = 6 but 1506 at m = 10.
-MAX_ALICE_SETTINGS = 6
 # Smoothing levels eps of the Newton continuation, relative to the
 # largest row length of V0, each LEVEL_RATIO times the last.  The solve at
 # each level stops once |grad f_eps| falls below max(eps, GRADIENT_TOL),

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, astuple, dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
-from .config import _config_float, _config_int, _state_and_frames
+from .config import _config_float, _config_int, _spec_keys, _state_and_frames
 from .frames import MeasurementFrame, frame_from_spec
 from .states import BlochState, werner_state
 from .steering import (
@@ -30,6 +30,9 @@ from .steering import (
     inequalities_for,
     predicted_correlation,
 )
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 DEFAULT_SYS_ANGLE_DEG = 0.5
 DEFAULT_SYS_ANGLE = math.radians(DEFAULT_SYS_ANGLE_DEG)
@@ -238,7 +241,7 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
     "sweep" ({"alpha_deg": [...]}, pair frames only), "pairs_per_setting",
     "sys_angle_deg", "seed", "drift_sigma", "n_resamples".  Each point takes
     the alice spec at its alpha_deg and reports every inequality of
-    inequalities_for(m); the removed "phi_deg" and "inequalities" raise.
+    inequalities_for(m).
 
     "drift_sigma" models slow source drift: each point draws its own
     Werner weight from a normal around the config's W with that width,
@@ -246,9 +249,6 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
     """
     if not isinstance(scenario, dict):
         raise ValueError(f"scenario must be a mapping, got {type(scenario).__name__}")
-    for key, home in (("phi_deg", "alice_frame.phi_deg"), ("inequalities", "inequalities_for")):
-        if key in scenario:
-            raise ValueError(f'config key "{key}" was removed; its value now comes from {home}')
     state, alice, bob = _state_and_frames(scenario)
     pairs, seed, sys_angle, n_resamples = _run_keys(scenario)
     state_spec = scenario["state"]
@@ -263,6 +263,7 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
     else:
         if not isinstance(sweep, dict):
             raise ValueError(f'config key "sweep" must be a mapping, got {sweep!r}')
+        _spec_keys(sweep, "sweep", "alpha_deg")
         if "alpha_deg" not in sweep:
             raise ValueError('sweep requires key "alpha_deg"')
         if not isinstance(sweep["alpha_deg"], list):

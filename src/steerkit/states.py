@@ -12,11 +12,14 @@ BlochState, checked once when it is built; no density matrix travels on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .config import _config_array, _config_float, _spec_keys
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -83,19 +86,6 @@ def validate_state(rho: NDArray[np.complex128]) -> StateDiagnostics:
     return StateDiagnostics(herm, trace_dev, min_eig, ok)
 
 
-def _require_state(rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    rho = np.asarray(rho, dtype=complex)
-    diag = validate_state(rho)
-    if not diag.ok:
-        raise ValueError(
-            "not a physical two-qubit state: "
-            f"hermiticity residual {diag.hermiticity_residual:.2e}, "
-            f"trace deviation {diag.trace_deviation:.2e}, "
-            f"min eigenvalue {diag.min_eigenvalue:.2e}"
-        )
-    return rho
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class BlochState:
     """A two-qubit state in the Bloch picture, validated once when built from rho.
@@ -109,7 +99,15 @@ class BlochState:
     table: NDArray[np.float64]
 
     def __init__(self, rho: NDArray[np.complex128]):
-        rho = _require_state(rho)
+        rho = np.asarray(rho, dtype=complex)
+        diag = validate_state(rho)
+        if not diag.ok:
+            raise ValueError(
+                "not a physical two-qubit state: "
+                f"hermiticity residual {diag.hermiticity_residual:.2e}, "
+                f"trace deviation {diag.trace_deviation:.2e}, "
+                f"min eigenvalue {diag.min_eigenvalue:.2e}"
+            )
         # Tr[rho (A x B)] = sum rho[(i,k),(j,l)] A[j,i] B[l,k]
         table = np.einsum("ikjl,pji,qlk->pq", rho.reshape(2, 2, 2, 2), _PAULI_BASIS, _PAULI_BASIS)
         residue = float(np.abs(table.imag).max())
@@ -147,23 +145,28 @@ def state_from_spec(spec: dict) -> NDArray[np.complex128]:
         {"kind": "werner", "W": 0.985}
         {"kind": "matrix", "re": [[...4x4...]], "im": [[...4x4...]]}
     The "im" block is optional and defaults to zero.  A key the spec's
-    kind does not read raises.
+    kind does not read raises.  A matrix spec's physicality is not checked
+    here: BlochState validates the matrix when it is built, once.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"state spec must be a mapping, got {type(spec).__name__}")
     kind = spec.get("kind")
     if kind == "werner":
-        _spec_keys(spec, "werner state", "W")
+        _spec_keys(spec, "werner state", "kind", "W")
         if "W" not in spec:
             raise ValueError('werner state spec requires key "W"')
         return werner_state(_config_float(spec, "W"))
     if kind == "matrix":
-        _spec_keys(spec, "matrix state", "re", "im")
+        _spec_keys(spec, "matrix state", "kind", "re", "im")
         if "re" not in spec:
             raise ValueError('matrix state spec requires key "re"')
         re = _config_array(spec, "re")
         im = _config_array(spec, "im", np.zeros((4, 4)))
         if re.shape != (4, 4) or im.shape != (4, 4):
             raise ValueError("matrix state spec entries must be 4x4")
-        return _require_state(re + 1.0j * im)
+        rho = re.astype(complex)
+        # set, not multiplied by 1j: an infinite entry then raises no numpy
+        # warning before BlochState rejects it
+        rho.imag = im
+        return rho
     raise ValueError(f"unknown state kind {kind!r}")

@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .frames import MeasurementFrame, require_orthonormal
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 RIS = "ris"
 NSS = "nss"

@@ -243,17 +243,29 @@ class TestConfigErrors:
         config = write_config(tmp_path, bad)
         assert main(["predict", "--config", config]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("entry, message", [
-        ("1e400", "entries must be finite"),
-        ("-1e400", "entries must be finite"),
-        (str(10**400), '"re"'),
-    ], ids=["1e400", "-1e400", "10**400"])
-    def test_matrix_entry_past_float_range_exits_config(self, tmp_path, entry, message):
-        # 1e400 printed two numpy RuntimeWarnings before its error; 10**400 exited 3
-        re = (np.eye(4) / 4.0).tolist()
+    def test_unphysical_matrix_state(self, tmp_path, capsys):
+        # BlochState makes the one physicality check of a matrix spec
+        bad = dict(TRIAD_PREDICT, state={"kind": "matrix", "re": np.eye(4).tolist()})
+        config = write_config(tmp_path, bad)
+        assert main(["predict", "--config", config]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "state: not a physical two-qubit state" in captured.err
+
+    @pytest.mark.parametrize("key, entry, message", [
+        ("re", "1e400", "entries must be finite"),
+        ("re", "-1e400", "entries must be finite"),
+        ("re", str(10**400), '"re"'),
+        ("im", "1e400", "entries must be finite"),
+    ], ids=["1e400", "-1e400", "10**400", "im-1e400"])
+    def test_matrix_entry_past_float_range_exits_config(self, tmp_path, key, entry, message):
+        # 1e400 printed two numpy RuntimeWarnings before its error, in "im" one;
+        # 10**400 exited 3
+        state = {"kind": "matrix", "re": (np.eye(4) / 4.0).tolist(),
+                 "im": np.zeros((4, 4)).tolist()}
+        state[key][0][0] = 0.125  # the entry the JSON text replaces
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(dict(TRIAD_PREDICT, state={"kind": "matrix", "re": re}))
-                        .replace("0.25", entry, 1))
+        path.write_text(json.dumps(dict(TRIAD_PREDICT, state=state)).replace("0.125", entry))
         src = str(Path(steerkit.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-m", "steerkit.cli", "predict", "--config", str(path)],
@@ -350,6 +362,8 @@ class TestSweep:
         ("phi_deg", "x"),
         ("sweep", 5),
         ("sweep", {"alpha_deg": 5}),
+        # the misspelt key ran, ignored, before
+        pytest.param("sweep.alpha_degs", [5], id="sweep.alpha_degs"),
         ("inequalities", "ris"),
         # the removed keys exit whatever their value, their old defaults too
         ("phi_deg", 0.0),
@@ -705,9 +719,16 @@ class TestScalarKeys:
 
     @pytest.mark.parametrize("key, value", [("phi_deg", 64.0), ("inequalities", ["ris"])])
     def test_removed_sweep_key_keeps_its_message(self, tmp_path, capsys, key, value):
-        config = write_config(tmp_path, SWEEP_CONFIG | {key: value})
-        assert main(["sweep", "--config", config]) == EXIT_CONFIG
-        assert f'"{key}" was removed' in capsys.readouterr().err
+        # phi_deg overrode the alice pair spec's, and inequalities chose among
+        # inequalities_for(m); each now has that one home.  Only sweep read
+        # them, and predict and simulate ran with either one ignored.
+        home = {"phi_deg": "alice_frame.phi_deg", "inequalities": "inequalities_for"}[key]
+        for subcommand, example in EXAMPLE_CONFIGS.items():
+            config = write_config(tmp_path, example | {key: value})
+            assert main([subcommand, "--config", config]) == EXIT_CONFIG, subcommand
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f'"{key}" was removed; its value now comes from {home}' in captured.err
 
     @settings(max_examples=60, deadline=None)
     @given(key=st.sampled_from(SCALAR_KEYS), value=JSON_VALUES)

@@ -9,14 +9,15 @@ from pathlib import Path
 import pytest
 
 import steerkit
+from steerkit.cli import EXAMPLE_CONFIGS
 
 
-def loaded_submodules(statement: str) -> list[str]:
-    """steerkit submodules in sys.modules after `statement` in a fresh interpreter."""
+def loaded_submodules(statement: str, package: str = "steerkit") -> list[str]:
+    """package's submodules in sys.modules after `statement` in a fresh interpreter."""
     src = str(Path(steerkit.__file__).resolve().parents[1])
     code = (
         f"{statement}; import sys; "
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('steerkit.'))))"
+        f"print(' '.join(sorted(m for m in sys.modules if m.startswith({package + '.'!r}))))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -39,6 +40,36 @@ class TestLazyNamespace:
         argv = ["lhs", "--config", str(config), "--out", str(out)]
         statement = f"from steerkit.cli import main; assert main({argv!r}) == 0"
         assert loaded_submodules(statement) == ["steerkit.cli", "steerkit.config", "steerkit.lhs"]
+
+    def test_frames_loads_config_alone(self):
+        # frames read MAX_ALICE_SETTINGS from lhs, and so built the oracle
+        assert loaded_submodules("import steerkit.frames") == [
+            "steerkit.config", "steerkit.frames",
+        ]
+
+    def test_reproduce_does_not_load_lhs(self):
+        assert "steerkit.lhs" not in loaded_submodules("import steerkit.reproduce")
+
+    @pytest.mark.parametrize("subcommand, extra", [
+        ("predict", []),
+        ("simulate", ["steerkit.simulate"]),
+    ], ids=["predict", "simulate"])
+    def test_subcommand_loads_only_its_layers(self, tmp_path, subcommand, extra):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(EXAMPLE_CONFIGS[subcommand]))
+        argv = [subcommand, "--config", str(config), "--out", str(tmp_path / "out.txt")]
+        statement = f"from steerkit.cli import main; assert main({argv!r}) == 0"
+        layers = ["cli", "config", "frames", "states", "steering"]
+        assert loaded_submodules(statement) == sorted(
+            [f"steerkit.{name}" for name in layers] + extra
+        )
+
+    def test_annotations_do_not_load_numpy_typing(self):
+        # each module imported NDArray at run time for annotations that
+        # from __future__ import annotations never evaluates
+        assert "numpy.typing" not in loaded_submodules("import numpy", "numpy")
+        loaded = loaded_submodules("import steerkit.reproduce, steerkit.lhs", "numpy")
+        assert "numpy.typing" not in loaded
 
     def test_names_are_the_submodule_objects(self):
         assert len(steerkit.__all__) == len(set(steerkit.__all__))

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from steerkit import states
+from steerkit.config import _state_and_frames
 from steerkit.states import (
     SINGLET_KET,
     BlochState,
@@ -180,8 +182,27 @@ class TestStateFromSpec:
             state_from_spec({"kind": "werner"})
 
     def test_rejects_unphysical_matrix(self):
-        with pytest.raises(ValueError):
-            state_from_spec({"kind": "matrix", "re": np.eye(4).tolist()})
+        # state_from_spec leaves the check to BlochState, which makes it once
+        with pytest.raises(ValueError, match="not a physical two-qubit state"):
+            BlochState(state_from_spec({"kind": "matrix", "re": np.eye(4).tolist()}))
+
+    def test_config_matrix_state_is_validated_once(self, monkeypatch):
+        # state_from_spec checked a matrix spec, and BlochState checked it again
+        calls = []
+        original = states.validate_state
+
+        def counting(rho):
+            calls.append(1)
+            return original(rho)
+
+        monkeypatch.setattr(states, "validate_state", counting)
+        config = {
+            "state": {"kind": "matrix", "re": werner_state(0.5).real.tolist()},
+            "alice_frame": {"kind": "named", "name": "standard_triad"},
+            "bob_frame": {"kind": "named", "name": "standard_triad"},
+        }
+        _state_and_frames(config)
+        assert len(calls) == 1
 
     def test_rejects_matrix_without_real_part(self):
         with pytest.raises(ValueError, match='requires key "re"'):
