@@ -597,6 +597,19 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="sweep alpha list is empty"):
             run_scenario(coplanar_scenario(sweep={"alpha_deg": []}))
 
+    @pytest.mark.parametrize("key, value, home", [
+        ("phi_deg", 64.0, "alice_frame.phi_deg"),
+        ("inequalities", ["ris", "nss"], "inequalities_for"),
+    ], ids=["phi_deg", "inequalities"])
+    def test_rejects_removed_key(self, tmp_path, capsys, key, value, home):
+        # phi_deg overrode the alice pair spec's, and inequalities chose
+        # among inequalities_for(m); each now has that one home, which the
+        # config loader names
+        assert sweep_exit_code(tmp_path, coplanar_scenario(**{key: value})) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f'"{key}" was removed; its value now comes from {home}' in captured.err
+
     def test_rejects_nss_for_triads(self, tmp_path, capsys):
         # a triad scenario reports ris alone; nss cannot be asked for
         # because the config loader refuses the inequalities key itself
