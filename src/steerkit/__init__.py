@@ -44,7 +44,6 @@ _EXPORTS = {
         "lhs_membership",
     ),
     "simulate": (
-        "CountsRecord",
         "EstimatedCorrelation",
         "ScenarioRow",
         "estimate_correlation",

@@ -166,6 +166,9 @@ def cmd_lhs(config: dict) -> tuple[dict, None]:
     from .lhs import lhs_membership
 
     if "matrix" in config:
+        others = ", ".join(f'"{k}"' for k in ("state", "alice_frame", "bob_frame") if k in config)
+        if others:
+            raise ValueError(f'lhs reads one matrix source; config key "matrix" excludes {others}')
         matrix = _config_array(config, "matrix")
     else:
         from .steering import predicted_correlation
@@ -180,12 +183,12 @@ def cmd_simulate(config: dict) -> tuple[dict, str]:
 
     state, alice, bob = _state_and_frames(config)
     pairs, seed, sys_angle, n_resamples = _run_keys(config)
-    record, est, assessments = simulate_run(
+    counts, est, assessments = simulate_run(
         state, alice, bob, pairs, sys_angle, n_resamples, seed, (seed, 1)
     )
 
     payload = {
-        "counts": record.counts.tolist(),
+        "counts": counts.tolist(),
         "correlation": est.matrix.tolist(),
         "delta": est.delta.tolist(),
         "stat_component": est.stat_component.tolist(),

@@ -7,6 +7,9 @@ counts.  Entry uncertainties combine the binomial statistical error with
 a worst-case analyzer-tilt systematic, added in quadrature; parameter
 uncertainties follow by parametric bootstrap over the entries.
 
+The stages pass plain arrays, and estimation reads the model only through
+its correlation vectors u_j = T^T a_j, so it takes counts of any source.
+
 All randomness flows through numpy Generators seeded explicitly; a sweep
 derives one child seed per point from (base_seed, point_index), so runs
 are reproducible point by point.
@@ -21,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import _config_float, _config_int, _spec_keys, _state_and_frames
-from .frames import MeasurementFrame, frame_from_spec
+from .frames import MeasurementFrame, frame_from_spec, require_orthonormal
 from .states import BlochState, werner_state
 from .steering import (
     SteeringAssessment,
@@ -59,29 +62,13 @@ def _born_probabilities(state: BlochState, a: np.ndarray, b: np.ndarray) -> np.n
     a_dot = (a @ state.r_a)[..., None]
     b_dot = (b @ state.r_b)[..., None]
     corr = np.einsum("...i,ij,...j->...", a, state.t, b)[..., None]
-    probs = np.clip(
-        (1.0 + _SIGN_A * a_dot + _SIGN_B * b_dot + _SIGN_A * _SIGN_B * corr) / 4.0, 0.0, None
-    )
-    # Written so that a NaN deviation fails the check too.
+    probs = (1.0 + _SIGN_A * a_dot + _SIGN_B * b_dot + _SIGN_A * _SIGN_B * corr) / 4.0
+    # Checked before the clip, which moves the sum of a state within
+    # states.EIGENVALUE_TOL of the boundary; written so that a NaN fails too.
     deviation = float(np.abs(probs.sum(axis=-1) - 1.0).max())
     if not deviation <= 1e-12:
         raise ArithmeticError(f"outcome probabilities miss a unit sum by {deviation!r}")
-    return probs
-
-
-@dataclass(frozen=True)
-class CountsRecord:
-    """Coincidence counts for every setting pair, plus their provenance.
-
-    counts[j, k] holds (N++, N+-, N-+, N--) for Alice setting j and Bob
-    setting k.  The generating state and frames ride along so estimation
-    can evaluate the systematic-tilt response of the underlying model.
-    """
-
-    counts: NDArray[np.int64]
-    state: BlochState
-    alice: MeasurementFrame
-    bob: MeasurementFrame
+    return np.clip(probs, 0.0, None)
 
 
 def simulate_counts(
@@ -90,8 +77,11 @@ def simulate_counts(
     bob: MeasurementFrame,
     pairs_per_setting: int,
     seed,
-) -> CountsRecord:
-    """Draw Poisson totals around pairs_per_setting and multinomial outcome splits."""
+) -> NDArray[np.int64]:
+    """Draw Poisson totals around pairs_per_setting and multinomial outcome splits.
+
+    The read-only (m, n, 4) result holds (N++, N+-, N-+, N--) at [j, k].
+    """
     if not isinstance(state, BlochState):
         raise TypeError(f"state must be a BlochState, got {type(state).__name__}")
     if pairs_per_setting < 1:
@@ -106,7 +96,7 @@ def simulate_counts(
             if total > 0:
                 counts[j, k] = rng.multinomial(total, probs[j, k] / probs[j, k].sum())
     counts.setflags(write=False)
-    return CountsRecord(counts, state, alice, bob)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -120,17 +110,21 @@ class EstimatedCorrelation:
 
 
 def estimate_correlation(
-    record: CountsRecord, sys_angle: float = DEFAULT_SYS_ANGLE
+    counts: NDArray[np.int64], correlation_vectors: NDArray[np.float64],
+    bob: MeasurementFrame, sys_angle: float = DEFAULT_SYS_ANGLE,
 ) -> EstimatedCorrelation:
     """Entrywise correlation estimate with statistical and systematic errors.
 
-    M_hat = (N++ + N-- - N+- - N-+)/N; stat is the binomial standard
-    error; sys is the worst-case response of the model correlation over
-    every tilt of Bob's analyzer by sys_angle.
+    M_hat = (N++ + N-- - N+- - N-+)/N over the (m, n, 4) counts; stat is
+    the binomial standard error; sys is the worst-case response of the model
+    correlation u_j.b_k over every tilt of Bob's analyzer by sys_angle, with
+    the rows u_j = T^T a_j of correlation_vectors, shape (m, 3).
     """
     if not 0.0 <= sys_angle < math.inf:
         raise ValueError(f"sys_angle must be finite and nonnegative, got {sys_angle}")
-    counts = record.counts
+    m, n, _ = counts.shape
+    if correlation_vectors.shape != (m, 3) or bob.size != n:
+        raise ValueError(f"{m} x {n} counts need ({m}, 3) correlation vectors and {n} Bob settings")
     totals = counts.sum(axis=2)
     if np.any(totals == 0):
         raise ValueError("every setting pair needs at least one count; raise pairs_per_setting")
@@ -141,8 +135,8 @@ def estimate_correlation(
     # u = T^T a, by (cos theta - 1) u.b + sin theta u.t.  The worst t is
     # parallel to the projection u - (u.b) b, so the maximum has a closed
     # form; 1 - cos theta is written 2 sin^2(theta/2) to keep its digits.
-    b = record.bob.directions
-    u = record.alice.directions @ record.state.t
+    b = bob.directions
+    u = correlation_vectors
     c = u @ b.T
     transverse = np.linalg.norm(u[:, None, :] - c[:, :, None] * b, axis=2)
     sys = 2.0 * math.sin(sys_angle / 2.0) ** 2 * np.abs(c) + abs(math.sin(sys_angle)) * transverse
@@ -183,7 +177,7 @@ def simulate_run(
     n_resamples: int,
     counts_seed,
     bootstrap_key: tuple,
-) -> tuple[CountsRecord, EstimatedCorrelation, dict[str, SteeringAssessment]]:
+) -> tuple[NDArray[np.int64], EstimatedCorrelation, dict[str, SteeringAssessment]]:
     """One simulated run: counts, estimate and an assessment per inequality.
 
     The counts are drawn on counts_seed.  Every tag of inequalities_for(m)
@@ -191,16 +185,18 @@ def simulate_run(
     uncertainty; the tag of rank r bootstraps on bootstrap_key with its last
     entry advanced by r.  The counts get a key of their own: numpy drops a
     trailing zero from a key only while it fits in four 32-bit words, so
-    (seed, 0) and seed are different streams once seed >= 2**96.
+    (seed, 0) and seed are different streams once seed >= 2**96.  Bob's
+    frame must be orthonormal, as a config's must.
     """
-    record = simulate_counts(state, alice, bob, pairs_per_setting, counts_seed)
-    est = estimate_correlation(record, sys_angle)
+    require_orthonormal(bob, "bob_frame")
+    counts = simulate_counts(state, alice, bob, pairs_per_setting, counts_seed)
+    est = estimate_correlation(counts, alice.directions @ state.t, bob, sys_angle)
     *head, last = bootstrap_key
     assessments = {}
     for rank, tag in enumerate(inequalities_for(alice.size)):
         _, std = propagate_uncertainty(est, tag, n_resamples, (*head, last + rank))
         assessments[tag] = replace(assess(est.matrix, tag), uncertainty=std)
-    return record, est, assessments
+    return counts, est, assessments
 
 
 def _run_keys(config: dict) -> tuple[int, int, float, int]:

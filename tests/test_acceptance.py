@@ -291,8 +291,8 @@ class TestAcceptance:
 
         def uncertainty(pairs, seed):
             state = BlochState(werner_state(0.984))
-            record = simulate_counts(state, triad, triad, pairs, seed=seed)
-            est = estimate_correlation(record, sys_angle)
+            counts = simulate_counts(state, triad, triad, pairs, seed=seed)
+            est = estimate_correlation(counts, triad.directions @ state.t, triad, sys_angle)
             _, std = propagate_uncertainty(est, "ris", n_resamples=200, seed=(seed, 1))
             return est, std
 

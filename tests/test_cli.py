@@ -302,6 +302,20 @@ class TestConfigErrors:
         path.write_text("[1, 2, 3]")
         assert main(["predict", "--config", str(path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("keys", [
+        ("state", "alice_frame", "bob_frame"),
+        ("state",),
+        ("bob_frame",),
+    ], ids=["state-and-frames", "state", "bob_frame"])
+    def test_lhs_matrix_with_state_or_frames_exits_config(self, tmp_path, capsys, keys):
+        # ran on the matrix and dropped the state and frames before
+        werner = dict(TRIAD_PREDICT, state={"kind": "werner", "W": 0.99})
+        config = {"matrix": [[-0.8, 0.0], [0.0, -0.8]]} | {key: werner[key] for key in keys}
+        assert main(["lhs", "--config", write_config(tmp_path, config)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert all(f'"{key}"' in captured.err for key in ("matrix", *keys))
+
 
 class TestSweep:
     def test_csv_output_and_determinism(self, tmp_path):
@@ -575,9 +589,10 @@ class TestSimulate:
         assert main(["simulate", "--config", path, "--format", "json"]) == EXIT_OK
         assessments = json.loads(capsys.readouterr().out)["assessments"]
         state = BlochState(state_from_spec(config["state"]))
-        record = simulate_counts(state, frame_from_spec(config["alice_frame"]),
-                                 frame_from_spec(config["bob_frame"]), 2000, seed=3)
-        est = estimate_correlation(record)
+        alice = frame_from_spec(config["alice_frame"])
+        bob = frame_from_spec(config["bob_frame"])
+        counts = simulate_counts(state, alice, bob, 2000, seed=3)
+        est = estimate_correlation(counts, alice.directions @ state.t, bob)
         for tag, stream in (("ris", 1), ("nss", 2)):
             assert list(assessments[tag]) == [
                 "inequality", "parameter", "bound", "margin", "violated", "uncertainty",
@@ -588,6 +603,15 @@ class TestSimulate:
     def test_non_orthonormal_bob_frame_rejected(self, tmp_path, capsys):
         # reported a violated ris parameter with exit 0 before
         assert_bob_frame_rejected("simulate", tmp_path, capsys)
+
+    def test_state_at_the_eigenvalue_tolerance_simulates(self, capsys):
+        # (1 + eps) |psi-><psi-| - eps |00><00| at eps = 5e-11, which BlochState
+        # accepts: its clipped (++) probabilities missed a unit sum and exited 3
+        config = str(Path(__file__).parent / "data" / "eigenvalue_edge_state.json")
+        assert main(["simulate", "--config", config, "--pairs", "2000",
+                     "--format", "json"]) == EXIT_OK
+        counts = np.asarray(json.loads(capsys.readouterr().out)["counts"])
+        assert all(counts[j, j, 0] == 0 for j in range(3))
 
     def test_pairs_override(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=2000,
@@ -783,8 +807,10 @@ class TestJsonTrees:
     @settings(max_examples=100, deadline=None)
     @given(key=st.sampled_from(sorted(TREE_KEYS)), value=JSON_TREES)
     def test_any_json_tree_exits_ok_config_or_numeric(self, key, value):
-        config = dict(SWEEP_CONFIG, pairs_per_setting=50, n_resamples=2,
-                      sweep={"alpha_deg": [0.0, 45.0]}) | {key: value}
+        # lhs reads a matrix alone, without the state and frames
+        base = {} if key == "matrix" else dict(SWEEP_CONFIG, pairs_per_setting=50,
+                                                n_resamples=2, sweep={"alpha_deg": [0.0, 45.0]})
+        config = base | {key: value}
         with tempfile.TemporaryDirectory() as tmp:
             path = write_config(Path(tmp), config)
             out = str(Path(tmp) / "out.txt")

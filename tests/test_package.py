@@ -99,6 +99,7 @@ class TestLazyNamespace:
         assert set(steerkit.__all__) <= set(dir(steerkit))
 
     @pytest.mark.parametrize("module, name", [
+        ("simulate", "CountsRecord"),
         ("simulate", "outcome_probabilities"),
         ("states", "closest_werner_parameter"),
         ("states", "fidelity_with_pure"),

@@ -22,7 +22,6 @@ from steerkit.simulate import (
     CSV_HEADER,
     MAX_PAIRS_PER_SETTING,
     MAX_RESAMPLES,
-    CountsRecord,
     estimate_correlation,
     propagate_uncertainty,
     rows_to_csv,
@@ -121,13 +120,9 @@ class TestSimulateCounts:
         bob = pair_in_plane(Y, 0.0)
         first = simulate_counts(state, alice, bob, 5000, seed=11)
         second = simulate_counts(state, alice, bob, 5000, seed=11)
-        assert np.array_equal(first.counts, second.counts)
+        assert np.array_equal(first, second)
         third = simulate_counts(state, alice, bob, 5000, seed=12)
-        assert not np.array_equal(first.counts, third.counts)
-
-    def test_record_carries_werner_state(self):
-        record = simulate_counts(BlochState(werner_state(0.9)), *PAIRS, 1000, seed=0)
-        assert_allclose(record.state.table, BlochState(werner_state(0.9)).table, atol=1e-15)
+        assert not np.array_equal(first, third)
 
     def test_rejects_unphysical_state(self):
         with pytest.raises(ValueError):
@@ -142,34 +137,54 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             simulate_counts(BlochState(werner_state(0.9)), *PAIRS, 0, seed=0)
 
+    @settings(deadline=None)
+    @given(
+        hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)),
+        st.floats(min_value=0.0, max_value=1e-10, exclude_min=True),
+    )
+    def test_state_at_the_eigenvalue_tolerance_simulates(self, e, eps):
+        # (1 + eps) |psi-><psi-| - eps |ee><ee| gives (++) along e the Born
+        # probability -eps; clipping it first moved the row sum by eps
+        assume(np.linalg.norm(e) > 0.1)
+        e = e / np.linalg.norm(e)
+        spin_up = (np.eye(2) + np.einsum("i,ijk->jk", e, PAULI)) / 2.0
+        rho = (1.0 + eps) * singlet_state() - eps * np.kron(spin_up, spin_up)
+        try:
+            state = BlochState(rho)
+        except ValueError:
+            assume(False)  # past the tolerance after rounding: not a BlochState
+        frame = MeasurementFrame([e, *np.linalg.svd(e[None, :])[2][1:]])
+        counts = simulate_counts(state, frame, frame, 1000, seed=0)
+        assert counts[0, 0, 0] == 0
+
     def test_counts_shape_and_totals(self):
         state = BlochState(werner_state(0.8))
-        record = simulate_counts(state, standard_triad(), standard_triad(), 20_000, seed=3)
-        assert record.counts.shape == (3, 3, 4)
-        totals = record.counts.sum(axis=2)
+        counts = simulate_counts(state, standard_triad(), standard_triad(), 20_000, seed=3)
+        assert counts.shape == (3, 3, 4)
+        totals = counts.sum(axis=2)
         # Poisson totals concentrate around the mean
         assert np.all(np.abs(totals - 20_000) < 5.0 * math.sqrt(20_000))
 
     def test_unpolarized_source_splits_evenly(self):
         state = BlochState(werner_state(0.0))
-        record = simulate_counts(state, *PAIRS, 40_000, seed=5)
+        all_counts = simulate_counts(state, *PAIRS, 40_000, seed=5)
         for j in range(2):
             for k in range(2):
-                counts = record.counts[j, k]
+                counts = all_counts[j, k]
                 expected = counts.sum() / 4.0
                 assert np.all(np.abs(counts - expected) < 5.0 * math.sqrt(expected))
 
 
-def cone_grid_sys_component(record, sys_angle, points=20_001):
-    """Largest |a^T T (b' - b)| over a phi-grid of tilts b' of each Bob setting b.
+def cone_grid_sys_component(u, bob, sys_angle, points=20_001):
+    """Largest |u_j.(b' - b)| over a phi-grid of tilts b' of each Bob setting b.
 
-    b' - b = -2 sin^2(theta/2) b + sin(theta) (cos(phi) e1 + sin(phi) e2), with
-    (e1, e2) an orthonormal basis of the plane orthogonal to b.
+    u holds the rows u_j = T^T a_j.  b' - b = -2 sin^2(theta/2) b +
+    sin(theta) (cos(phi) e1 + sin(phi) e2), with (e1, e2) an orthonormal
+    basis of the plane orthogonal to b.
     """
-    u = record.alice.directions @ record.state.t
     phi = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
-    sys = np.zeros((record.alice.size, record.bob.size))
-    for k, b in enumerate(record.bob.directions):
+    sys = np.zeros((len(u), bob.size))
+    for k, b in enumerate(bob.directions):
         e1, e2 = np.linalg.svd(b[None, :])[2][1:]
         tilts = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
         shifts = -2.0 * math.sin(sys_angle / 2.0) ** 2 * b + math.sin(sys_angle) * tilts
@@ -200,9 +215,9 @@ class TestEstimateCorrelation:
     def test_sys_matches_cone_grid_on_reproduce_frames(self):
         for case in _cases():
             counts = np.ones((case.alice.size, case.bob.size, 4), dtype=np.int64)
-            record = CountsRecord(counts, case.state, case.alice, case.bob)
-            est = estimate_correlation(record)
-            grid = cone_grid_sys_component(record, math.radians(0.5))
+            u = case.alice.directions @ case.state.t
+            est = estimate_correlation(counts, u, case.bob)
+            grid = cone_grid_sys_component(u, case.bob, math.radians(0.5))
             assert_on_cone_grid(est.sys_component, grid, case.name)
 
     def test_sys_matches_cone_grid_on_random_frames(self):
@@ -211,10 +226,10 @@ class TestEstimateCorrelation:
             alice = random_frame(rng, int(rng.integers(1, 4)))
             bob = random_frame(rng, int(rng.integers(1, 4)))
             counts = np.ones((alice.size, bob.size, 4), dtype=np.int64)
-            record = CountsRecord(counts, BlochState(random_density_matrix(rng)), alice, bob)
+            u = alice.directions @ BlochState(random_density_matrix(rng)).t
             sys_angle = float(rng.uniform(0.0, 0.1))
-            est = estimate_correlation(record, sys_angle)
-            assert_on_cone_grid(est.sys_component, cone_grid_sys_component(record, sys_angle))
+            est = estimate_correlation(counts, u, bob, sys_angle)
+            assert_on_cone_grid(est.sys_component, cone_grid_sys_component(u, bob, sys_angle))
 
     @settings(deadline=None)
     @given(
@@ -235,24 +250,22 @@ class TestEstimateCorrelation:
         u, r = su2_with_rotation(rng)
         uu = np.kron(u, u)
         counts = np.ones((alice.size, bob.size, 4), dtype=np.int64)
-        lab = estimate_correlation(CountsRecord(counts, BlochState(rho), alice, bob), sys_angle)
-        rotated = CountsRecord(
-            counts, BlochState(uu @ rho @ uu.conj().T), rotate_frame(alice, r), rotate_frame(bob, r)
-        )
-        assert_allclose(
-            estimate_correlation(rotated, sys_angle).sys_component, lab.sys_component,
-            rtol=0.0, atol=1e-15,
-        )
+        lab = estimate_correlation(counts, alice.directions @ BlochState(rho).t, bob, sys_angle)
+        rotated_alice = rotate_frame(alice, r)
+        rotated_u = rotated_alice.directions @ BlochState(uu @ rho @ uu.conj().T).t
+        rotated = estimate_correlation(counts, rotated_u, rotate_frame(bob, r), sys_angle)
+        assert_allclose(rotated.sys_component, lab.sys_component, rtol=0.0, atol=1e-15)
 
     def test_aligned_triad_diagonal_is_exact(self):
         # 1 - cos(theta) as 2 sin^2(theta/2) keeps every digit of the diagonal,
         # where the tilt has no transverse response.
         w, sys_angle = 0.984, math.radians(0.5)
-        record = CountsRecord(
-            np.ones((3, 3, 4), dtype=np.int64), BlochState(werner_state(w)),
-            standard_triad(), standard_triad(),
+        triad = standard_triad()
+        est = estimate_correlation(
+            np.ones((3, 3, 4), dtype=np.int64), triad.directions @ BlochState(werner_state(w)).t,
+            triad, sys_angle,
         )
-        diagonal = np.diag(estimate_correlation(record, sys_angle).sys_component)
+        diagonal = np.diag(est.sys_component)
         assert_allclose(diagonal, w * 2.0 * math.sin(sys_angle / 2.0) ** 2, rtol=1e-15, atol=0.0)
 
     def test_pseudo_count_consistency(self):
@@ -266,55 +279,67 @@ class TestEstimateCorrelation:
             for k in range(2):
                 probs = outcome_probabilities(rho, alice.directions[j], bob.directions[k])
                 counts[j, k] = np.round(n * probs).astype(np.int64)
-        record = CountsRecord(counts, state=BlochState(rho), alice=alice, bob=bob)
-        est = estimate_correlation(record, sys_angle=0.0)
+        u = alice.directions @ BlochState(rho).t
+        est = estimate_correlation(counts, u, bob, sys_angle=0.0)
         assert np.abs(est.matrix + np.eye(2)).max() <= 1.0 / n
 
     def test_stat_vanishes_at_extreme_estimate(self):
         alice = MeasurementFrame([Z])
         bob = MeasurementFrame([Z])
         counts = np.array([[[1000, 0, 0, 0]]], dtype=np.int64)
-        record = CountsRecord(counts, BlochState(werner_state(0.0)), alice, bob)
-        est = estimate_correlation(record, sys_angle=0.0)
+        u = alice.directions @ BlochState(werner_state(0.0)).t
+        est = estimate_correlation(counts, u, bob, sys_angle=0.0)
         assert_allclose(est.matrix, [[1.0]])
         assert_allclose(est.stat_component, [[0.0]])
 
     def test_zero_sys_angle_collapses_delta_to_stat(self):
         state = BlochState(werner_state(0.9))
-        record = simulate_counts(state, pair_in_plane(Y, 0.2), pair_in_plane(Y, 0.0), 2000, seed=7)
-        est = estimate_correlation(record, sys_angle=0.0)
+        alice, bob = pair_in_plane(Y, 0.2), pair_in_plane(Y, 0.0)
+        counts = simulate_counts(state, alice, bob, 2000, seed=7)
+        est = estimate_correlation(counts, alice.directions @ state.t, bob, sys_angle=0.0)
         assert_allclose(est.delta, est.stat_component)
         assert_allclose(est.sys_component, np.zeros((2, 2)))
 
     def test_quadrature_identity(self):
-        state = BlochState(werner_state(0.95))
-        record = simulate_counts(state, standard_triad(), standard_triad(), 2000, seed=9)
-        est = estimate_correlation(record, sys_angle=math.radians(0.5))
+        state, triad = BlochState(werner_state(0.95)), standard_triad()
+        counts = simulate_counts(state, triad, triad, 2000, seed=9)
+        est = estimate_correlation(counts, triad.directions @ state.t, triad, math.radians(0.5))
         assert_allclose(est.delta**2, est.sys_component**2 + est.stat_component**2, atol=1e-15)
         assert np.all(est.delta >= 0.0)
 
     def test_sys_scales_with_angle(self):
-        state = BlochState(werner_state(0.95))
-        record = simulate_counts(state, standard_triad(), standard_triad(), 2000, seed=13)
-        small = estimate_correlation(record, sys_angle=math.radians(0.1))
-        large = estimate_correlation(record, sys_angle=math.radians(1.0))
+        state, triad = BlochState(werner_state(0.95)), standard_triad()
+        counts = simulate_counts(state, triad, triad, 2000, seed=13)
+        u = triad.directions @ state.t
+        small = estimate_correlation(counts, u, triad, sys_angle=math.radians(0.1))
+        large = estimate_correlation(counts, u, triad, sys_angle=math.radians(1.0))
         assert large.sys_component.max() > 5.0 * small.sys_component.max()
 
     def test_rejects_zero_totals(self):
         alice = MeasurementFrame([Z])
         bob = MeasurementFrame([Z])
         counts = np.zeros((1, 1, 4), dtype=np.int64)
-        record = CountsRecord(counts, BlochState(werner_state(0.5)), alice, bob)
+        u = alice.directions @ BlochState(werner_state(0.5)).t
         with pytest.raises(ValueError, match="pairs_per_setting"):
-            estimate_correlation(record)
+            estimate_correlation(counts, u, bob)
+
+    @pytest.mark.parametrize("u_rows, bob", [(1, standard_triad()), (2, MeasurementFrame([Z]))],
+                             ids=["one-u-row", "one-bob-setting"])
+    def test_rejects_shapes_that_miss_the_counts(self, u_rows, bob):
+        # one row of u, or one Bob setting, broadcast silently over a 2 x 3
+        # run and gave every entry that row's or that setting's systematic
+        counts = np.ones((2, 3, 4), dtype=np.int64)
+        u = np.ones((u_rows, 3))
+        with pytest.raises(ValueError, match="correlation vectors"):
+            estimate_correlation(counts, u, bob)
 
     @pytest.mark.parametrize("sys_angle", [math.nan, math.inf, -math.inf, -0.01])
     def test_rejects_sys_angle_outside_nonnegative_reals(self, sys_angle):
         # NaN used to drop the systematic silently (NaN > 0 is False)
-        state = BlochState(werner_state(0.9))
-        record = simulate_counts(state, standard_triad(), standard_triad(), 2000, seed=9)
+        state, triad = BlochState(werner_state(0.9)), standard_triad()
+        counts = simulate_counts(state, triad, triad, 2000, seed=9)
         with pytest.raises(ValueError, match="sys_angle"):
-            estimate_correlation(record, sys_angle=sys_angle)
+            estimate_correlation(counts, triad.directions @ state.t, triad, sys_angle=sys_angle)
 
     def test_estimator_within_stat_bounds(self):
         # entrywise: the estimate should sit within 3 statistical standard
@@ -326,8 +351,8 @@ class TestEstimateCorrelation:
         inside = 0
         total = 0
         for seed in range(100):
-            record = simulate_counts(state, alice, bob, 10_000, seed=seed)
-            est = estimate_correlation(record, sys_angle=0.0)
+            counts = simulate_counts(state, alice, bob, 10_000, seed=seed)
+            est = estimate_correlation(counts, alice.directions @ t, bob, sys_angle=0.0)
             err = np.abs(est.matrix - t)
             inside += int(np.sum(err <= 3.0 * np.maximum(est.stat_component, 1e-12)))
             total += 9
@@ -338,8 +363,8 @@ class TestEstimateCorrelation:
         errors = []
         for pairs in (1_000, 10_000, 100_000):
             state = BlochState(werner_state(0.9))
-            record = simulate_counts(state, *PAIRS, pairs, seed=17)
-            est = estimate_correlation(record, sys_angle=0.0)
+            counts = simulate_counts(state, *PAIRS, pairs, seed=17)
+            est = estimate_correlation(counts, PAIRS[0].directions @ t, PAIRS[1], sys_angle=0.0)
             m_model = pair_in_plane(Y, 0.0).directions @ t @ pair_in_plane(Y, 0.0).directions.T
             errors.append(np.abs(est.matrix - m_model).max())
         assert errors[2] < errors[0]
@@ -348,8 +373,8 @@ class TestEstimateCorrelation:
 class TestPropagateUncertainty:
     def _estimate(self, seed=19, sys_angle=math.radians(0.5)):
         state = BlochState(werner_state(0.95))
-        record = simulate_counts(state, *PAIRS, 20_000, seed=seed)
-        return estimate_correlation(record, sys_angle=sys_angle)
+        counts = simulate_counts(state, *PAIRS, 20_000, seed=seed)
+        return estimate_correlation(counts, PAIRS[0].directions @ state.t, PAIRS[1], sys_angle)
 
     def test_zero_delta_gives_zero_uncertainty(self):
         est = self._estimate()
@@ -400,11 +425,12 @@ class TestSimulateRun:
     @pytest.mark.parametrize("inequality, assess", [("ris", assess_ris), ("nss", assess_nss)])
     def test_is_assessment_plus_bootstrap_std(self, inequality, assess):
         state = BlochState(werner_state(0.95))
-        record, est, assessments = simulate_run(
+        counts, est, assessments = simulate_run(
             state, *PAIRS, 20_000, math.radians(0.5), 60, 19, (4, 2)
         )
-        assert np.array_equal(record.counts, simulate_counts(state, *PAIRS, 20_000, 19).counts)
-        assert np.array_equal(est.matrix, estimate_correlation(record).matrix)
+        assert np.array_equal(counts, simulate_counts(state, *PAIRS, 20_000, 19))
+        u = PAIRS[0].directions @ state.t
+        assert np.array_equal(est.matrix, estimate_correlation(counts, u, PAIRS[1]).matrix)
         rank = inequalities_for(2).index(inequality)
         _, std = propagate_uncertainty(est, inequality, n_resamples=60, seed=(4, 2 + rank))
         expected = assess(est.matrix)
@@ -416,6 +442,15 @@ class TestSimulateRun:
         )
         assert expected.uncertainty is None
 
+    def test_rejects_non_orthonormal_bob_frame(self):
+        # |00> with both parties at (z, z) gave M_hat = [[1, 1], [1, 1]]: ris
+        # and nss both read 2.0, violated, on a product state
+        product = np.zeros((4, 4), dtype=complex)
+        product[0, 0] = 1.0
+        both_z = MeasurementFrame([Z, Z])
+        with pytest.raises(ValueError, match="bob_frame"):
+            simulate_run(BlochState(product), both_z, both_z, 2000, 0.0, 20, 0, (0, 1))
+
 
 # numpy's SeedSequence drops a trailing zero from a key only while the key fits
 # in four 32-bit words: default_rng((s, 0)) differs from default_rng(s) once
@@ -426,9 +461,9 @@ LARGE_SEED = 2**100
 
 def reference_run(state, alice, bob, pairs, counts_seed, bootstrap_keys, n_resamples=20):
     """Counts, estimate and {tag: (parameter, bootstrap std)} on literal stream keys."""
-    record = simulate_counts(state, alice, bob, pairs, seed=counts_seed)
-    est = estimate_correlation(record, math.radians(0.5))
-    return record, est, {
+    counts = simulate_counts(state, alice, bob, pairs, seed=counts_seed)
+    est = estimate_correlation(counts, alice.directions @ state.t, bob, math.radians(0.5))
+    return counts, est, {
         tag: (assess(est.matrix, tag).parameter,
               propagate_uncertainty(est, tag, n_resamples, seed=key)[1])
         for tag, key in bootstrap_keys.items()
@@ -444,11 +479,11 @@ class TestSeedStreams:
         assert main(["simulate", "--config", str(path), "--format", "json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         state, alice, bob = _state_and_frames(config)
-        record, est, expected = reference_run(
+        counts, est, expected = reference_run(
             state, alice, bob, 2000, LARGE_SEED,
             {"ris": (LARGE_SEED, 1), "nss": (LARGE_SEED, 2)},
         )
-        assert payload["counts"] == record.counts.tolist()
+        assert payload["counts"] == counts.tolist()
         assert payload["correlation"] == est.matrix.tolist()
         for tag, (parameter, std) in expected.items():
             got = payload["assessments"][tag]
