@@ -1,14 +1,15 @@
 """Finite-statistics simulation of a photon-counting steering experiment.
 
 For each setting pair the simulator draws a Poisson total around the
-requested pairs-per-setting, splits it multinomially over the four Born
+requested pairs-per-setting, splits it multinomially over the four
 outcome probabilities, and estimates each correlation entry from the
 counts.  Entry uncertainties combine the binomial statistical error with
 a worst-case analyzer-tilt systematic, added in quadrature; parameter
 uncertainties follow by parametric bootstrap over the entries.
 
-The stages pass plain arrays, and estimation reads the model only through
-its correlation vectors u_j = T^T a_j, so it takes counts of any source.
+The stages pass plain arrays: counts are drawn from a source's full data
+(alpha, beta, M) and estimation reads its correlation vectors u_j = T^T a_j,
+so both take any source; simulate_run alone reads a state.
 
 All randomness flows through numpy Generators seeded explicitly; a sweep
 derives one child seed per point from (base_seed, point_index), so runs
@@ -25,7 +26,7 @@ import numpy as np
 
 from .config import _config_float, _config_int, _spec_keys, _state_and_frames
 from .frames import MeasurementFrame, frame_from_spec, require_orthonormal
-from .states import BlochState, werner_state
+from .states import EIGENVALUE_TOL, BlochState, werner_state
 from .steering import (
     SteeringAssessment,
     _parameter_functions,
@@ -53,48 +54,37 @@ _SIGN_A = np.array([1.0, 1.0, -1.0, -1.0])
 _SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-def _born_probabilities(state: BlochState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Born probabilities p(s, t) = (1 + s a.r_A + t b.r_B + s t a^T T b)/4.
-
-    a and b are unit directions of shape (..., 3) that broadcast against
-    each other.  The last axis of the result holds (p++, p+-, p-+, p--).
-    """
-    a_dot = (a @ state.r_a)[..., None]
-    b_dot = (b @ state.r_b)[..., None]
-    corr = np.einsum("...i,ij,...j->...", a, state.t, b)[..., None]
-    probs = (1.0 + _SIGN_A * a_dot + _SIGN_B * b_dot + _SIGN_A * _SIGN_B * corr) / 4.0
-    # Checked before the clip, which moves the sum of a state within
-    # states.EIGENVALUE_TOL of the boundary; written so that a NaN fails too.
-    deviation = float(np.abs(probs.sum(axis=-1) - 1.0).max())
-    if not deviation <= 1e-12:
-        raise ArithmeticError(f"outcome probabilities miss a unit sum by {deviation!r}")
-    return np.clip(probs, 0.0, None)
-
-
 def simulate_counts(
-    state: BlochState,
-    alice: MeasurementFrame,
-    bob: MeasurementFrame,
+    alpha: NDArray[np.float64],
+    beta: NDArray[np.float64],
+    correlation: NDArray[np.float64],
     pairs_per_setting: int,
     seed,
 ) -> NDArray[np.int64]:
     """Draw Poisson totals around pairs_per_setting and multinomial outcome splits.
 
-    The read-only (m, n, 4) result holds (N++, N+-, N-+, N--) at [j, k].
+    Any +-1 source's full data, Alice's mean outcomes alpha (m,), Bob's beta
+    (n,) and their correlations M (m, n), give p(s, t | j, k) = (1 + s alpha_j
+    + t beta_k + s t M_jk)/4.  The read-only (m, n, 4) result holds
+    (N++, N+-, N-+, N--) at [j, k].
     """
-    if not isinstance(state, BlochState):
-        raise TypeError(f"state must be a BlochState, got {type(state).__name__}")
+    if alpha.ndim != 1 or beta.ndim != 1 or correlation.shape != (alpha.size, beta.size):
+        shapes = ", ".join(str(x.shape) for x in (alpha, beta, correlation))
+        raise ValueError(f"full data needs shapes (m,), (n,), (m, n), got {shapes}")
     if pairs_per_setting < 1:
         raise ValueError(f"pairs_per_setting must be >= 1, got {pairs_per_setting}")
+    probs = (1.0 + _SIGN_A * alpha[:, None, None] + _SIGN_B * beta[None, :, None]
+             + _SIGN_A * _SIGN_B * correlation[..., None]) / 4.0
+    # a state's probabilities are >= EIGENVALUE_TOL; twice it allows rounding; a NaN fails
+    if not probs.min() >= 2.0 * EIGENVALUE_TOL:
+        raise ValueError(f"full data gives an outcome probability of {float(probs.min())!r}")
+    probs = np.clip(probs, 0.0, None)
     rng = np.random.default_rng(seed)
-    m, n = alice.size, bob.size
-    probs = _born_probabilities(state, alice.directions[:, None, :], bob.directions[None, :, :])
-    counts = np.zeros((m, n, 4), dtype=np.int64)
-    for j in range(m):
-        for k in range(n):
-            total = rng.poisson(pairs_per_setting)
-            if total > 0:
-                counts[j, k] = rng.multinomial(total, probs[j, k] / probs[j, k].sum())
+    counts = np.zeros((*correlation.shape, 4), dtype=np.int64)
+    for j, k in np.ndindex(correlation.shape):
+        total = rng.poisson(pairs_per_setting)
+        if total > 0:
+            counts[j, k] = rng.multinomial(total, probs[j, k] / probs[j, k].sum())
     counts.setflags(write=False)
     return counts
 
@@ -117,11 +107,11 @@ def estimate_correlation(
 
     M_hat = (N++ + N-- - N+- - N-+)/N over the (m, n, 4) counts; stat is
     the binomial standard error; sys is the worst-case response of the model
-    correlation u_j.b_k over every tilt of Bob's analyzer by sys_angle, with
-    the rows u_j = T^T a_j of correlation_vectors, shape (m, 3).
+    correlation u_j.b_k over every tilt of Bob's analyzer by up to sys_angle
+    <= pi/2, with the rows u_j = T^T a_j of correlation_vectors, shape (m, 3).
     """
-    if not 0.0 <= sys_angle < math.inf:
-        raise ValueError(f"sys_angle must be finite and nonnegative, got {sys_angle}")
+    if not 0.0 <= sys_angle <= math.pi / 2.0:
+        raise ValueError(f"sys_angle must lie in [0, pi/2], got {sys_angle}")
     m, n, _ = counts.shape
     if correlation_vectors.shape != (m, 3) or bob.size != n:
         raise ValueError(f"{m} x {n} counts need ({m}, 3) correlation vectors and {n} Bob settings")
@@ -139,7 +129,7 @@ def estimate_correlation(
     u = correlation_vectors
     c = u @ b.T
     transverse = np.linalg.norm(u[:, None, :] - c[:, :, None] * b, axis=2)
-    sys = 2.0 * math.sin(sys_angle / 2.0) ** 2 * np.abs(c) + abs(math.sin(sys_angle)) * transverse
+    sys = 2.0 * math.sin(sys_angle / 2.0) ** 2 * np.abs(c) + math.sin(sys_angle) * transverse
     delta = np.sqrt(sys**2 + stat**2)
     for arr in (mhat, delta, sys, stat):
         arr.setflags(write=False)
@@ -180,7 +170,8 @@ def simulate_run(
 ) -> tuple[NDArray[np.int64], EstimatedCorrelation, dict[str, SteeringAssessment]]:
     """One simulated run: counts, estimate and an assessment per inequality.
 
-    The counts are drawn on counts_seed.  Every tag of inequalities_for(m)
+    The counts are drawn on counts_seed from the state's full data
+    (a_j.r_A, b_k.r_B, a_j^T T b_k).  Every tag of inequalities_for(m)
     is assessed on the estimate, with its bootstrap standard deviation as
     uncertainty; the tag of rank r bootstraps on bootstrap_key with its last
     entry advanced by r.  The counts get a key of their own: numpy drops a
@@ -188,9 +179,13 @@ def simulate_run(
     (seed, 0) and seed are different streams once seed >= 2**96.  Bob's
     frame must be orthonormal, as a config's must.
     """
+    if not isinstance(state, BlochState):
+        raise TypeError(f"state must be a BlochState, got {type(state).__name__}")
     require_orthonormal(bob, "bob_frame")
-    counts = simulate_counts(state, alice, bob, pairs_per_setting, counts_seed)
-    est = estimate_correlation(counts, alice.directions @ state.t, bob, sys_angle)
+    a, b = alice.directions, bob.directions
+    u = a @ state.t
+    counts = simulate_counts(a @ state.r_a, b @ state.r_b, u @ b.T, pairs_per_setting, counts_seed)
+    est = estimate_correlation(counts, u, bob, sys_angle)
     *head, last = bootstrap_key
     assessments = {}
     for rank, tag in enumerate(inequalities_for(alice.size)):
@@ -205,7 +200,8 @@ def _run_keys(config: dict) -> tuple[int, int, float, int]:
         _config_int(config, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1,
                     MAX_PAIRS_PER_SETTING),
         _config_int(config, "seed", 0, 0),
-        math.radians(_config_float(config, "sys_angle_deg", DEFAULT_SYS_ANGLE_DEG, 0.0)),
+        # the tilt systematic's closed form grows with the tilt up to a right angle only
+        math.radians(_config_float(config, "sys_angle_deg", DEFAULT_SYS_ANGLE_DEG, 0.0, 90.0)),
         _config_int(config, "n_resamples", DEFAULT_RESAMPLES, 2, MAX_RESAMPLES),
     )
 

@@ -14,7 +14,8 @@ search to an interval of 1e-8.
 The Werner closed forms are criterion 5's reference for the predictions
 on pairs in two planes.  fidelity_with_pure, closest_werner_parameter,
 outcome_probabilities and optimal_pair_planes are helpers that no part of
-the package calls; their tests keep them here.
+the package calls; their tests keep them here.  full_data gives a state's
+(alpha, beta, M) on two frames, the arguments simulate_counts draws from.
 
 _optimal_decomposition below is the LHS oracle's earlier decomposition for
 up to three Alice settings, kept as the reference for the oracle's one
@@ -31,7 +32,6 @@ from numpy.typing import NDArray
 
 from steerkit.frames import MeasurementFrame, projection_matrix, unit
 from steerkit.lhs import _unit_rows, alice_sign_vectors
-from steerkit.simulate import _born_probabilities
 from steerkit.states import IMAG_RESIDUE_TOL, BlochState
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -194,8 +194,21 @@ def closest_werner_parameter(fidelity: float) -> float:
 
 
 def outcome_probabilities(rho, a, b) -> np.ndarray:
-    """Born probabilities (p++, p+-, p-+, p--) for spin measurements a, b."""
-    return _born_probabilities(BlochState(rho), unit(a), unit(b))
+    """Born probabilities (p++, p+-, p-+, p--) for spin measurements a, b.
+
+    p(s, t) = (1 + s a.r_A + t b.r_B + s t a^T T b)/4 in the state's Bloch picture.
+    """
+    state = BlochState(rho)
+    a, b = unit(a), unit(b)
+    alpha, beta, corr = a @ state.r_a, b @ state.r_b, a @ state.t @ b
+    return np.array([(1.0 + s * alpha + t * beta + s * t * corr) / 4.0
+                     for s in (1.0, -1.0) for t in (1.0, -1.0)])
+
+
+def full_data(state: BlochState, alice: MeasurementFrame, bob: MeasurementFrame):
+    """A state's (alpha, beta, M) on two frames, the data simulate_counts draws from."""
+    a, b = alice.directions, bob.directions
+    return a @ state.r_a, b @ state.r_b, a @ state.t @ b.T
 
 
 def _unit_directions(points: np.ndarray, t: np.ndarray):

@@ -43,7 +43,12 @@ from steerkit.steering import (
     trace_norm,
 )
 
-from _reference import min_nss_by_search, werner_nss_closed_form, werner_ris_closed_form
+from _reference import (
+    full_data,
+    min_nss_by_search,
+    werner_nss_closed_form,
+    werner_ris_closed_form,
+)
 
 Y = np.array([0.0, 1.0, 0.0])
 SQRT2 = math.sqrt(2.0)
@@ -291,7 +296,7 @@ class TestAcceptance:
 
         def uncertainty(pairs, seed):
             state = BlochState(werner_state(0.984))
-            counts = simulate_counts(state, triad, triad, pairs, seed=seed)
+            counts = simulate_counts(*full_data(state, triad, triad), pairs, seed=seed)
             est = estimate_correlation(counts, triad.directions @ state.t, triad, sys_angle)
             _, std = propagate_uncertainty(est, "ris", n_resamples=200, seed=(seed, 1))
             return est, std

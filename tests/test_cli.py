@@ -39,6 +39,8 @@ from steerkit.simulate import (
 from steerkit.states import BlochState, state_from_spec
 from steerkit.steering import inequalities_for
 
+from _reference import full_data
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -591,7 +593,7 @@ class TestSimulate:
         state = BlochState(state_from_spec(config["state"]))
         alice = frame_from_spec(config["alice_frame"])
         bob = frame_from_spec(config["bob_frame"])
-        counts = simulate_counts(state, alice, bob, 2000, seed=3)
+        counts = simulate_counts(*full_data(state, alice, bob), 2000, seed=3)
         est = estimate_correlation(counts, alice.directions @ state.t, bob)
         for tag, stream in (("ris", 1), ("nss", 2)):
             assert list(assessments[tag]) == [
@@ -899,6 +901,14 @@ class TestNonFiniteSettings:
                                              n_resamples=5))
         assert main(["simulate", "--config", config, "--sys-angle-deg", "nan"]) == EXIT_CONFIG
         assert "sys_angle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, code", [("90", EXIT_OK), ("90.5", EXIT_CONFIG)])
+    def test_simulate_sys_angle_capped_at_right_angle(self, tmp_path, capsys, value, code):
+        # past 90 degrees the systematic's closed form falls again: 360 read 2.4e-16
+        config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=200,
+                                             n_resamples=5))
+        assert main(["simulate", "--config", config, "--sys-angle-deg", value]) == code
+        assert ("sys_angle" in capsys.readouterr().err) == (code == EXIT_CONFIG)
 
     def test_sweep_nan_drift_exits_config(self, tmp_path, capsys):
         # exited 0 with no drift applied before

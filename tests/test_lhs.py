@@ -326,6 +326,13 @@ class TestProperties:
         assert abs(lhs_gauge(matrix) - nss_parameter(matrix) / SQRT2) <= 1e-12
 
     @settings(deadline=None)
+    @given(correlation_matrices(n=st.just(1)))
+    def test_one_bob_setting_gauge_is_largest_entry(self, matrix):
+        # with one Bob setting the LHS set is the cube [-1, 1]^m, so the gauge
+        # is exact at every m, past the m <= 3 reference above
+        assert abs(lhs_gauge(matrix) - np.abs(matrix).max()) <= 1e-12
+
+    @settings(deadline=None)
     @given(
         correlation_matrices(),
         st.integers(min_value=0, max_value=2**32 - 1),

@@ -17,6 +17,7 @@ from steerkit.frames import (
     rotate_frame,
     standard_triad,
 )
+from steerkit.lhs import LhsModel, evaluate_lhs_model
 from steerkit.reproduce import _cases, build_report
 from steerkit.simulate import (
     CSV_HEADER,
@@ -40,7 +41,7 @@ from steerkit.steering import (
     trace_norm,
 )
 
-from _reference import outcome_probabilities
+from _reference import full_data, outcome_probabilities
 
 Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
@@ -118,24 +119,19 @@ class TestSimulateCounts:
         state = BlochState(werner_state(0.9))
         alice = pair_in_plane(Y, 0.0)
         bob = pair_in_plane(Y, 0.0)
-        first = simulate_counts(state, alice, bob, 5000, seed=11)
-        second = simulate_counts(state, alice, bob, 5000, seed=11)
+        first = simulate_counts(*full_data(state, alice, bob), 5000, seed=11)
+        second = simulate_counts(*full_data(state, alice, bob), 5000, seed=11)
         assert np.array_equal(first, second)
-        third = simulate_counts(state, alice, bob, 5000, seed=12)
+        third = simulate_counts(*full_data(state, alice, bob), 5000, seed=12)
         assert not np.array_equal(first, third)
 
     def test_rejects_unphysical_state(self):
         with pytest.raises(ValueError):
-            simulate_counts(BlochState(np.eye(4, dtype=complex)), *PAIRS, 1000, seed=0)
-
-    def test_rejects_density_matrix(self):
-        # a state is validated once, as a BlochState, before it reaches the counts
-        with pytest.raises(TypeError, match="BlochState"):
-            simulate_counts(werner_state(0.9), *PAIRS, 10, seed=0)
+            simulate_counts(*full_data(BlochState(np.eye(4, dtype=complex)), *PAIRS), 1000, seed=0)
 
     def test_rejects_zero_pairs(self):
         with pytest.raises(ValueError):
-            simulate_counts(BlochState(werner_state(0.9)), *PAIRS, 0, seed=0)
+            simulate_counts(*full_data(BlochState(werner_state(0.9)), *PAIRS), 0, seed=0)
 
     @settings(deadline=None)
     @given(
@@ -154,20 +150,45 @@ class TestSimulateCounts:
         except ValueError:
             assume(False)  # past the tolerance after rounding: not a BlochState
         frame = MeasurementFrame([e, *np.linalg.svd(e[None, :])[2][1:]])
-        counts = simulate_counts(state, frame, frame, 1000, seed=0)
+        counts = simulate_counts(*full_data(state, frame, frame), 1000, seed=0)
         assert counts[0, 0, 0] == 0
 
     def test_counts_shape_and_totals(self):
         state = BlochState(werner_state(0.8))
-        counts = simulate_counts(state, standard_triad(), standard_triad(), 20_000, seed=3)
+        counts = simulate_counts(*full_data(state, standard_triad(), standard_triad()), 20_000,
+                                 seed=3)
         assert counts.shape == (3, 3, 4)
         totals = counts.sum(axis=2)
         # Poisson totals concentrate around the mean
         assert np.all(np.abs(totals - 20_000) < 5.0 * math.sqrt(20_000))
 
+    def test_one_atom_lhs_model_counts(self):
+        # Alice always answers +1 and Bob holds |0>: data no quantum state
+        # on these frames gives, with every count of Bob's z setting in (++)
+        model = LhsModel(np.ones(1), np.ones((1, 3)), np.array([[0.0, 0.0, 1.0]]), 3)
+        triad = standard_triad()
+        alpha = model.weights @ model.alice_responses
+        beta = model.weights @ model.bob_blochs @ triad.directions.T
+        correlation = evaluate_lhs_model(model, triad.directions)
+        counts = simulate_counts(alpha, beta, correlation, 1000, seed=0)
+        est = estimate_correlation(counts, np.tile(Z, (3, 1)), triad)
+        assert np.all(counts[:, :, 2:] == 0)
+        assert np.all(est.matrix[:, 2] == 1.0)
+        assert np.all(est.stat_component[:, 2] == 0.0)
+
+    @pytest.mark.parametrize("alpha, beta, correlation, match", [
+        (np.ones(1), np.ones(1), -np.ones((1, 1)), "probability of -0.5"),
+        (np.full(1, np.nan), np.zeros(1), np.zeros((1, 1)), "probability of nan"),
+        (np.zeros(2), np.zeros(3), np.zeros((3, 2)), "shapes"),
+        (np.zeros((2, 1)), np.zeros(1), np.zeros((2, 1)), "shapes"),
+    ], ids=["p-- below 0", "nan", "transposed correlation", "2-d alpha"])
+    def test_rejects_data_no_source_gives(self, alpha, beta, correlation, match):
+        with pytest.raises(ValueError, match=match):
+            simulate_counts(alpha, beta, correlation, 1000, seed=0)
+
     def test_unpolarized_source_splits_evenly(self):
         state = BlochState(werner_state(0.0))
-        all_counts = simulate_counts(state, *PAIRS, 40_000, seed=5)
+        all_counts = simulate_counts(*full_data(state, *PAIRS), 40_000, seed=5)
         for j in range(2):
             for k in range(2):
                 counts = all_counts[j, k]
@@ -256,6 +277,22 @@ class TestEstimateCorrelation:
         rotated = estimate_correlation(counts, rotated_u, rotate_frame(bob, r), sys_angle)
         assert_allclose(rotated.sys_component, lab.sys_component, rtol=0.0, atol=1e-15)
 
+    @settings(deadline=None)
+    @given(
+        hnp.arrays(np.float64, (2, 3), elements=st.floats(-1.0, 1.0)),
+        st.lists(st.floats(0.0, math.pi / 2.0), min_size=2, max_size=2),
+    )
+    def test_sys_nondecreasing_in_angle(self, vectors, angles):
+        # the closed form is the worst case over tilts up to theta only
+        # while it grows with theta, which it does up to a right angle
+        u, b = vectors
+        assume(np.linalg.norm(b) > 0.1)
+        bob = MeasurementFrame([b / np.linalg.norm(b)])
+        counts = np.ones((1, 1, 4), dtype=np.int64)
+        small, large = (estimate_correlation(counts, u[None, :], bob, angle).sys_component
+                        for angle in sorted(angles))
+        assert small[0, 0] <= large[0, 0]
+
     def test_aligned_triad_diagonal_is_exact(self):
         # 1 - cos(theta) as 2 sin^2(theta/2) keeps every digit of the diagonal,
         # where the tilt has no transverse response.
@@ -295,21 +332,21 @@ class TestEstimateCorrelation:
     def test_zero_sys_angle_collapses_delta_to_stat(self):
         state = BlochState(werner_state(0.9))
         alice, bob = pair_in_plane(Y, 0.2), pair_in_plane(Y, 0.0)
-        counts = simulate_counts(state, alice, bob, 2000, seed=7)
+        counts = simulate_counts(*full_data(state, alice, bob), 2000, seed=7)
         est = estimate_correlation(counts, alice.directions @ state.t, bob, sys_angle=0.0)
         assert_allclose(est.delta, est.stat_component)
         assert_allclose(est.sys_component, np.zeros((2, 2)))
 
     def test_quadrature_identity(self):
         state, triad = BlochState(werner_state(0.95)), standard_triad()
-        counts = simulate_counts(state, triad, triad, 2000, seed=9)
+        counts = simulate_counts(*full_data(state, triad, triad), 2000, seed=9)
         est = estimate_correlation(counts, triad.directions @ state.t, triad, math.radians(0.5))
         assert_allclose(est.delta**2, est.sys_component**2 + est.stat_component**2, atol=1e-15)
         assert np.all(est.delta >= 0.0)
 
     def test_sys_scales_with_angle(self):
         state, triad = BlochState(werner_state(0.95)), standard_triad()
-        counts = simulate_counts(state, triad, triad, 2000, seed=13)
+        counts = simulate_counts(*full_data(state, triad, triad), 2000, seed=13)
         u = triad.directions @ state.t
         small = estimate_correlation(counts, u, triad, sys_angle=math.radians(0.1))
         large = estimate_correlation(counts, u, triad, sys_angle=math.radians(1.0))
@@ -333,11 +370,13 @@ class TestEstimateCorrelation:
         with pytest.raises(ValueError, match="correlation vectors"):
             estimate_correlation(counts, u, bob)
 
-    @pytest.mark.parametrize("sys_angle", [math.nan, math.inf, -math.inf, -0.01])
+    @pytest.mark.parametrize("sys_angle", [math.nan, math.inf, -math.inf, -0.01,
+                                           math.pi / 2.0 + 0.01, 2.0 * math.pi])
     def test_rejects_sys_angle_outside_nonnegative_reals(self, sys_angle):
-        # NaN used to drop the systematic silently (NaN > 0 is False)
+        # NaN used to drop the systematic silently (NaN > 0 is False); past a
+        # right angle the closed form falls again, to 0 at a full turn
         state, triad = BlochState(werner_state(0.9)), standard_triad()
-        counts = simulate_counts(state, triad, triad, 2000, seed=9)
+        counts = simulate_counts(*full_data(state, triad, triad), 2000, seed=9)
         with pytest.raises(ValueError, match="sys_angle"):
             estimate_correlation(counts, triad.directions @ state.t, triad, sys_angle=sys_angle)
 
@@ -351,7 +390,7 @@ class TestEstimateCorrelation:
         inside = 0
         total = 0
         for seed in range(100):
-            counts = simulate_counts(state, alice, bob, 10_000, seed=seed)
+            counts = simulate_counts(*full_data(state, alice, bob), 10_000, seed=seed)
             est = estimate_correlation(counts, alice.directions @ t, bob, sys_angle=0.0)
             err = np.abs(est.matrix - t)
             inside += int(np.sum(err <= 3.0 * np.maximum(est.stat_component, 1e-12)))
@@ -363,7 +402,7 @@ class TestEstimateCorrelation:
         errors = []
         for pairs in (1_000, 10_000, 100_000):
             state = BlochState(werner_state(0.9))
-            counts = simulate_counts(state, *PAIRS, pairs, seed=17)
+            counts = simulate_counts(*full_data(state, *PAIRS), pairs, seed=17)
             est = estimate_correlation(counts, PAIRS[0].directions @ t, PAIRS[1], sys_angle=0.0)
             m_model = pair_in_plane(Y, 0.0).directions @ t @ pair_in_plane(Y, 0.0).directions.T
             errors.append(np.abs(est.matrix - m_model).max())
@@ -373,7 +412,7 @@ class TestEstimateCorrelation:
 class TestPropagateUncertainty:
     def _estimate(self, seed=19, sys_angle=math.radians(0.5)):
         state = BlochState(werner_state(0.95))
-        counts = simulate_counts(state, *PAIRS, 20_000, seed=seed)
+        counts = simulate_counts(*full_data(state, *PAIRS), 20_000, seed=seed)
         return estimate_correlation(counts, PAIRS[0].directions @ state.t, PAIRS[1], sys_angle)
 
     def test_zero_delta_gives_zero_uncertainty(self):
@@ -428,7 +467,7 @@ class TestSimulateRun:
         counts, est, assessments = simulate_run(
             state, *PAIRS, 20_000, math.radians(0.5), 60, 19, (4, 2)
         )
-        assert np.array_equal(counts, simulate_counts(state, *PAIRS, 20_000, 19))
+        assert np.array_equal(counts, simulate_counts(*full_data(state, *PAIRS), 20_000, 19))
         u = PAIRS[0].directions @ state.t
         assert np.array_equal(est.matrix, estimate_correlation(counts, u, PAIRS[1]).matrix)
         rank = inequalities_for(2).index(inequality)
@@ -441,6 +480,11 @@ class TestSimulateRun:
             expected.violated,
         )
         assert expected.uncertainty is None
+
+    def test_rejects_density_matrix(self):
+        # a state is validated once, as a BlochState, before its full data is drawn
+        with pytest.raises(TypeError, match="BlochState"):
+            simulate_run(werner_state(0.9), *PAIRS, 10, 0.0, 20, 0, (0, 1))
 
     def test_rejects_non_orthonormal_bob_frame(self):
         # |00> with both parties at (z, z) gave M_hat = [[1, 1], [1, 1]]: ris
@@ -461,7 +505,7 @@ LARGE_SEED = 2**100
 
 def reference_run(state, alice, bob, pairs, counts_seed, bootstrap_keys, n_resamples=20):
     """Counts, estimate and {tag: (parameter, bootstrap std)} on literal stream keys."""
-    counts = simulate_counts(state, alice, bob, pairs, seed=counts_seed)
+    counts = simulate_counts(*full_data(state, alice, bob), pairs, seed=counts_seed)
     est = estimate_correlation(counts, alice.directions @ state.t, bob, math.radians(0.5))
     return counts, est, {
         tag: (assess(est.matrix, tag).parameter,
