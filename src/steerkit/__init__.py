@@ -54,7 +54,6 @@ _EXPORTS = {
     ),
     "states": (
         "BlochState",
-        "StateDiagnostics",
         "singlet_state",
         "spin_correlation_matrix",
         "state_from_spec",

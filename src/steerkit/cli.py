@@ -65,14 +65,20 @@ EXAMPLE_CONFIGS = {
 }
 # Every top-level key some subcommand reads.
 _KNOWN_KEYS = frozenset().union(*EXAMPLE_CONFIGS.values())
+# Each override flag, the config key it writes and its type.  A subcommand
+# takes the flags whose key its example config holds.
+_FLAGS = (
+    ("--seed", "seed", int),
+    ("--pairs", "pairs_per_setting", int),
+    ("--sys-angle-deg", "sys_angle_deg", float),
+)
 # Each removed top-level key -> where its value now comes from.
 _REMOVED_KEYS = {"phi_deg": "alice_frame.phi_deg", "inequalities": "inequalities_for"}
 
 
 def _with_flags(config: dict, args) -> dict:
     """The config with each given override flag written over its key, the flag's dest."""
-    keys = ("pairs_per_setting", "seed", "sys_angle_deg")
-    return config | {k: v for k, v in vars(args).items() if k in keys and v is not None}
+    return config | {k: v for k, v in vars(args).items() if k in _KNOWN_KEYS and v is not None}
 
 
 def _load_config(args) -> dict:
@@ -223,43 +229,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Steering-inequality predictions, simulations, and membership checks.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p, formats, default_format):
+    for name, handler, help_text, formats in (
+        ("predict", cmd_predict, "ideal-model steering parameters", ("text", "json")),
+        ("sweep", cmd_sweep, "finite-statistics alpha sweep", ("csv", "json")),
+        ("lhs", cmd_lhs, "local-hidden-state membership oracle", ("json",)),
+        ("simulate", cmd_simulate, "one finite-statistics run", ("text", "json")),
+        ("reproduce", cmd_reproduce, "comparison table against the reference experiment",
+         ("text", "json")),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a JSON config file")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--format", choices=formats, default=default_format)
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument(
             "--example-config", action="store_true",
             help="print a valid config template and exit",
         )
-
-    p = sub.add_parser("predict", help="ideal-model steering parameters")
-    add_common(p, ("text", "json"), "text")
-    p.set_defaults(handler=cmd_predict)
-
-    p = sub.add_parser("sweep", help="finite-statistics alpha sweep")
-    add_common(p, ("csv", "json"), "csv")
-    p.add_argument("--seed", type=int, help="override the scenario seed")
-    p.add_argument("--pairs", type=int, dest="pairs_per_setting", help="override pairs_per_setting")
-    p.add_argument("--sys-angle-deg", type=float, help="override the systematic tilt angle")
-    p.set_defaults(handler=cmd_sweep)
-
-    p = sub.add_parser("lhs", help="local-hidden-state membership oracle")
-    add_common(p, ("json",), "json")
-    p.set_defaults(handler=cmd_lhs)
-
-    p = sub.add_parser("simulate", help="one finite-statistics run")
-    add_common(p, ("text", "json"), "text")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--pairs", type=int, dest="pairs_per_setting", help="override pairs_per_setting")
-    p.add_argument("--sys-angle-deg", type=float, help="override the systematic tilt angle")
-    p.set_defaults(handler=cmd_simulate)
-
-    p = sub.add_parser("reproduce", help="comparison table against the reference experiment")
-    add_common(p, ("text", "json"), "text")
-    p.add_argument("--seed", type=int, help="simulation seed")
-    p.add_argument("--pairs", type=int, dest="pairs_per_setting", help="override pairs_per_setting")
-    p.set_defaults(handler=cmd_reproduce)
+        for flag, key, type_ in _FLAGS:
+            if key in EXAMPLE_CONFIGS[name]:
+                p.add_argument(flag, type=type_, dest=key, help=f'override config key "{key}"')
+        p.set_defaults(handler=handler)
 
     return parser
 

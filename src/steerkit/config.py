@@ -4,8 +4,8 @@ Each reader returns config[key], or the default when the key is absent,
 and raises a ValueError naming the key when the value has the wrong type,
 is not finite or lies out of range.  The spec readers in frames and
 states and the subcommands in simulate and cli read every scalar key
-through them, and every array key through _config_array, and reject a
-key their spec's kind does not read through _spec_keys.
+through them, and every array key through _config_array.  _spec_keys
+rejects a key a spec's kind does not read, then a required key it lacks.
 _state_and_frames is the one reader of the state and frame specs.
 """
 
@@ -74,14 +74,17 @@ def _config_array(config: dict, key: str, default=None) -> np.ndarray:
     )
 
 
-def _spec_keys(spec: dict, kind: str, *keys: str) -> None:
-    """Raise naming the first key of spec that a spec of this kind does not read."""
+def _spec_keys(spec: dict, kind: str, keys: tuple, required: tuple = ()) -> None:
+    """Raise naming the first key of spec not in keys, else the first of required it lacks."""
     for key in spec:
         if key not in keys:
             raise ValueError(
                 f'{kind} spec does not read key "{key}"; it reads '
                 + ", ".join(f'"{k}"' for k in keys)
             )
+    for key in required:
+        if key not in spec:
+            raise ValueError(f'{kind} spec requires key "{key}"')
 
 
 def _state_and_frames(config: dict):

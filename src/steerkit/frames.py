@@ -80,11 +80,6 @@ class MeasurementFrame:
     def size(self) -> int:
         return self._directions.shape[0]
 
-    @property
-    def orthonormal(self) -> bool:
-        """No entry of the Gram matrix differs from the identity's by more than ORTHONORMAL_TOL."""
-        return bool(np.abs(self.gram() - np.eye(self.size)).max() <= ORTHONORMAL_TOL)
-
     def gram(self) -> np.ndarray:
         return self._directions @ self._directions.T
 
@@ -99,9 +94,10 @@ def require_orthonormal(frame: MeasurementFrame, name: str) -> None:
     The steering bounds and the LHS oracle take Bob's local states to fill
     the unit ball of his setting space, and d^T d is a frame's projector;
     both hold only for orthonormal directions, so for any other frame a
-    verdict would be unsound.
+    verdict would be unsound.  Orthonormal means that no entry of the Gram
+    matrix differs from the identity's by more than ORTHONORMAL_TOL.
     """
-    if not frame.orthonormal:
+    if not np.abs(frame.gram() - np.eye(frame.size)).max() <= ORTHONORMAL_TOL:
         raise ValueError(
             f"{name} must be orthonormal: its Gram matrix differs from the "
             f"identity by more than {ORTHONORMAL_TOL:g}"
@@ -257,22 +253,18 @@ def frame_from_spec(spec: dict) -> MeasurementFrame:
         raise ValueError(f"frame spec must be a mapping, got {type(spec).__name__}")
     kind = spec.get("kind")
     if kind == "named":
-        _spec_keys(spec, "named frame", "kind", "name")
+        _spec_keys(spec, "named frame", ("kind", "name"))
         name = spec.get("name")
         if name not in _NAMED_FRAMES:
             raise ValueError(f"unknown frame name {name!r}; choices: {sorted(_NAMED_FRAMES)}")
         return _NAMED_FRAMES[name]()
     if kind == "pair":
-        _spec_keys(spec, "pair frame", "kind", "normal", "phi_deg", "alpha_deg")
-        if "normal" not in spec:
-            raise ValueError('pair frame spec requires key "normal"')
+        _spec_keys(spec, "pair frame", ("kind", "normal", "phi_deg", "alpha_deg"), ("normal",))
         phi = math.radians(_config_float(spec, "phi_deg", 0.0))
         alpha = math.radians(_config_float(spec, "alpha_deg", 0.0))
         return tilted_pair(phi, alpha, _config_array(spec, "normal"))
     if kind == "explicit":
-        _spec_keys(spec, "explicit frame", "kind", "directions")
-        if "directions" not in spec:
-            raise ValueError('explicit frame spec requires key "directions"')
+        _spec_keys(spec, "explicit frame", ("kind", "directions"), ("directions",))
         dirs = [unit(d) for d in np.atleast_2d(_config_array(spec, "directions"))]
         return MeasurementFrame(dirs)
     raise ValueError(f"unknown frame kind {kind!r}")

@@ -255,9 +255,7 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
     else:
         if not isinstance(sweep, dict):
             raise ValueError(f'config key "sweep" must be a mapping, got {sweep!r}')
-        _spec_keys(sweep, "sweep", "alpha_deg")
-        if "alpha_deg" not in sweep:
-            raise ValueError('sweep requires key "alpha_deg"')
+        _spec_keys(sweep, "sweep", ("alpha_deg",), ("alpha_deg",))
         if not isinstance(sweep["alpha_deg"], list):
             raise ValueError(f'config key "sweep" must map "alpha_deg" to a list, got {sweep!r}')
         if alice_spec.get("kind") != "pair":

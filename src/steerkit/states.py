@@ -3,10 +3,11 @@
 Density matrices are plain complex (4, 4) arrays over the product basis
 {HH, HV, VH, VV} with Alice's qubit first; H is the +1 eigenstate of the
 third Pauli operator.  The functions here build the reference states,
-validate physicality, and extract the Bloch data: the 3x3 spin-correlation
-matrix T_pq = Tr[rho (sigma_p x sigma_q)] and the local Bloch vectors, all
-read from one expectation table.  Past this module a state is a
-BlochState, checked once when it is built; no density matrix travels on.
+check physicality (validate_state returns the checked array or raises),
+and extract the Bloch data: the 3x3 spin-correlation matrix
+T_pq = Tr[rho (sigma_p x sigma_q)] and the local Bloch vectors, all read
+from one expectation table.  Past this module a state is a BlochState,
+checked once when it is built; no density matrix travels on.
 """
 
 from __future__ import annotations
@@ -37,16 +38,6 @@ _PAULI_BASIS = np.stack((np.eye(2, dtype=complex),) + PAULI)
 SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class StateDiagnostics:
-    """Physicality report for a candidate density matrix."""
-
-    hermiticity_residual: float
-    trace_deviation: float
-    min_eigenvalue: float
-    ok: bool
-
-
 def singlet_state() -> NDArray[np.complex128]:
     """Density matrix of the two-qubit singlet (HV - VH)/sqrt(2)."""
     return np.outer(SINGLET_KET, SINGLET_KET.conj())
@@ -63,11 +54,12 @@ def werner_state(w: float) -> NDArray[np.complex128]:
     return w * singlet_state() + (1.0 - w) * np.eye(4, dtype=complex) / 4.0
 
 
-def validate_state(rho: NDArray[np.complex128]) -> StateDiagnostics:
-    """Check hermiticity, unit trace, and positivity of a 4x4 matrix.
+def validate_state(rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """rho as a complex array, checked for hermiticity, unit trace and positivity.
 
     Raises:
-        ValueError: on a wrong shape or a non-finite entry.
+        ValueError: on a wrong shape, a non-finite entry, or a matrix that
+            is not a physical two-qubit state.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -76,14 +68,15 @@ def validate_state(rho: NDArray[np.complex128]) -> StateDiagnostics:
         raise ValueError("density matrix entries must be finite")
     herm = float(np.abs(rho - rho.conj().T).max())
     trace_dev = float(abs(rho.trace() - 1.0))
-    symmetrized = (rho + rho.conj().T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(symmetrized).min())
-    ok = (
-        herm <= HERMITICITY_TOL
-        and trace_dev <= TRACE_TOL
-        and min_eig >= EIGENVALUE_TOL
-    )
-    return StateDiagnostics(herm, trace_dev, min_eig, ok)
+    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min())
+    if herm > HERMITICITY_TOL or trace_dev > TRACE_TOL or not min_eig >= EIGENVALUE_TOL:
+        raise ValueError(
+            "not a physical two-qubit state: "
+            f"hermiticity residual {herm:.2e}, "
+            f"trace deviation {trace_dev:.2e}, "
+            f"min eigenvalue {min_eig:.2e}"
+        )
+    return rho
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -99,15 +92,7 @@ class BlochState:
     table: NDArray[np.float64]
 
     def __init__(self, rho: NDArray[np.complex128]):
-        rho = np.asarray(rho, dtype=complex)
-        diag = validate_state(rho)
-        if not diag.ok:
-            raise ValueError(
-                "not a physical two-qubit state: "
-                f"hermiticity residual {diag.hermiticity_residual:.2e}, "
-                f"trace deviation {diag.trace_deviation:.2e}, "
-                f"min eigenvalue {diag.min_eigenvalue:.2e}"
-            )
+        rho = validate_state(rho)
         # Tr[rho (A x B)] = sum rho[(i,k),(j,l)] A[j,i] B[l,k]
         table = np.einsum("ikjl,pji,qlk->pq", rho.reshape(2, 2, 2, 2), _PAULI_BASIS, _PAULI_BASIS)
         residue = float(np.abs(table.imag).max())
@@ -152,14 +137,10 @@ def state_from_spec(spec: dict) -> NDArray[np.complex128]:
         raise ValueError(f"state spec must be a mapping, got {type(spec).__name__}")
     kind = spec.get("kind")
     if kind == "werner":
-        _spec_keys(spec, "werner state", "kind", "W")
-        if "W" not in spec:
-            raise ValueError('werner state spec requires key "W"')
+        _spec_keys(spec, "werner state", ("kind", "W"), ("W",))
         return werner_state(_config_float(spec, "W"))
     if kind == "matrix":
-        _spec_keys(spec, "matrix state", "kind", "re", "im")
-        if "re" not in spec:
-            raise ValueError('matrix state spec requires key "re"')
+        _spec_keys(spec, "matrix state", ("kind", "re", "im"), ("re",))
         re = _config_array(spec, "re")
         im = _config_array(spec, "im", np.zeros((4, 4)))
         if re.shape != (4, 4) or im.shape != (4, 4):

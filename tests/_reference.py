@@ -22,16 +22,18 @@ up to three Alice settings, kept as the reference for the oracle's one
 null-space path: the closed form V0 = S M / K for m <= 2, and for m = 3 the
 Fermat-Weber problem over the null vector z of S^T, solved by a vertex
 test and else by smoothed Newton continuation.  Patched in for
-steerkit.lhs._optimal_decomposition, it gives that oracle's verdicts.
+steerkit.lhs._optimal_decomposition, it gives that oracle's verdicts.  It
+enumerates its sign vectors and takes its row units itself, so that it
+shares no code with the oracle it checks.
 """
 
+import itertools
 import math
 
 import numpy as np
 from numpy.typing import NDArray
 
 from steerkit.frames import MeasurementFrame, projection_matrix, unit
-from steerkit.lhs import _unit_rows, alice_sign_vectors
 from steerkit.states import IMAG_RESIDUE_TOL, BlochState
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -211,6 +213,21 @@ def full_data(state: BlochState, alice: MeasurementFrame, bob: MeasurementFrame)
     return a @ state.r_a, b @ state.r_b, a @ state.t @ b.T
 
 
+def _unit_rows(x: np.ndarray):
+    """Lengths and unit vectors of the rows of x; zero rows stay zero.
+
+    math.hypot gives each length without overflow or underflow; each unit
+    vector is taken from the row divided by its largest entry first.
+    """
+    lengths = np.array([math.hypot(*row) for row in x])
+    units = np.zeros_like(x)
+    for row, length, out in zip(x, lengths, units):
+        if length > 0.0:
+            scaled = row / np.abs(row).max()
+            out[:] = scaled / math.hypot(*scaled)
+    return lengths, units
+
+
 def _unit_directions(points: np.ndarray, t: np.ndarray):
     """Unit vectors e_k = (t - p_k)/|t - p_k|, completed at the points near t.
 
@@ -305,7 +322,8 @@ def _optimal_decomposition(m_mat: np.ndarray):
     at the optimum.
     """
     m = m_mat.shape[0]
-    signs = alice_sign_vectors(m)[2 ** (m - 1):]
+    # the 2^(m-1) sign vectors with first entry +1
+    signs = np.array([(1.0, *rest) for rest in itertools.product((-1.0, 1.0), repeat=m - 1)])
     v = signs @ m_mat / len(signs)
     if m < 3:
         return signs, v, _unit_rows(v)[1]

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -19,10 +20,12 @@ from hypothesis import strategies as st
 import steerkit
 from steerkit import lhs
 from steerkit.cli import (
+    _FLAGS,
     EXAMPLE_CONFIGS,
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
+    build_parser,
     main,
 )
 from steerkit.frames import frame_from_spec
@@ -239,6 +242,25 @@ class TestConfigErrors:
         config = write_config(tmp_path, {"state": {"kind": "werner", "W": 0.9}})
         assert main(["predict", "--config", config]) == EXIT_CONFIG
         assert 'requires key "alice_frame"' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand, config, key, message", [
+        ("predict", TRIAD_PREDICT, "state.W", 'state: werner state spec requires key "W"'),
+        ("predict", with_value(TRIAD_PREDICT, "state", {"kind": "matrix", "re": [], "im": []}),
+         "state.re", 'state: matrix state spec requires key "re"'),
+        ("predict", PAIR_PREDICT, "bob_frame.normal",
+         'bob_frame: pair frame spec requires key "normal"'),
+        ("predict", with_value(TRIAD_PREDICT, "alice_frame", {"kind": "explicit", "directions": []}),
+         "alice_frame.directions", 'alice_frame: explicit frame spec requires key "directions"'),
+        ("sweep", SWEEP_CONFIG, "sweep.alpha_deg", 'sweep spec requires key "alpha_deg"'),
+    ], ids=["werner", "matrix", "pair", "explicit", "sweep"])
+    def test_missing_spec_key_exits_config(self, tmp_path, capsys, subcommand, config, key,
+                                           message):
+        # _spec_keys checks every spec's required keys, after its unknown keys
+        config = copy.deepcopy(config)
+        spec, _, name = key.partition(".")
+        del config[spec][name]
+        assert main([subcommand, "--config", write_config(tmp_path, config)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_unphysical_state(self, tmp_path, capsys):
         bad = dict(TRIAD_PREDICT, state={"kind": "werner", "W": 1.4})
@@ -733,6 +755,29 @@ class TestScalarKeys:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert key in captured.err
+
+    def test_override_flags_follow_example_keys(self):
+        # a subcommand takes a flag exactly when its example config holds the flag's key
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        common = {"-h", "--help", "--config", "--out", "--format", "--example-config"}
+        flags = {name: set(p._option_string_actions) - common for name, p in sub.choices.items()}
+        assert flags == {
+            name: {flag for flag, key, _ in _FLAGS if key in example}
+            for name, example in EXAMPLE_CONFIGS.items()
+        }
+        assert flags == {
+            "predict": set(), "lhs": set(), "reproduce": {"--seed", "--pairs"},
+            "sweep": {"--seed", "--pairs", "--sys-angle-deg"},
+            "simulate": {"--seed", "--pairs", "--sys-angle-deg"},
+        }
+
+    @pytest.mark.parametrize("argv", [["predict", "--seed", "1"],
+                                      ["reproduce", "--sys-angle-deg", "1"]])
+    def test_flag_of_unread_key_exits_config(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand", sorted(EXAMPLE_CONFIGS))
     def test_unknown_key_exits_config(self, tmp_path, capsys, subcommand):

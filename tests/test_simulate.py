@@ -125,10 +125,6 @@ class TestSimulateCounts:
         third = simulate_counts(*full_data(state, alice, bob), 5000, seed=12)
         assert not np.array_equal(first, third)
 
-    def test_rejects_unphysical_state(self):
-        with pytest.raises(ValueError):
-            simulate_counts(*full_data(BlochState(np.eye(4, dtype=complex)), *PAIRS), 1000, seed=0)
-
     def test_rejects_zero_pairs(self):
         with pytest.raises(ValueError):
             simulate_counts(*full_data(BlochState(werner_state(0.9)), *PAIRS), 0, seed=0)

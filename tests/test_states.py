@@ -20,13 +20,12 @@ from _reference import closest_werner_parameter, fidelity_with_pure
 class TestStateConstruction:
     def test_singlet_is_physical_and_pure(self):
         rho = singlet_state()
-        diag = validate_state(rho)
-        assert diag.ok
+        validate_state(rho)
         assert_allclose(rho @ rho, rho, atol=1e-14)
 
     def test_werner_is_physical_across_range(self):
         for w in np.linspace(0.0, 1.0, 11):
-            assert validate_state(werner_state(w)).ok
+            validate_state(werner_state(w))
 
     def test_werner_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -43,20 +42,17 @@ class TestValidateState:
     def test_flags_nonhermitian(self):
         rho = np.eye(4, dtype=complex) / 4.0
         rho[0, 1] = 0.1
-        diag = validate_state(rho)
-        assert not diag.ok
-        assert diag.hermiticity_residual > 1e-3
+        with pytest.raises(ValueError, match="hermiticity residual 1.00e-01"):
+            validate_state(rho)
 
     def test_flags_wrong_trace(self):
-        diag = validate_state(np.eye(4, dtype=complex) / 2.0)
-        assert not diag.ok
-        assert diag.trace_deviation > 0.9
+        with pytest.raises(ValueError, match="trace deviation 1.00e[+]00"):
+            validate_state(np.eye(4, dtype=complex) / 2.0)
 
     def test_flags_negative_eigenvalue(self):
         rho = np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex)
-        diag = validate_state(rho)
-        assert not diag.ok
-        assert diag.min_eigenvalue < -0.05
+        with pytest.raises(ValueError, match="min eigenvalue -1.00e-01"):
+            validate_state(rho)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
