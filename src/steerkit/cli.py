@@ -8,10 +8,11 @@ handler computes one result and returns its JSON payload and its text (or
 CSV) rendering; main loads the config, emits one of the two and maps errors.
 Each handler imports the layers it uses, so a run builds only those.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure (including
-a membership verdict that neither certificate settles).  Angles are
-degrees at this surface; printed numbers carry 6 significant digits, JSON
-full precision.
+Exit codes: 0 success, 2 configuration error (an OSError or a ValueError),
+3 numeric failure (an ArithmeticError, including a membership verdict that
+neither certificate settles).  Any other exception is a fault and keeps its
+traceback.  Angles are degrees at this surface; printed numbers carry 6
+significant digits, JSON full precision.
 """
 
 from __future__ import annotations
@@ -139,10 +140,10 @@ def cmd_predict(config: dict) -> tuple[dict, str]:
 
 
 def cmd_sweep(config: dict) -> tuple[list, str]:
-    from .simulate import rows_to_csv, rows_to_dicts, run_scenario
+    from .simulate import rows_to_csv, run_scenario
 
     rows = run_scenario(config)
-    return rows_to_dicts(rows), rows_to_csv(rows)
+    return [asdict(r) for r in rows], rows_to_csv(rows)
 
 
 def _verdict_dict(verdict: MembershipVerdict) -> dict:
@@ -212,7 +213,7 @@ def cmd_simulate(config: dict) -> tuple[dict, str]:
 
 
 def cmd_reproduce(config: dict) -> tuple[list, str]:
-    from .reproduce import DEFAULT_SEED, build_report, format_report, report_to_dicts
+    from .reproduce import DEFAULT_SEED, build_report, format_report
     from .simulate import DEFAULT_PAIRS_PER_SETTING, MAX_PAIRS_PER_SETTING
 
     pairs = _config_int(
@@ -220,7 +221,7 @@ def cmd_reproduce(config: dict) -> tuple[list, str]:
     )
     seed = _config_int(config, "seed", DEFAULT_SEED, 0)
     rows = build_report(pairs_per_setting=pairs, seed=seed)
-    return report_to_dicts(rows), format_report(rows)
+    return [asdict(r) for r in rows], format_report(rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,7 +266,7 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERIC
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
     return EXIT_OK

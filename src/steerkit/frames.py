@@ -253,10 +253,11 @@ def frame_from_spec(spec: dict) -> MeasurementFrame:
         raise ValueError(f"frame spec must be a mapping, got {type(spec).__name__}")
     kind = spec.get("kind")
     if kind == "named":
-        _spec_keys(spec, "named frame", ("kind", "name"))
-        name = spec.get("name")
-        if name not in _NAMED_FRAMES:
-            raise ValueError(f"unknown frame name {name!r}; choices: {sorted(_NAMED_FRAMES)}")
+        _spec_keys(spec, "named frame", ("kind", "name"), ("name",))
+        name, choices = spec["name"], sorted(_NAMED_FRAMES)
+        # a list, not the dict: a list or object name compares unequal instead of failing to hash
+        if name not in choices:
+            raise ValueError(f"unknown frame name {name!r}; choices: {choices}")
         return _NAMED_FRAMES[name]()
     if kind == "pair":
         _spec_keys(spec, "pair frame", ("kind", "normal", "phi_deg", "alpha_deg"), ("normal",))

@@ -10,7 +10,7 @@ isotropic-noise model and are annotated as such rather than fitted.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .frames import (
     MeasurementFrame,
@@ -200,10 +200,6 @@ def build_report(
                 note=note,
             ))
     return rows
-
-
-def report_to_dicts(rows: list[ReportRow]) -> list[dict]:
-    return [asdict(r) for r in rows]
 
 
 def format_report(rows: list[ReportRow]) -> str:

@@ -19,7 +19,7 @@ are reproducible point by point.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -302,8 +302,3 @@ def rows_to_csv(rows: list[ScenarioRow]) -> str:
     lines = [CSV_HEADER]
     lines.extend(",".join(_csv_cell(v) for v in astuple(r)) for r in rows)
     return "\n".join(lines) + "\n"
-
-
-def rows_to_dicts(rows: list[ScenarioRow]) -> list[dict]:
-    """Serialize sweep rows to JSON-ready dicts (full precision)."""
-    return [asdict(r) for r in rows]

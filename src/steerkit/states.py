@@ -3,10 +3,10 @@
 Density matrices are plain complex (4, 4) arrays over the product basis
 {HH, HV, VH, VV} with Alice's qubit first; H is the +1 eigenstate of the
 third Pauli operator.  The functions here build the reference states,
-check physicality (validate_state returns the checked array or raises),
-and extract the Bloch data: the 3x3 spin-correlation matrix
-T_pq = Tr[rho (sigma_p x sigma_q)] and the local Bloch vectors, all read
-from one expectation table.  Past this module a state is a BlochState,
+check physicality (validate_state returns the checked state's Hermitian
+part or raises), and extract the Bloch data: the 3x3 spin-correlation
+matrix T_pq = Tr[rho (sigma_p x sigma_q)] and the local Bloch vectors, all
+read from one expectation table.  Past this module a state is a BlochState,
 checked once when it is built; no density matrix travels on.
 """
 
@@ -25,7 +25,6 @@ if TYPE_CHECKING:
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_TOL = -1e-10
-IMAG_RESIDUE_TOL = 1e-12
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -55,7 +54,11 @@ def werner_state(w: float) -> NDArray[np.complex128]:
 
 
 def validate_state(rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """rho as a complex array, checked for hermiticity, unit trace and positivity.
+    """rho's Hermitian part (rho + rho^H)/2, once rho passes the physicality checks.
+
+    rho must be Hermitian within HERMITICITY_TOL, of unit trace within
+    TRACE_TOL, and its Hermitian part's eigenvalues at least EIGENVALUE_TOL.
+    For an exactly Hermitian rho the returned array equals rho bit for bit.
 
     Raises:
         ValueError: on a wrong shape, a non-finite entry, or a matrix that
@@ -68,7 +71,8 @@ def validate_state(rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
         raise ValueError("density matrix entries must be finite")
     herm = float(np.abs(rho - rho.conj().T).max())
     trace_dev = float(abs(rho.trace() - 1.0))
-    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min())
+    hermitian = (rho + rho.conj().T) / 2.0
+    min_eig = float(np.linalg.eigvalsh(hermitian).min())
     if herm > HERMITICITY_TOL or trace_dev > TRACE_TOL or not min_eig >= EIGENVALUE_TOL:
         raise ValueError(
             "not a physical two-qubit state: "
@@ -76,7 +80,7 @@ def validate_state(rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
             f"trace deviation {trace_dev:.2e}, "
             f"min eigenvalue {min_eig:.2e}"
         )
-    return rho
+    return hermitian
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -85,8 +89,8 @@ class BlochState:
 
     table is the read-only real table E_pq = Tr[rho (sigma_p x sigma_q)],
     p, q in 0..3, sigma_0 = I: E_00 = 1, r_A and r_B in its first column
-    and row, T in the lower-right 3x3 block.  The traces are real for any
-    physical state; an imaginary residue above IMAG_RESIDUE_TOL raises.
+    and row, T in the lower-right 3x3 block, read from the Hermitian part
+    validate_state returns; their imaginary rounding residue is dropped.
     """
 
     table: NDArray[np.float64]
@@ -95,9 +99,6 @@ class BlochState:
         rho = validate_state(rho)
         # Tr[rho (A x B)] = sum rho[(i,k),(j,l)] A[j,i] B[l,k]
         table = np.einsum("ikjl,pji,qlk->pq", rho.reshape(2, 2, 2, 2), _PAULI_BASIS, _PAULI_BASIS)
-        residue = float(np.abs(table.imag).max())
-        if residue > IMAG_RESIDUE_TOL:
-            raise ValueError(f"correlation trace has imaginary residue {residue:.2e}")
         table = table.real
         table.setflags(write=False)
         object.__setattr__(self, "table", table)

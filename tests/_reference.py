@@ -34,9 +34,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from steerkit.frames import MeasurementFrame, projection_matrix, unit
-from steerkit.states import IMAG_RESIDUE_TOL, BlochState
+from steerkit.states import BlochState
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# The largest imaginary part fidelity_with_pure lets an overlap keep.
+IMAG_RESIDUE_TOL = 1e-12
 
 # Points of the Fermat-Weber problem closer than this, relative to the
 # largest distance between them, are treated as one point.

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steerkit
-from steerkit import lhs
+from steerkit import cli, lhs
 from steerkit.cli import (
     _FLAGS,
     EXAMPLE_CONFIGS,
@@ -251,8 +251,10 @@ class TestConfigErrors:
          'bob_frame: pair frame spec requires key "normal"'),
         ("predict", with_value(TRIAD_PREDICT, "alice_frame", {"kind": "explicit", "directions": []}),
          "alice_frame.directions", 'alice_frame: explicit frame spec requires key "directions"'),
+        ("predict", TRIAD_PREDICT, "alice_frame.name",
+         'alice_frame: named frame spec requires key "name"'),
         ("sweep", SWEEP_CONFIG, "sweep.alpha_deg", 'sweep spec requires key "alpha_deg"'),
-    ], ids=["werner", "matrix", "pair", "explicit", "sweep"])
+    ], ids=["werner", "matrix", "pair", "explicit", "named", "sweep"])
     def test_missing_spec_key_exits_config(self, tmp_path, capsys, subcommand, config, key,
                                            message):
         # _spec_keys checks every spec's required keys, after its unknown keys
@@ -261,6 +263,25 @@ class TestConfigErrors:
         del config[spec][name]
         assert main([subcommand, "--config", write_config(tmp_path, config)]) == EXIT_CONFIG
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("name", [["standard_triad"], {"standard_triad": 1}],
+                             ids=["list", "object"])
+    def test_named_frame_name_not_a_string_exits_config(self, tmp_path, capsys, name):
+        # a list name exited 2 as "error: unhashable type: 'list'"
+        config = with_value(TRIAD_PREDICT, "alice_frame.name", name)
+        assert main(["predict", "--config", write_config(tmp_path, config)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"error: alice_frame: unknown frame name {name!r}; choices: ")
+
+    @pytest.mark.parametrize("error", [TypeError, KeyError])
+    def test_fault_in_handler_propagates(self, monkeypatch, error):
+        # exit 2 means an OSError or a ValueError; any other error is a fault
+        def handler(config):
+            raise error("fault")
+
+        monkeypatch.setattr(cli, "cmd_reproduce", handler)
+        with pytest.raises(error, match="fault"):
+            main(["reproduce"])
 
     def test_unphysical_state(self, tmp_path, capsys):
         bad = dict(TRIAD_PREDICT, state={"kind": "werner", "W": 1.4})
@@ -636,6 +657,16 @@ class TestSimulate:
                      "--format", "json"]) == EXIT_OK
         counts = np.asarray(json.loads(capsys.readouterr().out)["counts"])
         assert all(counts[j, j, 0] == 0 for j in range(3))
+
+    @pytest.mark.parametrize("subcommand", ["predict", "simulate"])
+    def test_state_at_the_hermiticity_tolerance_runs(self, capsys, subcommand):
+        # W(0.9) + 4e-13 i diag(1, 1, -1, -1), whose hermiticity residual 8e-13
+        # validate_state accepts: BlochState's own check of the traces' imaginary
+        # residue (1.60e-12) exited 2
+        config = str(Path(__file__).parent / "data" / "hermiticity_edge_state.json")
+        pairs = ["--pairs", "2000"] if subcommand == "simulate" else []
+        assert main([subcommand, "--config", config, *pairs]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_pairs_override(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=2000,

@@ -202,8 +202,10 @@ class TestFrameFromSpec:
             frame_from_spec({"kind": "explicit", "directions": [[bad, 0.0, 0.0], [0.0, 0.0, 1.0]]})
 
     def test_unknown_name_lists_choices(self):
-        with pytest.raises(ValueError, match="standard_triad"):
-            frame_from_spec({"kind": "named", "name": "cube"})
+        # a list or an object name raised TypeError (unhashable) before
+        for name in ("cube", ["standard_triad"], {"standard_triad": 1}):
+            with pytest.raises(ValueError, match="unknown frame name .*standard_triad"):
+                frame_from_spec({"kind": "named", "name": name})
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -315,7 +315,7 @@ class TestProperties:
         # the reference is the earlier closed form (m <= 2) and Fermat-Weber
         # solve (m = 3), patched in for the null-space continuation
         _, v, _ = _reference._optimal_decomposition(matrix)
-        assert abs(lhs_gauge(matrix) - lhs._unit_rows(v)[0].sum()) <= 1e-12
+        assert abs(lhs_gauge(matrix) - _reference._unit_rows(v)[0].sum()) <= 1e-12
         with mock.patch.object(lhs, "_optimal_decomposition", _reference._optimal_decomposition):
             expected = verdict_status(matrix)
         assert verdict_status(matrix) == expected

@@ -4,12 +4,12 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from steerkit import reproduce, simulate, states
+from steerkit.cli import cmd_reproduce
 from steerkit.reproduce import (
     W_TILT_64,
     ReportRow,
     build_report,
     format_report,
-    report_to_dicts,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -120,8 +120,9 @@ class TestReportStructure:
 
 class TestReportSerialization:
     def test_dicts_mirror_rows(self):
-        rows = small_report()
-        dicts = report_to_dicts(rows)
+        # the JSON payload of reproduce, whose defaults include 200 resamples
+        rows = build_report(pairs_per_setting=3000, seed=11)
+        dicts, _ = cmd_reproduce({"pairs_per_setting": 3000, "seed": 11})
         assert len(dicts) == len(rows)
         assert dicts[0]["case"] == rows[0].case
         assert dicts[0]["predicted"] == rows[0].predicted

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from steerkit.cli import EXIT_CONFIG, EXIT_OK, main
+from steerkit.cli import EXIT_CONFIG, EXIT_OK, cmd_sweep, main
 from steerkit.config import _config_float, _config_int, _state_and_frames
 from steerkit.frames import (
     MeasurementFrame,
@@ -26,7 +26,6 @@ from steerkit.simulate import (
     estimate_correlation,
     propagate_uncertainty,
     rows_to_csv,
-    rows_to_dicts,
     run_scenario,
     simulate_counts,
     simulate_run,
@@ -801,8 +800,10 @@ class TestSerialization:
         assert fields[10] == ""
 
     def test_dicts_mirror_rows(self):
-        rows = run_scenario(coplanar_scenario(sweep={"alpha_deg": [15.0]}))
-        payload = rows_to_dicts(rows)
+        # the JSON payload of sweep
+        scenario = coplanar_scenario(sweep={"alpha_deg": [15.0]})
+        rows = run_scenario(scenario)
+        payload, _ = cmd_sweep(scenario)
         assert payload[0]["alpha_deg"] == 15.0
         assert payload[0]["ris_sim"] == rows[0].ris_sim
         assert payload[0]["nss_violated"] == rows[0].nss_violated

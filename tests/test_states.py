@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,6 +18,8 @@ from steerkit.states import (
 )
 
 from _reference import closest_werner_parameter, fidelity_with_pure
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestStateConstruction:
@@ -65,6 +70,22 @@ class TestValidateState:
         rho[0, 0] = entry
         with pytest.raises(ValueError, match="must be finite"):
             validate_state(rho)
+
+    def test_returns_a_hermitian_state_bit_for_bit(self):
+        # (x + x)/2 = x, so the goldens keep their bytes
+        rhos = [werner_state(w) for w in (0.0, 1.0 / 3.0, 0.5, 0.9, 0.984, 0.985, 1.0)]
+        for path in ("matrix_state.json", "eigenvalue_edge_state.json"):
+            rhos.append(state_from_spec(json.loads((DATA / path).read_text())["state"]))
+        for rho in rhos:
+            assert validate_state(rho).tobytes() == rho.tobytes()
+
+    def test_returns_the_hermitian_part(self):
+        # W(0.9) + 4e-13 i diag(1, 1, -1, -1), within the hermiticity tolerance
+        spec = json.loads((DATA / "hermiticity_edge_state.json").read_text())["state"]
+        rho = state_from_spec(spec)
+        assert np.abs(rho.imag).max() == 4e-13
+        assert np.array_equal(validate_state(rho), (rho + rho.conj().T) / 2.0)
+        assert not validate_state(rho).imag.any()
 
 
 class TestCorrelationStructure:
