@@ -224,6 +224,8 @@ def rotate_frame(frame: MeasurementFrame, rotation) -> MeasurementFrame:
     r = np.asarray(rotation, dtype=float)
     if r.shape != (3, 3):
         raise ValueError(f"expected a (3, 3) rotation matrix, got shape {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise ValueError(f"rotation matrix must be finite, got {r.tolist()}")
     if np.abs(r @ r.T - np.eye(3)).max() > ROTATION_TOL:
         raise ValueError("rotation matrix is not orthogonal")
     if np.linalg.det(r) < 0.0:

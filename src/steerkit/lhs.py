@@ -93,6 +93,10 @@ class LhsModel:
         w = np.asarray(self.weights, dtype=float)
         a = np.asarray(self.alice_responses, dtype=float)
         s = np.asarray(self.bob_blochs, dtype=float)
+        # first: a NaN passes every comparison below
+        for name, arr in (("weights", w), ("alice_responses", a), ("bob_blochs", s)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite, got {arr.tolist()}")
         if w.ndim != 1 or a.ndim != 2 or s.ndim != 2:
             raise ValueError("model arrays have wrong dimensionality")
         if not (len(w) == len(a) == len(s)):

@@ -189,6 +189,8 @@ def min_nss_over_rotations(
     p_a = np.asarray(alice_plane, dtype=float)
     if p_a.shape != (3, 3):
         raise ValueError(f"expected a (3, 3) projector, got shape {p_a.shape}")
+    if not np.all(np.isfinite(p_a)):
+        raise ValueError(f"alice_plane must be finite, got {p_a.tolist()}")
     if np.abs(p_a - p_a.T).max() > 1e-10 or np.abs(p_a @ p_a - p_a).max() > 1e-8:
         raise ValueError("plane argument is not a projector")
     trace = float(np.trace(p_a))

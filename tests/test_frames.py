@@ -133,6 +133,13 @@ class TestRotations:
         with pytest.raises(ValueError):
             rotate_frame(standard_triad(), 2.0 * np.eye(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rotate_frame_rejects_non_finite(self, bad):
+        rotation = np.eye(3)
+        rotation[0, 0] = bad
+        with pytest.raises(ValueError, match="rotation matrix must be finite"):
+            rotate_frame(standard_triad(), rotation)
+
     def test_rotate_frame_preserves_gram(self):
         frame = tetrahedron_frame()
         rotated = rotate_frame(frame, random_rotation(5))

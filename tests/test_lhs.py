@@ -140,6 +140,16 @@ class TestLhsModel:
             LhsModel([0.6, 0.6], [[1.0], [1.0]], [[0, 0, 1], [0, 0, 1]], n_settings=1)
         with pytest.raises(ValueError):
             LhsModel([-0.1, 1.1], [[1.0], [1.0]], [[0, 0, 1], [0, 0, 1]], n_settings=1)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            LhsModel([math.nan], [[1.0]], [[0, 0, 1]], n_settings=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["alice_responses", "bob_blochs"])
+    def test_rejects_non_finite_array(self, name, bad):
+        arrays = {"alice_responses": [[1.0]], "bob_blochs": [[0.0, 0.0, 1.0]]}
+        arrays[name][0][0] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            LhsModel([1.0], n_settings=1, **arrays)
 
     def test_rejects_long_bloch_vector(self):
         with pytest.raises(ValueError):

@@ -283,6 +283,13 @@ class TestMinOverRotations:
         with pytest.raises(ValueError, match="rank"):
             min_nss_over_rotations(t, p1, pair_in_plane(Y, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_plane(self, bad):
+        plane = projection_matrix(pair_in_plane(Y, 0.0))
+        plane[0, 0] = bad
+        with pytest.raises(ValueError, match="alice_plane must be finite"):
+            min_nss_over_rotations(-np.eye(3), plane, pair_in_plane(Y, 0.0))
+
     def test_rejects_unknown_mode(self):
         t = -np.eye(3)
         plane = projection_matrix(pair_in_plane(Y, 0.0))
