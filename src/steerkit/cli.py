@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import _config_array, _config_int, _state_and_frames
+from .config import _config_array, _state_and_frames
 
 if TYPE_CHECKING:
     from .lhs import MembershipVerdict
@@ -214,12 +214,9 @@ def cmd_simulate(config: dict) -> tuple[dict, str]:
 
 def cmd_reproduce(config: dict) -> tuple[list, str]:
     from .reproduce import DEFAULT_SEED, build_report, format_report
-    from .simulate import DEFAULT_PAIRS_PER_SETTING, MAX_PAIRS_PER_SETTING
+    from .simulate import _pairs_and_seed
 
-    pairs = _config_int(
-        config, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1, MAX_PAIRS_PER_SETTING
-    )
-    seed = _config_int(config, "seed", DEFAULT_SEED, 0)
+    pairs, seed = _pairs_and_seed(config, DEFAULT_SEED)
     rows = build_report(pairs_per_setting=pairs, seed=seed)
     return [asdict(r) for r in rows], format_report(rows)
 

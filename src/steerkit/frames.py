@@ -4,8 +4,7 @@ A measurement frame is an ordered set of one to MAX_ALICE_SETTINGS unit
 directions; Bob's, which must be orthonormal, holds at most three.  The
 cap is the LHS oracle's, read from the package root so that this module
 loads config alone and never the oracle.  Frames need not be orthonormal
-otherwise: the projector and the steering bounds check it with
-require_orthonormal and raise.
+otherwise: the steering bounds check it with require_orthonormal and raise.
 
 Plane conventions used throughout: a measurement plane is identified by
 its unit normal, and the in-plane reference direction is the normalized
@@ -104,19 +103,6 @@ def require_orthonormal(frame: MeasurementFrame, name: str) -> None:
         )
 
 
-def projection_matrix(frame: MeasurementFrame) -> np.ndarray:
-    """Orthogonal projector onto the span of an orthonormal frame.
-
-    Raises:
-        ValueError: if the frame is not orthonormal.  Non-orthonormal
-            frames have no projector form; evaluate the correlation
-            matrix directly and take its trace norm instead.
-    """
-    require_orthonormal(frame, "the projector's frame")
-    d = frame.directions
-    return d.T @ d
-
-
 def rotation_about(axis, angle: float) -> np.ndarray:
     """Right-handed rotation matrix about a (not necessarily unit) axis."""
     n = unit(axis)
@@ -199,23 +185,6 @@ def tetrahedron_frame() -> MeasurementFrame:
         [1.0, 0.0, 0.0],
         [0.5, 1.0 / (2.0 * math.sqrt(3.0)), math.sqrt(2.0 / 3.0)],
         [0.5, math.sqrt(3.0) / 2.0, 0.0],
-    ])
-
-
-def random_rotation(seed) -> np.ndarray:
-    """Haar-uniform rotation matrix from a uniform unit quaternion.
-
-    Args:
-        seed: anything numpy.random.default_rng accepts, or a Generator.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ])
 
 

@@ -173,17 +173,18 @@ def _cases() -> list[_Case]:
 
 
 def build_report(
-    pairs_per_setting: int = DEFAULT_PAIRS_PER_SETTING,
-    seed: int = DEFAULT_SEED,
-    n_resamples: int = DEFAULT_RESAMPLES,
+    pairs_per_setting: int = DEFAULT_PAIRS_PER_SETTING, seed: int = DEFAULT_SEED
 ) -> list[ReportRow]:
-    """Evaluate every reference case: prediction, simulation, annotation."""
+    """Evaluate every reference case: prediction, simulation, annotation.
+
+    Each simulated parameter's uncertainty bootstraps over DEFAULT_RESAMPLES draws.
+    """
     rows = []
     for index, case in enumerate(_cases()):
         m_pred = predicted_correlation(case.state.t, case.alice, case.bob)
         _, _, assessments = simulate_run(
             case.state, case.alice, case.bob, pairs_per_setting, DEFAULT_SYS_ANGLE,
-            n_resamples, (seed, index), (seed, index, 1),
+            DEFAULT_RESAMPLES, (seed, index), (seed, index, 1),
         )
         for tag, reported, reported_err, reproducible, note in case.entries:
             assessment = assessments[tag]

@@ -29,7 +29,7 @@ from .frames import MeasurementFrame, frame_from_spec, require_orthonormal
 from .states import EIGENVALUE_TOL, BlochState, werner_state
 from .steering import (
     SteeringAssessment,
-    _parameter_functions,
+    _kernel,
     assess,
     inequalities_for,
     predicted_correlation,
@@ -148,7 +148,7 @@ def propagate_uncertainty(
     [-1, 1]), evaluates the parameter on all resamples at once, and
     returns (mean, standard deviation) over n_resamples.
     """
-    _, evaluate = _parameter_functions(inequality)
+    evaluate = _kernel(inequality)
     if n_resamples < 2:
         raise ValueError(f"n_resamples must be >= 2, got {n_resamples}")
     rng = np.random.default_rng(seed)
@@ -194,12 +194,19 @@ def simulate_run(
     return counts, est, assessments
 
 
-def _run_keys(config: dict) -> tuple[int, int, float, int]:
-    """A run's pairs_per_setting, seed, systematic tilt in radians and n_resamples."""
+def _pairs_and_seed(config: dict, default_seed: int = 0) -> tuple[int, int]:
+    """The pairs_per_setting and seed of every subcommand that simulates counts."""
     return (
         _config_int(config, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1,
                     MAX_PAIRS_PER_SETTING),
-        _config_int(config, "seed", 0, 0),
+        _config_int(config, "seed", default_seed, 0),
+    )
+
+
+def _run_keys(config: dict) -> tuple[int, int, float, int]:
+    """A run's pairs_per_setting, seed, systematic tilt in radians and n_resamples."""
+    return (
+        *_pairs_and_seed(config),
         # the tilt systematic's closed form grows with the tilt up to a right angle only
         math.radians(_config_float(config, "sys_angle_deg", DEFAULT_SYS_ANGLE_DEG, 0.0, 90.0)),
         _config_int(config, "n_resamples", DEFAULT_RESAMPLES, 2, MAX_RESAMPLES),

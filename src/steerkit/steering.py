@@ -67,25 +67,6 @@ def _trace_norms(stack) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
 
 
-def _finite_matrix(matrix) -> np.ndarray:
-    """The input as a float array; ValueError unless it is 2-d and finite."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    return m
-
-
-def trace_norm(matrix) -> float:
-    """Sum of singular values.
-
-    Raises:
-        ValueError: on non-2d or non-finite input.
-    """
-    return float(_trace_norms(_finite_matrix(matrix)))
-
-
 # Rows u+ and u- of the two-setting parameter.
 _U_PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -97,6 +78,44 @@ def _nss_parameters(stack) -> np.ndarray:
     return np.linalg.norm(_U_PLUS_MINUS @ stack, axis=-1).sum(axis=-1)
 
 
+def _kernel(inequality: str):
+    """An inequality's unchecked batch kernel over the last two axes of a stack."""
+    if inequality == RIS:
+        return _trace_norms
+    if inequality == NSS:
+        return _nss_parameters
+    raise ValueError(f"inequality must be 'ris' or 'nss', got {inequality!r}")
+
+
+def _parameter(matrix, inequality: str) -> float:
+    """An inequality's parameter of one matrix, checked.
+
+    Raises:
+        ValueError: on an unknown inequality, on non-2d or non-finite
+            input, or if the parameter overflows.
+    """
+    kernel = _kernel(inequality)
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix contains non-finite entries")
+    with np.errstate(over="ignore"):
+        value = float(kernel(m))
+    if not math.isfinite(value):
+        raise ValueError(f"the {inequality} parameter overflows: matrix entries are too large")
+    return value
+
+
+def trace_norm(matrix) -> float:
+    """Sum of singular values.
+
+    Raises:
+        ValueError: on non-2d or non-finite input, or if the sum overflows.
+    """
+    return _parameter(matrix, RIS)
+
+
 def nss_parameter(matrix) -> float:
     """Two-setting steering parameter |M^T u+| + |M^T u-|.
 
@@ -105,30 +124,12 @@ def nss_parameter(matrix) -> float:
     Raises:
         ValueError: on non-2d or non-finite input, or if the norms overflow.
     """
-    m = _finite_matrix(matrix)
-    with np.errstate(over="ignore"):
-        value = float(_nss_parameters(m))
-    if not math.isfinite(value):
-        raise ValueError("the two-setting parameter overflows: matrix entries are too large")
-    return value
+    return _parameter(matrix, NSS)
 
 
 def inequalities_for(m: int) -> tuple[str, ...]:
     """The inequalities that apply to m Alice settings: ris, plus nss when m = 2."""
     return (RIS, NSS) if m == 2 else (RIS,)
-
-
-def _parameter_functions(inequality: str):
-    """An inequality's parameter of one matrix, and of each matrix in a stack.
-
-    The first checks its input; the second, the bootstrap's batch path over
-    the last two axes, does not.
-    """
-    if inequality == RIS:
-        return trace_norm, _trace_norms
-    if inequality == NSS:
-        return nss_parameter, _nss_parameters
-    raise ValueError(f"inequality must be 'ris' or 'nss', got {inequality!r}")
 
 
 def assess(matrix, inequality: str) -> SteeringAssessment:
@@ -137,7 +138,7 @@ def assess(matrix, inequality: str) -> SteeringAssessment:
     m is the number of Alice settings; nss takes only m = 2, so its bound is sqrt(2).
     """
     m = np.asarray(matrix, dtype=float)
-    parameter = _parameter_functions(inequality)[0](m)
+    parameter = _parameter(m, inequality)
     bound = math.sqrt(m.shape[0])
     margin = parameter - bound
     return SteeringAssessment(inequality, parameter, bound, margin, margin > BOUNDARY_TOL)

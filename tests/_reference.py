@@ -3,7 +3,9 @@
 ris_predicted and nss_predicted evaluate the correlation matrix
 M = A T B^T.  For orthonormal frames the projector forms here give the
 same values: ||P_A T P_B||_tr, with the singular values of M, and
-|P_B T^T a+| + |P_B T^T a-| with a+- = (a1 +- a2)/sqrt(2).
+|P_B T^T a+| + |P_B T^T a-| with a+- = (a1 +- a2)/sqrt(2).  A frame's
+projector is D^T D, D the frame's directions as rows, written out here
+so that the references share no code with the routines they check.
 
 min_nss_over_rotations returns the closed form ||P_A T P_B||_tr
 (criterion 4).  The search here finds the same minimum without it: it
@@ -13,9 +15,10 @@ search to an interval of 1e-8.
 
 The Werner closed forms are criterion 5's reference for the predictions
 on pairs in two planes.  fidelity_with_pure, closest_werner_parameter,
-outcome_probabilities and optimal_pair_planes are helpers that no part of
-the package calls; their tests keep them here.  full_data gives a state's
-(alpha, beta, M) on two frames, the arguments simulate_counts draws from.
+outcome_probabilities, optimal_pair_planes and random_rotation are helpers
+that no part of the package calls; their tests keep them here.  full_data
+gives a state's (alpha, beta, M) on two frames, the arguments
+simulate_counts draws from.
 
 _optimal_decomposition below is the LHS oracle's earlier decomposition for
 up to three Alice settings, kept as the reference for the oracle's one
@@ -33,7 +36,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from steerkit.frames import MeasurementFrame, projection_matrix, unit
+from steerkit.frames import MeasurementFrame, unit
 from steerkit.states import BlochState
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -54,7 +57,8 @@ NEWTON_STEPS = 50
 
 def ris_by_projectors(t, alice: MeasurementFrame, bob: MeasurementFrame) -> float:
     """||P_A T P_B||_tr for orthonormal frames."""
-    p = projection_matrix(alice) @ np.asarray(t, dtype=float) @ projection_matrix(bob)
+    a, b = alice.directions, bob.directions
+    p = a.T @ a @ np.asarray(t, dtype=float) @ b.T @ b
     return float(np.linalg.svd(p, compute_uv=False).sum())
 
 
@@ -64,7 +68,7 @@ def nss_by_projectors(t, alice: MeasurementFrame, bob: MeasurementFrame) -> floa
     a1, a2 = alice.directions
     a_plus = (a1 + a2) / math.sqrt(2.0)
     a_minus = (a1 - a2) / math.sqrt(2.0)
-    p_b = projection_matrix(bob)
+    p_b = bob.directions.T @ bob.directions
     return float(np.linalg.norm(p_b @ t.T @ a_plus) + np.linalg.norm(p_b @ t.T @ a_minus))
 
 
@@ -75,7 +79,7 @@ def min_nss_by_search(t, alice: MeasurementFrame, bob: MeasurementFrame) -> floa
     """
     t = np.asarray(t, dtype=float)
     e1, e2 = alice.directions
-    p_b = projection_matrix(bob)
+    p_b = bob.directions.T @ bob.directions
     image1 = p_b @ t.T @ e1
     image2 = p_b @ t.T @ e2
 
@@ -208,6 +212,23 @@ def outcome_probabilities(rho, a, b) -> np.ndarray:
     alpha, beta, corr = a @ state.r_a, b @ state.r_b, a @ state.t @ b
     return np.array([(1.0 + s * alpha + t * beta + s * t * corr) / 4.0
                      for s in (1.0, -1.0) for t in (1.0, -1.0)])
+
+
+def random_rotation(seed) -> np.ndarray:
+    """Haar-uniform rotation matrix from a uniform unit quaternion.
+
+    Args:
+        seed: anything numpy.random.default_rng accepts, or a Generator.
+    """
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    q = rng.standard_normal(4)
+    q /= np.linalg.norm(q)
+    w, x, y, z = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
 
 
 def full_data(state: BlochState, alice: MeasurementFrame, bob: MeasurementFrame):

@@ -24,8 +24,6 @@ import numpy as np
 from steerkit.frames import (
     MeasurementFrame,
     pair_in_plane,
-    projection_matrix,
-    random_rotation,
     rotate_frame,
     standard_triad,
     tetrahedron_frame,
@@ -46,6 +44,7 @@ from steerkit.steering import (
 from _reference import (
     full_data,
     min_nss_by_search,
+    random_rotation,
     werner_nss_closed_form,
     werner_ris_closed_form,
 )
@@ -176,7 +175,8 @@ class TestAcceptance:
             alice = rotate_frame(pair_in_plane(Y, rng.uniform(0, np.pi)), random_rotation(rng))
             bob = rotate_frame(pair_in_plane(Y, rng.uniform(0, np.pi)), random_rotation(rng))
             searched = min_nss_by_search(t, alice, bob)
-            closed = min_nss_over_rotations(t, projection_matrix(alice), bob)
+            a = alice.directions
+            closed = min_nss_over_rotations(t, a.T @ a, bob)
             ref = ris_predicted(t, alice, bob)
             worst_search = max(worst_search, abs(searched - closed))
             worst_ref = max(worst_ref, abs(searched - ref), abs(closed - ref))

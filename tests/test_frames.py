@@ -10,8 +10,6 @@ from steerkit.frames import (
     in_plane_reference,
     misaligned_triad,
     pair_in_plane,
-    projection_matrix,
-    random_rotation,
     require_orthonormal,
     rotate_frame,
     rotation_about,
@@ -21,6 +19,8 @@ from steerkit.frames import (
     unit,
 )
 from steerkit.steering import ris_predicted
+
+from _reference import random_rotation
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -83,21 +83,6 @@ class TestRequireOrthonormal:
                 require_orthonormal(frame, "bob_frame")
             with pytest.raises(ValueError, match="bob_frame"):
                 ris_predicted(t, standard_triad(), frame)
-
-
-class TestProjection:
-    def test_triad_projects_to_identity(self):
-        assert_allclose(projection_matrix(standard_triad()), np.eye(3), atol=1e-12)
-
-    def test_pair_projector_is_rank_two(self):
-        p = projection_matrix(pair_in_plane(Y, 0.3))
-        assert_allclose(p @ p, p, atol=1e-12)
-        assert_allclose(np.trace(p), 2.0, atol=1e-12)
-        assert_allclose(p @ Y, np.zeros(3), atol=1e-12)
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            projection_matrix(tetrahedron_frame())
 
 
 class TestRotations:

@@ -46,7 +46,8 @@ class TestLazyNamespace:
         assert loaded_submodules(statement) == ["steerkit.cli", "steerkit.config", "steerkit.lhs"]
 
     def test_frames_loads_config_alone(self):
-        # frames read MAX_ALICE_SETTINGS from lhs, and so built the oracle
+        # frames read MAX_ALICE_SETTINGS from the package root, which loads no
+        # submodule, so building a frame never builds the LHS oracle
         assert loaded_submodules("import steerkit.frames") == [
             "steerkit.config", "steerkit.frames",
         ]
@@ -95,6 +96,8 @@ class TestLazyNamespace:
             steerkit.nope
 
     @pytest.mark.parametrize("module, name", [
+        ("frames", "projection_matrix"),
+        ("frames", "random_rotation"),
         ("simulate", "CountsRecord"),
         ("simulate", "outcome_probabilities"),
         ("states", "closest_werner_parameter"),

@@ -17,7 +17,7 @@ SQRT3 = math.sqrt(3.0)
 
 
 def small_report(seed=11):
-    return build_report(pairs_per_setting=3000, seed=seed, n_resamples=30)
+    return build_report(pairs_per_setting=3000, seed=seed)
 
 
 class TestReportStructure:
@@ -114,13 +114,13 @@ class TestReportStructure:
         for module in (states, simulate, reproduce):
             if hasattr(module, "validate_state"):
                 monkeypatch.setattr(module, "validate_state", counting)
-        build_report(pairs_per_setting=200, n_resamples=2)
+        build_report(pairs_per_setting=200)
         assert len(calls) == 9
 
 
 class TestReportSerialization:
     def test_dicts_mirror_rows(self):
-        # the JSON payload of reproduce, whose defaults include 200 resamples
+        # the JSON payload of reproduce
         rows = build_report(pairs_per_setting=3000, seed=11)
         dicts, _ = cmd_reproduce({"pairs_per_setting": 3000, "seed": 11})
         assert len(dicts) == len(rows)

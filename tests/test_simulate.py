@@ -21,6 +21,7 @@ from steerkit.lhs import LhsModel, evaluate_lhs_model
 from steerkit.reproduce import _cases, build_report
 from steerkit.simulate import (
     CSV_HEADER,
+    DEFAULT_RESAMPLES,
     MAX_PAIRS_PER_SETTING,
     MAX_RESAMPLES,
     estimate_correlation,
@@ -542,13 +543,14 @@ class TestSeedStreams:
             assert (row.nss_sim, row.nss_err) == expected["nss"]
 
     def test_reproduce_streams(self):
-        rows = build_report(pairs_per_setting=2000, seed=LARGE_SEED, n_resamples=20)
+        rows = build_report(pairs_per_setting=2000, seed=LARGE_SEED)
         checked = 0
         for i, case in enumerate(_cases()):
             tags = inequalities_for(case.alice.size)
             _, _, expected = reference_run(
                 case.state, case.alice, case.bob, 2000, (LARGE_SEED, i),
                 {tag: (LARGE_SEED, i, 1 + rank) for rank, tag in enumerate(tags)},
+                DEFAULT_RESAMPLES,
             )
             for row in rows:
                 if row.case == case.name:

@@ -11,8 +11,6 @@ from numpy.testing import assert_allclose
 from steerkit.frames import (
     MeasurementFrame,
     pair_in_plane,
-    projection_matrix,
-    random_rotation,
     rotate_frame,
     standard_triad,
     tetrahedron_frame,
@@ -34,6 +32,7 @@ from _reference import (
     min_nss_by_search,
     nss_by_projectors,
     optimal_pair_planes,
+    random_rotation,
     ris_by_projectors,
     werner_nss_closed_form,
     werner_ris_closed_form,
@@ -60,6 +59,12 @@ def random_correlation_tensor(rng):
     t = rng.uniform(-1.0, 1.0, size=(3, 3))
     top = np.linalg.svd(t, compute_uv=False)[0]
     return t / max(1.0, top / 0.95)
+
+
+def projector(frame):
+    """D^T D, the projector onto an orthonormal frame's span."""
+    d = frame.directions
+    return d.T @ d
 
 
 def haar_orthogonal(rng, dim):
@@ -141,8 +146,18 @@ class TestAssessments:
         assert math.isfinite(trace_norm(m))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            for evaluate in (nss_parameter, assess_nss):
+                with pytest.raises(ValueError, match="overflow"):
+                    evaluate(m)
+
+    @pytest.mark.parametrize("evaluate", [trace_norm, assess_ris])
+    def test_ris_rejects_overflowing_sum(self, evaluate):
+        # the trace norm overflows only when its singular values sum past the
+        # float maximum; an inf parameter would read as a violation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflow"):
-                nss_parameter(m)
+                evaluate(np.diag([1e308, 1e308]))
 
 
 class TestPredictedParameters:
@@ -260,20 +275,20 @@ class TestMinOverRotations:
             bob = rotate_frame(pair_in_plane(Y, 1.1), random_rotation(rng))
             ref = ris_predicted(t, alice, bob)
             searched = min_nss_by_search(t, alice, bob)
-            closed = min_nss_over_rotations(t, projection_matrix(alice), bob)
+            closed = min_nss_over_rotations(t, projector(alice), bob)
             assert_allclose(searched, closed, atol=1e-6)
             assert_allclose(searched, ref, atol=1e-6)
 
     def test_werner_coplanar_value(self):
         t = spin_correlation_matrix(werner_state(0.9))
-        plane = projection_matrix(pair_in_plane(Y, 0.0))
+        plane = projector(pair_in_plane(Y, 0.0))
         bob = pair_in_plane(Y, 0.0)
         assert_allclose(min_nss_over_rotations(t, plane, bob), 1.8, atol=1e-9)
 
     def test_werner_perpendicular_value(self):
         t = spin_correlation_matrix(werner_state(1.0))
         alice = tilted_pair(math.pi / 2.0, 0.0, Y)
-        plane = projection_matrix(alice)
+        plane = projector(alice)
         bob = pair_in_plane(Y, 0.0)
         assert_allclose(min_nss_over_rotations(t, plane, bob), 1.0, atol=1e-7)
 
@@ -285,14 +300,14 @@ class TestMinOverRotations:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_plane(self, bad):
-        plane = projection_matrix(pair_in_plane(Y, 0.0))
+        plane = projector(pair_in_plane(Y, 0.0))
         plane[0, 0] = bad
         with pytest.raises(ValueError, match="alice_plane must be finite"):
             min_nss_over_rotations(-np.eye(3), plane, pair_in_plane(Y, 0.0))
 
     def test_rejects_unknown_mode(self):
         t = -np.eye(3)
-        plane = projection_matrix(pair_in_plane(Y, 0.0))
+        plane = projector(pair_in_plane(Y, 0.0))
         with pytest.raises(TypeError, match="mode"):
             min_nss_over_rotations(t, plane, pair_in_plane(Y, 0.0), mode="fast")
 
@@ -393,7 +408,7 @@ class TestProperties:
     def test_closed_form_never_exceeds_a_rotated_pair(self, t, seed, bob_frame, theta):
         rng = np.random.default_rng(seed)
         rotation = random_rotation(rng)
-        plane = projection_matrix(rotate_frame(pair_in_plane(Y, 0.0), rotation))
+        plane = projector(rotate_frame(pair_in_plane(Y, 0.0), rotation))
         alice = rotate_frame(pair_in_plane(Y, theta), rotation)
         bob = rotate_frame(bob_frame, random_rotation(rng))
         assert nss_predicted(t, alice, bob) >= min_nss_over_rotations(t, plane, bob) - 1e-12
@@ -413,5 +428,5 @@ class TestProperties:
         assert abs(ris_predicted(t, alice, bob) - ris) <= 1e-12
         if alice.size == 2:
             assert abs(nss_predicted(t, alice, bob) - nss_by_projectors(t, alice, bob)) <= 1e-12
-            plane = projection_matrix(alice)
+            plane = projector(alice)
             assert abs(min_nss_over_rotations(t, plane, bob) - ris) <= 1e-12
