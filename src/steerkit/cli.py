@@ -49,7 +49,6 @@ EXAMPLE_CONFIGS = {
         "sys_angle_deg": 0.5,
         "seed": 7,
         "drift_sigma": 0.0,
-        "n_resamples": 200,
     },
     "lhs": {"matrix": [[-0.8, 0.0], [0.0, -0.8]]},
     "simulate": {
@@ -59,7 +58,6 @@ EXAMPLE_CONFIGS = {
         "pairs_per_setting": 100000,
         "sys_angle_deg": 0.5,
         "seed": 7,
-        "n_resamples": 200,
     },
     # the defaults; a test holds them to simulate's and reproduce's constants
     "reproduce": {"pairs_per_setting": 100000, "seed": 1729},
@@ -73,8 +71,6 @@ _FLAGS = (
     ("--pairs", "pairs_per_setting", int),
     ("--sys-angle-deg", "sys_angle_deg", float),
 )
-# Each removed top-level key -> where its value now comes from.
-_REMOVED_KEYS = {"phi_deg": "alice_frame.phi_deg", "inequalities": "inequalities_for"}
 
 
 def _with_flags(config: dict, args) -> dict:
@@ -92,9 +88,6 @@ def _load_config(args) -> dict:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError("config root must be a JSON object")
-    for key, home in _REMOVED_KEYS.items():
-        if key in config:
-            raise ValueError(f'config key "{key}" was removed; its value now comes from {home}')
     unknown = [f'"{key}"' for key in config if key not in _KNOWN_KEYS]
     if unknown:
         noun = "key" if len(unknown) == 1 else "keys"
@@ -189,10 +182,8 @@ def cmd_simulate(config: dict) -> tuple[dict, str]:
     from .simulate import _run_keys, simulate_run
 
     state, alice, bob = _state_and_frames(config)
-    pairs, seed, sys_angle, n_resamples = _run_keys(config)
-    counts, est, assessments = simulate_run(
-        state, alice, bob, pairs, sys_angle, n_resamples, seed, (seed, 1)
-    )
+    pairs, seed, sys_angle = _run_keys(config)
+    counts, est, assessments = simulate_run(state, alice, bob, pairs, sys_angle, seed, (seed, 1))
 
     payload = {
         "counts": counts.tolist(),

@@ -156,10 +156,10 @@ class MembershipVerdict:
 def _true_support(g: np.ndarray) -> float:
     """Exact support function of the LHS set at G.
 
-    max over a in {-1,+1}^m, |c| <= 1 of <G, a c^T> = max_a |G^T a|.
+    max over a in {-1,+1}^m, |c| <= 1 of <G, a c^T> = max_a |G^T a|; a and -a
+    give the same norm, so the sign vectors with first entry +1 suffice.
     """
-    signs = alice_sign_vectors(g.shape[0])
-    return float(np.linalg.norm(signs @ g, axis=1).max())
+    return float(np.linalg.norm(_sign_basis(g.shape[0])[0] @ g, axis=1).max())
 
 
 def _unit_rows(x: np.ndarray):

@@ -22,7 +22,6 @@ from .frames import (
 )
 from .simulate import (
     DEFAULT_PAIRS_PER_SETTING,
-    DEFAULT_RESAMPLES,
     DEFAULT_SYS_ANGLE,
     simulate_run,
 )
@@ -177,14 +176,14 @@ def build_report(
 ) -> list[ReportRow]:
     """Evaluate every reference case: prediction, simulation, annotation.
 
-    Each simulated parameter's uncertainty bootstraps over DEFAULT_RESAMPLES draws.
+    Each simulated parameter's uncertainty bootstraps over simulate's DEFAULT_RESAMPLES draws.
     """
     rows = []
     for index, case in enumerate(_cases()):
         m_pred = predicted_correlation(case.state.t, case.alice, case.bob)
         _, _, assessments = simulate_run(
             case.state, case.alice, case.bob, pairs_per_setting, DEFAULT_SYS_ANGLE,
-            DEFAULT_RESAMPLES, (seed, index), (seed, index, 1),
+            (seed, index), (seed, index, 1),
         )
         for tag, reported, reported_err, reproducible, note in case.entries:
             assessment = assessments[tag]

@@ -42,11 +42,9 @@ DEFAULT_SYS_ANGLE_DEG = 0.5
 DEFAULT_SYS_ANGLE = math.radians(DEFAULT_SYS_ANGLE_DEG)
 DEFAULT_PAIRS_PER_SETTING = 100_000
 DEFAULT_RESAMPLES = 200
-# Caps on the two size keys.  Poisson means stay far below numpy's limit
-# (~9.2e18), and the bootstrap's (R, m, n) float64 draws, m <= 6 and
-# n <= 3, stay below 14.4 MB; both leave headroom above every documented use.
+# Cap on pairs_per_setting: Poisson means stay far below numpy's limit
+# (~9.2e18), with headroom above every documented use.
 MAX_PAIRS_PER_SETTING = 10**9
-MAX_RESAMPLES = 100_000
 
 
 # Outcome signs (s, t) in the order (++, +-, -+, --).
@@ -139,21 +137,18 @@ def estimate_correlation(
 def propagate_uncertainty(
     est: EstimatedCorrelation,
     inequality: str,
-    n_resamples: int = DEFAULT_RESAMPLES,
     seed=0,
 ) -> tuple[float, float]:
     """Parametric bootstrap of a steering parameter over the entry errors.
 
     Resamples each entry from a normal of width delta (clamped to
     [-1, 1]), evaluates the parameter on all resamples at once, and
-    returns (mean, standard deviation) over n_resamples.
+    returns (mean, standard deviation) over DEFAULT_RESAMPLES draws.
     """
     evaluate = _kernel(inequality)
-    if n_resamples < 2:
-        raise ValueError(f"n_resamples must be >= 2, got {n_resamples}")
     rng = np.random.default_rng(seed)
     # One (R, m, n) draw is the same normal stream as R draws of shape (m, n).
-    noise = rng.standard_normal((n_resamples, *est.matrix.shape))
+    noise = rng.standard_normal((DEFAULT_RESAMPLES, *est.matrix.shape))
     values = evaluate(np.clip(est.matrix + noise * est.delta, -1.0, 1.0))
     return float(values.mean()), float(values.std())
 
@@ -164,7 +159,6 @@ def simulate_run(
     bob: MeasurementFrame,
     pairs_per_setting: int,
     sys_angle: float,
-    n_resamples: int,
     counts_seed,
     bootstrap_key: tuple,
 ) -> tuple[NDArray[np.int64], EstimatedCorrelation, dict[str, SteeringAssessment]]:
@@ -189,7 +183,7 @@ def simulate_run(
     *head, last = bootstrap_key
     assessments = {}
     for rank, tag in enumerate(inequalities_for(alice.size)):
-        _, std = propagate_uncertainty(est, tag, n_resamples, (*head, last + rank))
+        _, std = propagate_uncertainty(est, tag, (*head, last + rank))
         assessments[tag] = replace(assess(est.matrix, tag), uncertainty=std)
     return counts, est, assessments
 
@@ -203,13 +197,12 @@ def _pairs_and_seed(config: dict, default_seed: int = 0) -> tuple[int, int]:
     )
 
 
-def _run_keys(config: dict) -> tuple[int, int, float, int]:
-    """A run's pairs_per_setting, seed, systematic tilt in radians and n_resamples."""
+def _run_keys(config: dict) -> tuple[int, int, float]:
+    """A run's pairs_per_setting, seed and systematic tilt in radians."""
     return (
         *_pairs_and_seed(config),
         # the tilt systematic's closed form grows with the tilt up to a right angle only
         math.radians(_config_float(config, "sys_angle_deg", DEFAULT_SYS_ANGLE_DEG, 0.0, 90.0)),
-        _config_int(config, "n_resamples", DEFAULT_RESAMPLES, 2, MAX_RESAMPLES),
     )
 
 
@@ -238,7 +231,7 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
 
     Required keys: "state", "alice_frame", "bob_frame".  Optional:
     "sweep" ({"alpha_deg": [...]}, pair frames only), "pairs_per_setting",
-    "sys_angle_deg", "seed", "drift_sigma", "n_resamples".  Each point takes
+    "sys_angle_deg", "seed", "drift_sigma".  Each point takes
     the alice spec at its alpha_deg and reports every inequality of
     inequalities_for(m).
 
@@ -249,7 +242,7 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
     if not isinstance(scenario, dict):
         raise ValueError(f"scenario must be a mapping, got {type(scenario).__name__}")
     state, alice, bob = _state_and_frames(scenario)
-    pairs, seed, sys_angle, n_resamples = _run_keys(scenario)
+    pairs, seed, sys_angle = _run_keys(scenario)
     state_spec = scenario["state"]
     drift = _config_float(scenario, "drift_sigma", 0.0, 0.0)
     if drift > 0.0 and state_spec.get("kind") != "werner":
@@ -282,7 +275,7 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
 
         m_pred = predicted_correlation(state.t, point_alice, bob)
         _, _, assessments = simulate_run(point_state, point_alice, bob, pairs, sys_angle,
-                                         n_resamples, (seed, index, 1), (seed, index, 2))
+                                         (seed, index, 1), (seed, index, 2))
         cells = dict.fromkeys(f.name for f in fields(ScenarioRow)) | {"alpha_deg": alpha_deg}
         for tag, sim in assessments.items():
             cells |= {

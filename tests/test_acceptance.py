@@ -298,7 +298,7 @@ class TestAcceptance:
             state = BlochState(werner_state(0.984))
             counts = simulate_counts(*full_data(state, triad, triad), pairs, seed=seed)
             est = estimate_correlation(counts, triad.directions @ state.t, triad, sys_angle)
-            _, std = propagate_uncertainty(est, "ris", n_resamples=200, seed=(seed, 1))
+            _, std = propagate_uncertainty(est, "ris", seed=(seed, 1))
             return est, std
 
         est, headline = uncertainty(100_000, seed=1729)

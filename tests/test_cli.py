@@ -34,7 +34,6 @@ from steerkit.reproduce import DEFAULT_SEED
 from steerkit.simulate import (
     DEFAULT_PAIRS_PER_SETTING,
     MAX_PAIRS_PER_SETTING,
-    MAX_RESAMPLES,
     estimate_correlation,
     propagate_uncertainty,
     simulate_counts,
@@ -89,7 +88,6 @@ NON_ORTHONORMAL_BOB = {
         [0.0, 0.0, 1.0], [math.sqrt(3.0) / 2.0, 0.0, 0.5],
     ]},
     "pairs_per_setting": 2000,
-    "n_resamples": 20,
 }
 
 SWEEP_CONFIG = {
@@ -98,7 +96,6 @@ SWEEP_CONFIG = {
     "bob_frame": {"kind": "pair", "normal": [0, 1, 0]},
     "sweep": {"alpha_deg": [0.0, 30.0, 60.0, 90.0]},
     "pairs_per_setting": 3000,
-    "n_resamples": 20,
     "seed": 5,
 }
 
@@ -413,14 +410,11 @@ class TestSweep:
         ("pairs_per_setting", MAX_PAIRS_PER_SETTING + 1),
         ("seed", -1),
         ("seed", True),
-        ("n_resamples", "x"),
-        ("n_resamples", 1),
-        ("n_resamples", MAX_RESAMPLES + 1),
         ("sys_angle_deg", "x"),
         ("drift_sigma", "x"),
         ("phi_deg", "x"),
         ("sweep", 5),
-        ("sweep", {"alpha_deg": 5}),
+        pytest.param("sweep", {"alpha_deg": 5}, id="sweep-alpha_deg-not-a-list"),
         # the misspelt key ran, ignored, before
         pytest.param("sweep.alpha_degs", [5], id="sweep.alpha_degs"),
         ("inequalities", "ris"),
@@ -469,7 +463,7 @@ class TestInequalities:
     ], ids=["m1", "m2", "m3"])
     def test_subcommands_agree_on_which_inequalities_apply(self, tmp_path, capsys, alice):
         config = write_config(tmp_path, dict(TRIAD_PREDICT, alice_frame=alice,
-                                              pairs_per_setting=500, n_resamples=5))
+                                              pairs_per_setting=500))
         m = frame_from_spec(alice).size
         tags = set(inequalities_for(m))
         outputs = {}
@@ -549,22 +543,27 @@ class TestLhs:
         assert_bob_frame_rejected("lhs", tmp_path, capsys)
 
     def test_icosahedron_werner_certified_below_ris(self, capsys):
-        # Alice on the six icosahedron axes and W = 0.56, between 1/C_6 = 0.5393
-        # and the RIS threshold 1/sqrt(3): only the exact oracle certifies it
-        config = str(Path(__file__).parent / "data" / "icosahedron_werner.json")
-        assert main(["predict", "--format", "json", "--config", config]) == EXIT_OK
-        predicted = json.loads(capsys.readouterr().out)
-        assert predicted["ris"]["violated"] is False
-        assert abs(predicted["ris"]["parameter"] - 3.0 * math.sqrt(2.0) * 0.56) <= 1e-12
-        assert main(["lhs", "--config", config]) == EXIT_OK
-        verdict = json.loads(capsys.readouterr().out)
-        assert verdict["status"] == "infeasible"
-        g = np.array(verdict["separator"])
-        support = max(np.linalg.norm(np.array(a) @ g) for a in itertools.product((-1, 1), repeat=6))
-        score = float(np.sum(g * np.array(predicted["correlation"])))
-        assert support <= 1.0 + 1e-12
-        assert score > support
-        assert main(["simulate", "--pairs", "2000", "--config", config]) == EXIT_OK
+        # Alice on six axes, of the icosahedron at W = 0.56 and of the
+        # cuboctahedron at W = 0.53, each between its 1/C_n (0.5393 and 0.5270)
+        # and the RIS threshold 1/sqrt(3): only the exact oracle certifies them.
+        # RIS is 3 sqrt(2) W for both, since A^T A = 2 I.
+        for name, w in (("icosahedron_werner.json", 0.56), ("cuboctahedron_werner.json", 0.53)):
+            config = str(Path(__file__).parent / "data" / name)
+            assert main(["predict", "--format", "json", "--config", config]) == EXIT_OK
+            predicted = json.loads(capsys.readouterr().out)
+            assert predicted["ris"]["violated"] is False
+            assert abs(predicted["ris"]["parameter"] - 3.0 * math.sqrt(2.0) * w) <= 1e-12
+            assert main(["lhs", "--config", config]) == EXIT_OK
+            verdict = json.loads(capsys.readouterr().out)
+            assert verdict["status"] == "infeasible"
+            g = np.array(verdict["separator"])
+            support = max(np.linalg.norm(np.array(a) @ g)
+                          for a in itertools.product((-1, 1), repeat=6))
+            score = float(np.sum(g * np.array(predicted["correlation"])))
+            assert support <= 1.0 + 1e-12
+            assert score > support
+            assert main(["simulate", "--pairs", "2000", "--config", config]) == EXIT_OK
+            capsys.readouterr()
 
     def test_undecided_verdict_exits_numeric(self, tmp_path, capsys, monkeypatch):
         # a solver stopped at its starting point Z = 0 leaves the verdict
@@ -606,16 +605,14 @@ class TestImports:
 
 class TestSimulate:
     def test_text_run(self, tmp_path, capsys):
-        config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=2000,
-                                             n_resamples=20, seed=3))
+        config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=2000, seed=3))
         assert main(["simulate", "--config", config]) == EXIT_OK
         out = capsys.readouterr().out
         assert "estimated correlation (3 x 3), 2000 pairs per setting:" in out
         assert "ris: parameter" in out
 
     def test_json_run_deterministic(self, tmp_path):
-        config = write_config(tmp_path, dict(PAIR_PREDICT, pairs_per_setting=2000,
-                                             n_resamples=20, seed=3))
+        config = write_config(tmp_path, dict(PAIR_PREDICT, pairs_per_setting=2000, seed=3))
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
         assert main(["simulate", "--config", config, "--format", "json",
@@ -629,7 +626,7 @@ class TestSimulate:
         assert payload["assessments"]["ris"]["uncertainty"] > 0.0
 
     def test_json_assessments_carry_bootstrap_std(self, tmp_path, capsys):
-        config = dict(PAIR_PREDICT, pairs_per_setting=2000, n_resamples=20, seed=3)
+        config = dict(PAIR_PREDICT, pairs_per_setting=2000, seed=3)
         path = write_config(tmp_path, config)
         assert main(["simulate", "--config", path, "--format", "json"]) == EXIT_OK
         assessments = json.loads(capsys.readouterr().out)["assessments"]
@@ -642,7 +639,7 @@ class TestSimulate:
             assert list(assessments[tag]) == [
                 "inequality", "parameter", "bound", "margin", "violated", "uncertainty",
             ]
-            _, std = propagate_uncertainty(est, tag, 20, seed=(3, stream))
+            _, std = propagate_uncertainty(est, tag, seed=(3, stream))
             assert assessments[tag]["uncertainty"] == std
 
     def test_non_orthonormal_bob_frame_rejected(self, tmp_path, capsys):
@@ -669,8 +666,7 @@ class TestSimulate:
         assert capsys.readouterr().err == ""
 
     def test_pairs_override(self, tmp_path, capsys):
-        config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=2000,
-                                             n_resamples=20, seed=3))
+        config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=2000, seed=3))
         assert main(["simulate", "--config", config, "--pairs", "500"]) == EXIT_OK
         assert "500 pairs per setting" in capsys.readouterr().out
 
@@ -682,10 +678,6 @@ class TestSimulate:
         ("pairs_per_setting", MAX_PAIRS_PER_SETTING + 1),
         ("seed", -1),
         ("seed", True),
-        ("n_resamples", "x"),
-        ("n_resamples", 1),
-        ("n_resamples", 20.5),
-        ("n_resamples", MAX_RESAMPLES + 1),
         ("sys_angle_deg", "x"),
         ("state.W", True),
         ("state.W", "0.9"),
@@ -698,7 +690,7 @@ class TestSimulate:
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, key, value):
         config = write_config(tmp_path, with_value(
-            dict(PAIR_PREDICT, pairs_per_setting=2000, n_resamples=20, seed=3), key, value))
+            dict(PAIR_PREDICT, pairs_per_setting=2000, seed=3), key, value))
         assert main(["simulate", "--config", config]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -762,7 +754,7 @@ SCALAR_KEYS = (
 )
 # Any JSON value a scalar key could be given: null, bools, strings, short lists
 # and objects, any float (NaN and +-inf included), small integers on both sides
-# of each minimum, and integers past both caps.
+# of each minimum, and integers past the pairs_per_setting cap.
 JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3),
     st.lists(st.integers(), max_size=2),
@@ -779,7 +771,7 @@ class TestScalarKeys:
         ("--pairs", "0", "pairs_per_setting"),
     ])
     def test_bad_flag_exits_config(self, tmp_path, capsys, subcommand, flag, value, key):
-        configs = {"sweep": SWEEP_CONFIG, "simulate": dict(TRIAD_PREDICT, n_resamples=20),
+        configs = {"sweep": SWEEP_CONFIG, "simulate": TRIAD_PREDICT,
                    "reproduce": {}}
         config = write_config(tmp_path, configs[subcommand])
         assert main([subcommand, "--config", config, flag, value]) == EXIT_CONFIG
@@ -812,30 +804,33 @@ class TestScalarKeys:
 
     @pytest.mark.parametrize("subcommand", sorted(EXAMPLE_CONFIGS))
     def test_unknown_key_exits_config(self, tmp_path, capsys, subcommand):
-        # a misspelt key used to run on the default it meant to override
-        config = write_config(tmp_path, EXAMPLE_CONFIGS[subcommand] | {"pair_per_setting": 50})
-        assert main([subcommand, "--config", config]) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert '"pair_per_setting"' in captured.err
+        # a misspelt key used to run on the default it meant to override; the
+        # removed keys exit at their old defaults too
+        for key, value in (("pair_per_setting", 50), ("n_resamples", 200),
+                           ("phi_deg", 0.0), ("inequalities", ["ris", "nss"])):
+            config = write_config(tmp_path, EXAMPLE_CONFIGS[subcommand] | {key: value})
+            assert main([subcommand, "--config", config]) == EXIT_CONFIG, key
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f'no subcommand reads config key "{key}"' in captured.err
 
     @pytest.mark.parametrize("key, value", [("phi_deg", 64.0), ("inequalities", ["ris"])])
     def test_removed_sweep_key_keeps_its_message(self, tmp_path, capsys, key, value):
         # phi_deg overrode the alice pair spec's, and inequalities chose among
         # inequalities_for(m); each now has that one home.  Only sweep read
-        # them, and predict and simulate ran with either one ignored.
-        home = {"phi_deg": "alice_frame.phi_deg", "inequalities": "inequalities_for"}[key]
+        # them, and predict and simulate ran with either one ignored.  They
+        # exit by the unknown-key rule, as any key no subcommand reads.
         for subcommand, example in EXAMPLE_CONFIGS.items():
             config = write_config(tmp_path, example | {key: value})
             assert main([subcommand, "--config", config]) == EXIT_CONFIG, subcommand
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert f'"{key}" was removed; its value now comes from {home}' in captured.err
+            assert f'no subcommand reads config key "{key}"' in captured.err
 
     @settings(max_examples=60, deadline=None)
     @given(key=st.sampled_from(SCALAR_KEYS), value=JSON_VALUES)
     def test_any_scalar_value_exits_ok_or_names_key(self, key, value):
-        config = dict(SWEEP_CONFIG, pairs_per_setting=50, n_resamples=5,
+        config = dict(SWEEP_CONFIG, pairs_per_setting=50,
                       sweep={"alpha_deg": [0.0, 45.0]}) | {key: value}
         with tempfile.TemporaryDirectory() as tmp:
             path = write_config(Path(tmp), config)
@@ -887,7 +882,7 @@ class TestJsonTrees:
     def test_any_json_tree_exits_ok_config_or_numeric(self, key, value):
         # lhs reads a matrix alone, without the state and frames
         base = {} if key == "matrix" else dict(SWEEP_CONFIG, pairs_per_setting=50,
-                                                n_resamples=2, sweep={"alpha_deg": [0.0, 45.0]})
+                                                sweep={"alpha_deg": [0.0, 45.0]})
         config = base | {key: value}
         with tempfile.TemporaryDirectory() as tmp:
             path = write_config(Path(tmp), config)
@@ -951,7 +946,6 @@ class TestExplicitDirections:
             "alice_frame": {"kind": "explicit", "directions": alice},
             "bob_frame": {"kind": "explicit", "directions": bob},
             "pairs_per_setting": 50,
-            "n_resamples": 5,
         }
         with tempfile.TemporaryDirectory() as tmp:
             path = write_config(Path(tmp), config)
@@ -968,21 +962,19 @@ class TestNonFiniteSettings:
         # NaN exited 0 with the systematic dropped; inf exited 2 with
         # "math domain error"
         config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=200,
-                                             n_resamples=5, sys_angle_deg=value))
+                                             sys_angle_deg=value))
         assert main(["simulate", "--config", config]) == EXIT_CONFIG
         assert "sys_angle" in capsys.readouterr().err
 
     def test_simulate_sys_angle_flag_exits_config(self, tmp_path, capsys):
-        config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=200,
-                                             n_resamples=5))
+        config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=200))
         assert main(["simulate", "--config", config, "--sys-angle-deg", "nan"]) == EXIT_CONFIG
         assert "sys_angle" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value, code", [("90", EXIT_OK), ("90.5", EXIT_CONFIG)])
     def test_simulate_sys_angle_capped_at_right_angle(self, tmp_path, capsys, value, code):
         # past 90 degrees the systematic's closed form falls again: 360 read 2.4e-16
-        config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=200,
-                                             n_resamples=5))
+        config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=200))
         assert main(["simulate", "--config", config, "--sys-angle-deg", value]) == code
         assert ("sys_angle" in capsys.readouterr().err) == (code == EXIT_CONFIG)
 
@@ -995,7 +987,7 @@ class TestNonFiniteSettings:
     @settings(max_examples=40, deadline=None)
     @given(sys_angle_deg=st.floats(), drift_sigma=st.floats())
     def test_any_sys_angle_and_drift_exit_ok_or_config(self, sys_angle_deg, drift_sigma):
-        config = dict(SWEEP_CONFIG, pairs_per_setting=50, n_resamples=5,
+        config = dict(SWEEP_CONFIG, pairs_per_setting=50,
                       sweep={"alpha_deg": [0.0, 45.0]},
                       sys_angle_deg=sys_angle_deg, drift_sigma=drift_sigma)
         with tempfile.TemporaryDirectory() as tmp:

@@ -221,11 +221,13 @@ class TestMembership:
         cube = [[1, 1, 1], [1, 1, -1], [1, -1, 1], [-1, 1, 1]]
         icosahedron = [[0, 1, phi], [0, 1, -phi], [1, phi, 0], [1, -phi, 0], [phi, 0, 1],
                        [-phi, 0, 1]]
+        cuboctahedron = [[1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1], [0, 1, 1], [0, 1, -1]]
         table = [
             (np.eye(3)[:2], SQRT2),
             (np.eye(3), math.sqrt(3.0)),
             (np.array(cube) / math.sqrt(3.0), math.sqrt(3.0)),
             (np.array(icosahedron) / math.hypot(1.0, phi), 3.0 / phi),
+            (np.array(cuboctahedron) / SQRT2, math.sqrt(3.6)),
         ]
         for axes, c_n in table:
             assert abs(lhs_gauge(-axes) - c_n) <= 1e-9

@@ -23,7 +23,6 @@ from steerkit.simulate import (
     CSV_HEADER,
     DEFAULT_RESAMPLES,
     MAX_PAIRS_PER_SETTING,
-    MAX_RESAMPLES,
     estimate_correlation,
     propagate_uncertainty,
     rows_to_csv,
@@ -415,7 +414,7 @@ class TestPropagateUncertainty:
         est = self._estimate()
         frozen = est.__class__(est.matrix, np.zeros_like(est.delta),
                                np.zeros_like(est.delta), np.zeros_like(est.delta))
-        mean, std = propagate_uncertainty(frozen, "ris", n_resamples=50, seed=0)
+        mean, std = propagate_uncertainty(frozen, "ris", seed=0)
         assert_allclose(std, 0.0, atol=1e-15)
         assert_allclose(mean, np.abs(np.linalg.svd(est.matrix, compute_uv=False)).sum(), atol=1e-12)
 
@@ -441,9 +440,9 @@ class TestPropagateUncertainty:
         values = [
             parameter(np.clip(est.matrix + rng.standard_normal(est.matrix.shape) * est.delta,
                               -1.0, 1.0))
-            for _ in range(200)
+            for _ in range(DEFAULT_RESAMPLES)
         ]
-        mean, std = propagate_uncertainty(est, inequality, n_resamples=200, seed=11)
+        mean, std = propagate_uncertainty(est, inequality, seed=11)
         assert_allclose(mean, np.mean(values), rtol=0.0, atol=1e-12)
         assert_allclose(std, np.std(values), rtol=0.0, atol=1e-12)
 
@@ -451,23 +450,19 @@ class TestPropagateUncertainty:
         with pytest.raises(ValueError):
             propagate_uncertainty(self._estimate(), "chsh")
 
-    def test_rejects_too_few_resamples(self):
-        with pytest.raises(ValueError):
-            propagate_uncertainty(self._estimate(), "ris", n_resamples=1)
-
 
 class TestSimulateRun:
     @pytest.mark.parametrize("inequality, assess", [("ris", assess_ris), ("nss", assess_nss)])
     def test_is_assessment_plus_bootstrap_std(self, inequality, assess):
         state = BlochState(werner_state(0.95))
         counts, est, assessments = simulate_run(
-            state, *PAIRS, 20_000, math.radians(0.5), 60, 19, (4, 2)
+            state, *PAIRS, 20_000, math.radians(0.5), 19, (4, 2)
         )
         assert np.array_equal(counts, simulate_counts(*full_data(state, *PAIRS), 20_000, 19))
         u = PAIRS[0].directions @ state.t
         assert np.array_equal(est.matrix, estimate_correlation(counts, u, PAIRS[1]).matrix)
         rank = inequalities_for(2).index(inequality)
-        _, std = propagate_uncertainty(est, inequality, n_resamples=60, seed=(4, 2 + rank))
+        _, std = propagate_uncertainty(est, inequality, seed=(4, 2 + rank))
         expected = assess(est.matrix)
         got = assessments[inequality]
         assert got.uncertainty == std
@@ -480,7 +475,7 @@ class TestSimulateRun:
     def test_rejects_density_matrix(self):
         # a state is validated once, as a BlochState, before its full data is drawn
         with pytest.raises(TypeError, match="BlochState"):
-            simulate_run(werner_state(0.9), *PAIRS, 10, 0.0, 20, 0, (0, 1))
+            simulate_run(werner_state(0.9), *PAIRS, 10, 0.0, 0, (0, 1))
 
     def test_rejects_non_orthonormal_bob_frame(self):
         # |00> with both parties at (z, z) gave M_hat = [[1, 1], [1, 1]]: ris
@@ -489,7 +484,7 @@ class TestSimulateRun:
         product[0, 0] = 1.0
         both_z = MeasurementFrame([Z, Z])
         with pytest.raises(ValueError, match="bob_frame"):
-            simulate_run(BlochState(product), both_z, both_z, 2000, 0.0, 20, 0, (0, 1))
+            simulate_run(BlochState(product), both_z, both_z, 2000, 0.0, 0, (0, 1))
 
 
 # numpy's SeedSequence drops a trailing zero from a key only while the key fits
@@ -499,20 +494,20 @@ class TestSimulateRun:
 LARGE_SEED = 2**100
 
 
-def reference_run(state, alice, bob, pairs, counts_seed, bootstrap_keys, n_resamples=20):
+def reference_run(state, alice, bob, pairs, counts_seed, bootstrap_keys):
     """Counts, estimate and {tag: (parameter, bootstrap std)} on literal stream keys."""
     counts = simulate_counts(*full_data(state, alice, bob), pairs, seed=counts_seed)
     est = estimate_correlation(counts, alice.directions @ state.t, bob, math.radians(0.5))
     return counts, est, {
         tag: (assess(est.matrix, tag).parameter,
-              propagate_uncertainty(est, tag, n_resamples, seed=key)[1])
+              propagate_uncertainty(est, tag, seed=key)[1])
         for tag, key in bootstrap_keys.items()
     }
 
 
 class TestSeedStreams:
     def test_simulate_subcommand_streams(self, tmp_path, capsys):
-        config = coplanar_scenario(pairs_per_setting=2000, n_resamples=20, seed=LARGE_SEED)
+        config = coplanar_scenario(pairs_per_setting=2000, seed=LARGE_SEED)
         del config["sweep"]
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -531,7 +526,7 @@ class TestSeedStreams:
 
     def test_sweep_streams(self):
         config = coplanar_scenario(sweep={"alpha_deg": [0.0, 30.0]}, pairs_per_setting=2000,
-                                   n_resamples=20, seed=LARGE_SEED)
+                                   seed=LARGE_SEED)
         state, _, bob = _state_and_frames(config)
         for i, row in enumerate(run_scenario(config)):
             alice = frame_from_spec(config["alice_frame"] | {"alpha_deg": row.alpha_deg})
@@ -550,7 +545,6 @@ class TestSeedStreams:
             _, _, expected = reference_run(
                 case.state, case.alice, case.bob, 2000, (LARGE_SEED, i),
                 {tag: (LARGE_SEED, i, 1 + rank) for rank, tag in enumerate(tags)},
-                DEFAULT_RESAMPLES,
             )
             for row in rows:
                 if row.case == case.name:
@@ -572,7 +566,6 @@ def coplanar_scenario(**overrides):
         "bob_frame": {"kind": "pair", "normal": [0, 1, 0]},
         "sweep": {"alpha_deg": [0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0]},
         "pairs_per_setting": 5_000,
-        "n_resamples": 50,
         "seed": 101,
     }
     scenario.update(overrides)
@@ -623,7 +616,6 @@ class TestRunScenario:
             "alice_frame": {"kind": "named", "name": "standard_triad"},
             "bob_frame": {"kind": "named", "name": "standard_triad"},
             "pairs_per_setting": 20_000,
-            "n_resamples": 50,
             "seed": 3,
         }
         rows = run_scenario(scenario)
@@ -640,7 +632,6 @@ class TestRunScenario:
             "alice_frame": {"kind": "named", "name": "tetrahedron"},
             "bob_frame": {"kind": "named", "name": "standard_triad"},
             "pairs_per_setting": 20_000,
-            "n_resamples": 50,
             "seed": 3,
         }
         rows = run_scenario(scenario)
@@ -673,18 +664,17 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="sweep alpha list is empty"):
             run_scenario(coplanar_scenario(sweep={"alpha_deg": []}))
 
-    @pytest.mark.parametrize("key, value, home", [
-        ("phi_deg", 64.0, "alice_frame.phi_deg"),
-        ("inequalities", ["ris", "nss"], "inequalities_for"),
+    @pytest.mark.parametrize("key, value", [
+        ("phi_deg", 64.0),
+        ("inequalities", ["ris", "nss"]),
     ], ids=["phi_deg", "inequalities"])
-    def test_rejects_removed_key(self, tmp_path, capsys, key, value, home):
+    def test_rejects_removed_key(self, tmp_path, capsys, key, value):
         # phi_deg overrode the alice pair spec's, and inequalities chose
-        # among inequalities_for(m); each now has that one home, which the
-        # config loader names
+        # among inequalities_for(m); no subcommand reads either any more
         assert sweep_exit_code(tmp_path, coplanar_scenario(**{key: value})) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f'"{key}" was removed; its value now comes from {home}' in captured.err
+        assert f'no subcommand reads config key "{key}"' in captured.err
 
     def test_rejects_nss_for_triads(self, tmp_path, capsys):
         # a triad scenario reports ris alone; nss cannot be asked for
@@ -697,12 +687,12 @@ class TestRunScenario:
             "pairs_per_setting": 1000,
         }
         assert sweep_exit_code(tmp_path, scenario) == EXIT_CONFIG
-        assert '"inequalities" was removed' in capsys.readouterr().err
+        assert 'no subcommand reads config key "inequalities"' in capsys.readouterr().err
 
     def test_rejects_unknown_inequality(self, tmp_path, capsys):
         scenario = coplanar_scenario(inequalities=["ris", "chsh"])
         assert sweep_exit_code(tmp_path, scenario) == EXIT_CONFIG
-        assert '"inequalities" was removed' in capsys.readouterr().err
+        assert 'no subcommand reads config key "inequalities"' in capsys.readouterr().err
 
     def test_rejects_drift_for_matrix_state(self):
         rho = werner_state(0.9)
@@ -723,7 +713,6 @@ class TestRunScenario:
 class TestConfigReaders:
     @pytest.mark.parametrize("key, minimum, cap", [
         ("pairs_per_setting", 1, MAX_PAIRS_PER_SETTING),
-        ("n_resamples", 2, MAX_RESAMPLES),
     ])
     def test_caps_are_inclusive(self, key, minimum, cap):
         assert _config_int({key: cap}, key, 10, minimum, cap) == cap
@@ -733,13 +722,10 @@ class TestConfigReaders:
                 _config_int({key: value}, key, 10, minimum, cap)
 
     def test_caps_cover_documented_use(self):
-        # 100 000 pairs and 200 resamples are the example configs' values
+        # 100 000 pairs are the example configs' value
         assert MAX_PAIRS_PER_SETTING >= 100 * 100_000
-        assert MAX_RESAMPLES >= 100 * 200
         # numpy's Poisson sampler rejects means above ~9.2e18
         assert MAX_PAIRS_PER_SETTING < 1e18
-        # the bootstrap's (R, 3, 3) float64 draws
-        assert MAX_RESAMPLES * 9 * 8 <= 10e6
 
     def test_int_reader_uses_default_and_accepts_numpy_integers(self):
         assert _config_int({}, "seed", 7, 0) == 7
@@ -793,7 +779,6 @@ class TestSerialization:
             "alice_frame": {"kind": "named", "name": "standard_triad"},
             "bob_frame": {"kind": "named", "name": "standard_triad"},
             "pairs_per_setting": 1000,
-            "n_resamples": 10,
         }
         text = rows_to_csv(run_scenario(scenario))
         fields = text.strip().split("\n")[1].split(",")
