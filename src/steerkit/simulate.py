@@ -2,14 +2,14 @@
 
 For each setting pair the simulator draws a Poisson total around the
 requested pairs-per-setting, splits it multinomially over the four
-outcome probabilities, and estimates each correlation entry from the
-counts.  Entry uncertainties combine the binomial statistical error with
-a worst-case analyzer-tilt systematic, added in quadrature; parameter
-uncertainties follow by parametric bootstrap over the entries.
+outcome probabilities, and judges the counts: each correlation entry's
+binomial statistical error and a per-entry systematic add in quadrature,
+and parameter uncertainties follow by parametric bootstrap over the entries.
 
 The stages pass plain arrays: counts are drawn from a source's full data
-(alpha, beta, M) and estimation reads its correlation vectors u_j = T^T a_j,
-so both take any source; simulate_run alone reads a state.
+(alpha, beta, M); judge reads only the counts and a systematic, so it takes
+measured data too.  tilt_systematic is the model's worst case over Bob's
+analyzer tilt, and simulate_run alone reads a state.
 
 All randomness flows through numpy Generators seeded explicitly; a sweep
 derives one child seed per point from (base_seed, point_index), so runs
@@ -97,28 +97,18 @@ class EstimatedCorrelation:
     stat_component: NDArray[np.float64]
 
 
-def estimate_correlation(
-    counts: NDArray[np.int64], correlation_vectors: NDArray[np.float64],
-    bob: MeasurementFrame, sys_angle: float = DEFAULT_SYS_ANGLE,
-) -> EstimatedCorrelation:
-    """Entrywise correlation estimate with statistical and systematic errors.
+def tilt_systematic(
+    correlation_vectors: NDArray[np.float64], bob: MeasurementFrame,
+    sys_angle: float = DEFAULT_SYS_ANGLE,
+) -> NDArray[np.float64]:
+    """The model's worst-case entry error over every tilt of Bob's analyzer.
 
-    M_hat = (N++ + N-- - N+- - N-+)/N over the (m, n, 4) counts; stat is
-    the binomial standard error; sys is the worst-case response of the model
-    correlation u_j.b_k over every tilt of Bob's analyzer by up to sys_angle
-    <= pi/2, with the rows u_j = T^T a_j of correlation_vectors, shape (m, 3).
+    The (m, n) result bounds how far the model correlation u_j.b_k, with the
+    rows u_j = T^T a_j of correlation_vectors, shape (m, 3), moves when Bob's
+    setting b_k tilts by up to sys_angle <= pi/2.
     """
     if not 0.0 <= sys_angle <= math.pi / 2.0:
         raise ValueError(f"sys_angle must lie in [0, pi/2], got {sys_angle}")
-    m, n, _ = counts.shape
-    if correlation_vectors.shape != (m, 3) or bob.size != n:
-        raise ValueError(f"{m} x {n} counts need ({m}, 3) correlation vectors and {n} Bob settings")
-    totals = counts.sum(axis=2)
-    if np.any(totals == 0):
-        raise ValueError("every setting pair needs at least one count; raise pairs_per_setting")
-    mhat = (counts[:, :, 0] + counts[:, :, 3] - counts[:, :, 1] - counts[:, :, 2]) / totals
-    stat = np.sqrt(np.clip(1.0 - mhat**2, 0.0, None) / totals)
-
     # Tilting b by theta towards a unit t orthogonal to b moves u.b, with
     # u = T^T a, by (cos theta - 1) u.b + sin theta u.t.  The worst t is
     # parallel to the projection u - (u.b) b, so the maximum has a closed
@@ -127,30 +117,47 @@ def estimate_correlation(
     u = correlation_vectors
     c = u @ b.T
     transverse = np.linalg.norm(u[:, None, :] - c[:, :, None] * b, axis=2)
-    sys = 2.0 * math.sin(sys_angle / 2.0) ** 2 * np.abs(c) + math.sin(sys_angle) * transverse
+    return 2.0 * math.sin(sys_angle / 2.0) ** 2 * np.abs(c) + math.sin(sys_angle) * transverse
+
+
+def judge(
+    counts: NDArray[np.int64], sys_component: NDArray[np.float64], bootstrap_key: tuple,
+) -> tuple[EstimatedCorrelation, dict[str, SteeringAssessment]]:
+    """The estimate and an assessment per inequality, from counts and a systematic alone.
+
+    M_hat = (N++ + N-- - N+- - N-+)/N over the (m, n, 4) counts; its binomial
+    standard error stat and the (m, n) sys_component add in quadrature as
+    delta.  Each tag of inequalities_for(m) is assessed on M_hat, with the
+    standard deviation of DEFAULT_RESAMPLES parametric bootstrap draws (each
+    entry normal of width delta, clamped to [-1, 1]) as uncertainty; the tag
+    of rank r draws on bootstrap_key with its last entry advanced by r.  Give
+    the counts a key of their own: numpy drops a trailing zero from a key only
+    while it fits in four 32-bit words, so (seed, 0) and seed are different
+    streams once seed >= 2**96.
+    """
+    m, n, _ = counts.shape
+    sys = np.array(sys_component, dtype=np.float64)
+    if sys.shape != (m, n):
+        raise ValueError(f"{m} x {n} counts need an ({m}, {n}) sys_component, got {sys.shape}")
+    if not np.all(np.isfinite(sys) & (sys >= 0.0)):
+        raise ValueError("sys_component entries must be finite and >= 0")
+    totals = counts.sum(axis=2)
+    if np.any(totals == 0):
+        raise ValueError("every setting pair needs at least one count; raise pairs_per_setting")
+    mhat = (counts[:, :, 0] + counts[:, :, 3] - counts[:, :, 1] - counts[:, :, 2]) / totals
+    stat = np.sqrt(np.clip(1.0 - mhat**2, 0.0, None) / totals)
     delta = np.sqrt(sys**2 + stat**2)
     for arr in (mhat, delta, sys, stat):
         arr.setflags(write=False)
-    return EstimatedCorrelation(mhat, delta, sys, stat)
-
-
-def propagate_uncertainty(
-    est: EstimatedCorrelation,
-    inequality: str,
-    seed=0,
-) -> tuple[float, float]:
-    """Parametric bootstrap of a steering parameter over the entry errors.
-
-    Resamples each entry from a normal of width delta (clamped to
-    [-1, 1]), evaluates the parameter on all resamples at once, and
-    returns (mean, standard deviation) over DEFAULT_RESAMPLES draws.
-    """
-    evaluate = _kernel(inequality)
-    rng = np.random.default_rng(seed)
-    # One (R, m, n) draw is the same normal stream as R draws of shape (m, n).
-    noise = rng.standard_normal((DEFAULT_RESAMPLES, *est.matrix.shape))
-    values = evaluate(np.clip(est.matrix + noise * est.delta, -1.0, 1.0))
-    return float(values.mean()), float(values.std())
+    *head, last = bootstrap_key
+    assessments = {}
+    for rank, tag in enumerate(inequalities_for(m)):
+        rng = np.random.default_rng((*head, last + rank))
+        # One (R, m, n) draw is the same normal stream as R draws of shape (m, n).
+        noise = rng.standard_normal((DEFAULT_RESAMPLES, m, n))
+        values = _kernel(tag)(np.clip(mhat + noise * delta, -1.0, 1.0))
+        assessments[tag] = replace(assess(mhat, tag), uncertainty=float(values.std()))
+    return EstimatedCorrelation(mhat, delta, sys, stat), assessments
 
 
 def simulate_run(
@@ -162,16 +169,12 @@ def simulate_run(
     counts_seed,
     bootstrap_key: tuple,
 ) -> tuple[NDArray[np.int64], EstimatedCorrelation, dict[str, SteeringAssessment]]:
-    """One simulated run: counts, estimate and an assessment per inequality.
+    """One simulated run: counts, then judge's estimate and assessments.
 
     The counts are drawn on counts_seed from the state's full data
-    (a_j.r_A, b_k.r_B, a_j^T T b_k).  Every tag of inequalities_for(m)
-    is assessed on the estimate, with its bootstrap standard deviation as
-    uncertainty; the tag of rank r bootstraps on bootstrap_key with its last
-    entry advanced by r.  The counts get a key of their own: numpy drops a
-    trailing zero from a key only while it fits in four 32-bit words, so
-    (seed, 0) and seed are different streams once seed >= 2**96.  Bob's
-    frame must be orthonormal, as a config's must.
+    (a_j.r_A, b_k.r_B, a_j^T T b_k) and judged with the state's tilt
+    systematic on bootstrap_key.  Bob's frame must be orthonormal, as a
+    config's must.
     """
     if not isinstance(state, BlochState):
         raise TypeError(f"state must be a BlochState, got {type(state).__name__}")
@@ -179,13 +182,7 @@ def simulate_run(
     a, b = alice.directions, bob.directions
     u = a @ state.t
     counts = simulate_counts(a @ state.r_a, b @ state.r_b, u @ b.T, pairs_per_setting, counts_seed)
-    est = estimate_correlation(counts, u, bob, sys_angle)
-    *head, last = bootstrap_key
-    assessments = {}
-    for rank, tag in enumerate(inequalities_for(alice.size)):
-        _, std = propagate_uncertainty(est, tag, (*head, last + rank))
-        assessments[tag] = replace(assess(est.matrix, tag), uncertainty=std)
-    return counts, est, assessments
+    return (counts, *judge(counts, tilt_systematic(u, bob, sys_angle), bootstrap_key))
 
 
 def _pairs_and_seed(config: dict, default_seed: int = 0) -> tuple[int, int]:

@@ -30,7 +30,7 @@ from steerkit.frames import (
     tilted_pair,
 )
 from steerkit.lhs import lhs_membership
-from steerkit.simulate import estimate_correlation, propagate_uncertainty, simulate_counts
+from steerkit.simulate import judge, simulate_counts, tilt_systematic
 from steerkit.states import BlochState, singlet_state, spin_correlation_matrix, werner_state
 from steerkit.steering import (
     min_nss_over_rotations,
@@ -297,9 +297,9 @@ class TestAcceptance:
         def uncertainty(pairs, seed):
             state = BlochState(werner_state(0.984))
             counts = simulate_counts(*full_data(state, triad, triad), pairs, seed=seed)
-            est = estimate_correlation(counts, triad.directions @ state.t, triad, sys_angle)
-            _, std = propagate_uncertainty(est, "ris", seed=(seed, 1))
-            return est, std
+            sys = tilt_systematic(triad.directions @ state.t, triad, sys_angle)
+            est, assessments = judge(counts, sys, (seed, 1))
+            return est, assessments["ris"].uncertainty
 
         est, headline = uncertainty(100_000, seed=1729)
         u, _, vt = np.linalg.svd(est.matrix)

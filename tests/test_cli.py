@@ -34,9 +34,9 @@ from steerkit.reproduce import DEFAULT_SEED
 from steerkit.simulate import (
     DEFAULT_PAIRS_PER_SETTING,
     MAX_PAIRS_PER_SETTING,
-    estimate_correlation,
-    propagate_uncertainty,
+    judge,
     simulate_counts,
+    tilt_systematic,
 )
 from steerkit.states import BlochState, state_from_spec
 from steerkit.steering import inequalities_for
@@ -634,13 +634,12 @@ class TestSimulate:
         alice = frame_from_spec(config["alice_frame"])
         bob = frame_from_spec(config["bob_frame"])
         counts = simulate_counts(*full_data(state, alice, bob), 2000, seed=3)
-        est = estimate_correlation(counts, alice.directions @ state.t, bob)
-        for tag, stream in (("ris", 1), ("nss", 2)):
+        _, judged = judge(counts, tilt_systematic(alice.directions @ state.t, bob), (3, 1))
+        for tag in ("ris", "nss"):
             assert list(assessments[tag]) == [
                 "inequality", "parameter", "bound", "margin", "violated", "uncertainty",
             ]
-            _, std = propagate_uncertainty(est, tag, seed=(3, stream))
-            assert assessments[tag]["uncertainty"] == std
+            assert assessments[tag]["uncertainty"] == judged[tag].uncertainty
 
     def test_non_orthonormal_bob_frame_rejected(self, tmp_path, capsys):
         # reported a violated ris parameter with exit 0 before
@@ -805,24 +804,15 @@ class TestScalarKeys:
     @pytest.mark.parametrize("subcommand", sorted(EXAMPLE_CONFIGS))
     def test_unknown_key_exits_config(self, tmp_path, capsys, subcommand):
         # a misspelt key used to run on the default it meant to override; the
-        # removed keys exit at their old defaults too
+        # removed keys exit at their old defaults and at other values too.
+        # phi_deg overrode the alice pair spec's, and inequalities chose among
+        # inequalities_for(m); only sweep read them, and predict and simulate
+        # ran with either one ignored.
         for key, value in (("pair_per_setting", 50), ("n_resamples", 200),
-                           ("phi_deg", 0.0), ("inequalities", ["ris", "nss"])):
+                           ("phi_deg", 0.0), ("phi_deg", 64.0),
+                           ("inequalities", ["ris", "nss"]), ("inequalities", ["ris"])):
             config = write_config(tmp_path, EXAMPLE_CONFIGS[subcommand] | {key: value})
             assert main([subcommand, "--config", config]) == EXIT_CONFIG, key
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert f'no subcommand reads config key "{key}"' in captured.err
-
-    @pytest.mark.parametrize("key, value", [("phi_deg", 64.0), ("inequalities", ["ris"])])
-    def test_removed_sweep_key_keeps_its_message(self, tmp_path, capsys, key, value):
-        # phi_deg overrode the alice pair spec's, and inequalities chose among
-        # inequalities_for(m); each now has that one home.  Only sweep read
-        # them, and predict and simulate ran with either one ignored.  They
-        # exit by the unknown-key rule, as any key no subcommand reads.
-        for subcommand, example in EXAMPLE_CONFIGS.items():
-            config = write_config(tmp_path, example | {key: value})
-            assert main([subcommand, "--config", config]) == EXIT_CONFIG, subcommand
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f'no subcommand reads config key "{key}"' in captured.err

@@ -42,6 +42,16 @@ class TestMeasurementFrame:
         with pytest.raises(ValueError, match="directions must be finite"):
             MeasurementFrame([[bad, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
+    @pytest.mark.parametrize("directions", [[[0.0, 0.0, 1.0, 0.0]], np.zeros((1, 1, 3))],
+                             ids=["four-components", "3-d"])
+    def test_rejects_array_that_is_not_m_by_3(self, directions):
+        with pytest.raises(ValueError, match=r"expected an \(m, 3\) array"):
+            MeasurementFrame(directions)
+
+    def test_repr_lists_directions(self):
+        frame = MeasurementFrame([[0.6, 0.0, 0.8], [1.0, 0.0, 0.0]])
+        assert repr(frame) == "MeasurementFrame([[0.6 0.  0.8], [1. 0. 0.]])"
+
     def test_rejects_too_many_rows(self):
         # one more than MAX_ALICE_SETTINGS
         with pytest.raises(ValueError, match="1 to 6 directions, got 7"):
@@ -117,6 +127,8 @@ class TestRotations:
             rotate_frame(standard_triad(), -np.eye(3))
         with pytest.raises(ValueError):
             rotate_frame(standard_triad(), 2.0 * np.eye(3))
+        with pytest.raises(ValueError, match=r"expected a \(3, 3\) rotation"):
+            rotate_frame(standard_triad(), np.eye(2))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rotate_frame_rejects_non_finite(self, bad):

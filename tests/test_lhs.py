@@ -27,6 +27,9 @@ ALICE_COUNTS = st.integers(min_value=1, max_value=MAX_ALICE_SETTINGS)
 UP_TO_THREE = st.integers(min_value=1, max_value=3)
 BOB_COUNTS = UP_TO_THREE
 UNIT_INTERVAL = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+# The T-state correlations c = (c_1, c_2, c_3) of diag(c) fill the tetrahedron
+# whose vertices are the four Bell states'.
+TETRAHEDRON = np.array([[-1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
 
 
 def random_unit(rng, n):
@@ -75,6 +78,11 @@ class TestExtremePoints:
     def test_sign_vector_order(self):
         signs = alice_sign_vectors(2)
         assert_allclose(signs, [[-1, -1], [-1, 1], [1, -1], [1, 1]])
+
+    @pytest.mark.parametrize("m", [0, MAX_ALICE_SETTINGS + 1])
+    def test_sign_vectors_reject_setting_count_out_of_range(self, m):
+        with pytest.raises(ValueError, match="alice setting count"):
+            alice_sign_vectors(m)
 
     def test_extreme_point_count_and_shape(self):
         # a feasible certificate is a convex combination of extreme points
@@ -151,9 +159,43 @@ class TestLhsModel:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             LhsModel([1.0], n_settings=1, **arrays)
 
+    @pytest.mark.parametrize("weights, alice_responses, bob_blochs, n_settings, match", [
+        ([[1.0]], [[1.0]], [[0.0, 0.0, 1.0]], 1, "dimensionality"),
+        ([0.5, 0.5], [[1.0]], [[0.0, 0.0, 1.0]], 1, "leading length"),
+        ([1.0], [[1.0]], [[0.0, 1.0]], 1, "3-vectors"),
+        ([1.0], [[1.5]], [[0.0, 0.0, 1.0]], 1, r"alice responses must lie in \[-1, 1\]"),
+        ([1.0], [[1.0]], [[0.0, 0.0, 1.0]], 4, "n_settings must be 1 to 3"),
+    ], ids=["2-d weights", "short responses", "2-vector bloch", "response 1.5", "4 settings"])
+    def test_rejects_malformed_model(self, weights, alice_responses, bob_blochs, n_settings,
+                                     match):
+        with pytest.raises(ValueError, match=match):
+            LhsModel(weights, alice_responses, bob_blochs, n_settings)
+
+    @pytest.mark.parametrize("bob", [[[1.0, 0.0]], [1.0, 0.0, 0.0]], ids=["2-vector", "1-d"])
+    def test_evaluate_rejects_bob_directions_not_n_by_3(self, bob):
+        model = LhsModel([1.0], [[1.0]], [[0.0, 0.0, 1.0]], n_settings=1)
+        with pytest.raises(ValueError, match=r"bob directions must be \(n, 3\)"):
+            evaluate_lhs_model(model, bob_directions=bob)
+
     def test_rejects_long_bloch_vector(self):
         with pytest.raises(ValueError):
             LhsModel([1.0], [[1.0]], [[2.0, 0.0, 0.0]], n_settings=1)
+
+
+class TestProjectiveCriterion:
+    @pytest.mark.parametrize("w", [0.0, 0.3, 0.5, 0.75, 1.0])
+    def test_werner_is_twice_its_weight(self, w):
+        # steerable by projective measurements exactly above W = 1/2
+        assert_allclose(_reference.n_projective(-w * np.eye(3)), 2.0 * w, rtol=1e-13, atol=0.0)
+
+    def test_rank_one_is_its_largest_entry(self):
+        assert _reference.n_projective(np.diag([1.0, 0.0, 0.0])) == 1.0
+
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_rank_two_is_a_quarter_turn(self, s):
+        # |n^T T| = s sin(theta), whose integral over the sphere is s pi^2
+        assert_allclose(_reference.n_projective(np.diag([s, s, 0.0])), s * math.pi / 2.0,
+                        rtol=1e-13, atol=0.0)
 
 
 class TestMembership:
@@ -283,6 +325,10 @@ class TestMembership:
         with pytest.raises(ValueError):
             lhs_membership(np.zeros((3, 4)))
 
+    def test_rejects_matrix_that_is_not_2d(self):
+        with pytest.raises(ValueError, match="2-d correlation matrix"):
+            lhs_membership(np.zeros(3))
+
 
 class TestMaxTraceNorm:
     """The RIS bound sqrt(m) is attained by the extreme point 1 c^T."""
@@ -363,6 +409,29 @@ class TestProperties:
             assert abs(lhs_gauge(image) - gauge) <= 1e-12 * max(1.0, gauge)
             if abs(gauge - 1.0) > 1e-8:
                 assert lhs_membership(image).status == lhs_membership(matrix).status
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        hnp.arrays(np.float64, 4, elements=st.floats(0.0, 1.0)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        ALICE_COUNTS.flatmap(lambda m: hnp.arrays(np.float64, (m, 3), elements=UNIT_INTERVAL)),
+        BOB_COUNTS,
+    )
+    def test_projective_criterion_bounds_the_oracle(self, weights, seed, alice, n):
+        # N(T) decides a T-state under every projective measurement of Alice's
+        # (Jevtic et al.), so no m of her settings show more than it does
+        assume(weights.sum() > 1e-3)
+        lengths = np.linalg.norm(alice, axis=1, keepdims=True)
+        assume(lengths.min() > 1e-3)
+        rng = np.random.default_rng(seed)
+        c = weights @ TETRAHEDRON / weights.sum()
+        t = _reference.random_rotation(rng) @ np.diag(c) @ _reference.random_rotation(rng).T
+        matrix = (alice / lengths) @ t @ _reference.random_rotation(rng)[:n].T
+        criterion = _reference.n_projective(t)
+        if verdict_status(matrix) == "infeasible":
+            assert criterion > 1.0
+        if criterion >= 1.0:
+            assert lhs_gauge(matrix) <= criterion * (1.0 + 1e-6)
 
     @settings(deadline=None)
     @given(correlation_matrices())

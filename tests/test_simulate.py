@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from steerkit.cli import EXIT_CONFIG, EXIT_OK, cmd_sweep, main
+from steerkit.cli import EXAMPLE_CONFIGS, EXIT_CONFIG, EXIT_OK, cmd_sweep, main
 from steerkit.config import _config_float, _config_int, _state_and_frames
 from steerkit.frames import (
     MeasurementFrame,
@@ -23,12 +25,12 @@ from steerkit.simulate import (
     CSV_HEADER,
     DEFAULT_RESAMPLES,
     MAX_PAIRS_PER_SETTING,
-    estimate_correlation,
-    propagate_uncertainty,
+    judge,
     rows_to_csv,
     run_scenario,
     simulate_counts,
     simulate_run,
+    tilt_systematic,
 )
 from steerkit.states import BlochState, singlet_state, spin_correlation_matrix, werner_state
 from steerkit.steering import (
@@ -42,6 +44,7 @@ from steerkit.steering import (
 
 from _reference import full_data, outcome_probabilities
 
+DATA = Path(__file__).parent / "data"
 Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -166,7 +169,7 @@ class TestSimulateCounts:
         beta = model.weights @ model.bob_blochs @ triad.directions.T
         correlation = evaluate_lhs_model(model, triad.directions)
         counts = simulate_counts(alpha, beta, correlation, 1000, seed=0)
-        est = estimate_correlation(counts, np.tile(Z, (3, 1)), triad)
+        est, _ = judge(counts, tilt_systematic(np.tile(Z, (3, 1)), triad), (0, 1))
         assert np.all(counts[:, :, 2:] == 0)
         assert np.all(est.matrix[:, 2] == 1.0)
         assert np.all(est.stat_component[:, 2] == 0.0)
@@ -230,22 +233,19 @@ def random_frame(rng, size):
 class TestEstimateCorrelation:
     def test_sys_matches_cone_grid_on_reproduce_frames(self):
         for case in _cases():
-            counts = np.ones((case.alice.size, case.bob.size, 4), dtype=np.int64)
             u = case.alice.directions @ case.state.t
-            est = estimate_correlation(counts, u, case.bob)
             grid = cone_grid_sys_component(u, case.bob, math.radians(0.5))
-            assert_on_cone_grid(est.sys_component, grid, case.name)
+            assert_on_cone_grid(tilt_systematic(u, case.bob), grid, case.name)
 
     def test_sys_matches_cone_grid_on_random_frames(self):
         rng = np.random.default_rng(83)
         for _ in range(50):
             alice = random_frame(rng, int(rng.integers(1, 4)))
             bob = random_frame(rng, int(rng.integers(1, 4)))
-            counts = np.ones((alice.size, bob.size, 4), dtype=np.int64)
             u = alice.directions @ BlochState(random_density_matrix(rng)).t
             sys_angle = float(rng.uniform(0.0, 0.1))
-            est = estimate_correlation(counts, u, bob, sys_angle)
-            assert_on_cone_grid(est.sys_component, cone_grid_sys_component(u, bob, sys_angle))
+            sys = tilt_systematic(u, bob, sys_angle)
+            assert_on_cone_grid(sys, cone_grid_sys_component(u, bob, sys_angle))
 
     @settings(deadline=None)
     @given(
@@ -265,12 +265,11 @@ class TestEstimateCorrelation:
         bob = random_frame(rng, int(rng.integers(1, 4)))
         u, r = su2_with_rotation(rng)
         uu = np.kron(u, u)
-        counts = np.ones((alice.size, bob.size, 4), dtype=np.int64)
-        lab = estimate_correlation(counts, alice.directions @ BlochState(rho).t, bob, sys_angle)
+        lab = tilt_systematic(alice.directions @ BlochState(rho).t, bob, sys_angle)
         rotated_alice = rotate_frame(alice, r)
         rotated_u = rotated_alice.directions @ BlochState(uu @ rho @ uu.conj().T).t
-        rotated = estimate_correlation(counts, rotated_u, rotate_frame(bob, r), sys_angle)
-        assert_allclose(rotated.sys_component, lab.sys_component, rtol=0.0, atol=1e-15)
+        rotated = tilt_systematic(rotated_u, rotate_frame(bob, r), sys_angle)
+        assert_allclose(rotated, lab, rtol=0.0, atol=1e-15)
 
     @settings(deadline=None)
     @given(
@@ -283,9 +282,7 @@ class TestEstimateCorrelation:
         u, b = vectors
         assume(np.linalg.norm(b) > 0.1)
         bob = MeasurementFrame([b / np.linalg.norm(b)])
-        counts = np.ones((1, 1, 4), dtype=np.int64)
-        small, large = (estimate_correlation(counts, u[None, :], bob, angle).sys_component
-                        for angle in sorted(angles))
+        small, large = (tilt_systematic(u[None, :], bob, angle) for angle in sorted(angles))
         assert small[0, 0] <= large[0, 0]
 
     def test_aligned_triad_diagonal_is_exact(self):
@@ -293,11 +290,8 @@ class TestEstimateCorrelation:
         # where the tilt has no transverse response.
         w, sys_angle = 0.984, math.radians(0.5)
         triad = standard_triad()
-        est = estimate_correlation(
-            np.ones((3, 3, 4), dtype=np.int64), triad.directions @ BlochState(werner_state(w)).t,
-            triad, sys_angle,
-        )
-        diagonal = np.diag(est.sys_component)
+        sys = tilt_systematic(triad.directions @ BlochState(werner_state(w)).t, triad, sys_angle)
+        diagonal = np.diag(sys)
         assert_allclose(diagonal, w * 2.0 * math.sin(sys_angle / 2.0) ** 2, rtol=1e-15, atol=0.0)
 
     def test_pseudo_count_consistency(self):
@@ -311,16 +305,12 @@ class TestEstimateCorrelation:
             for k in range(2):
                 probs = outcome_probabilities(rho, alice.directions[j], bob.directions[k])
                 counts[j, k] = np.round(n * probs).astype(np.int64)
-        u = alice.directions @ BlochState(rho).t
-        est = estimate_correlation(counts, u, bob, sys_angle=0.0)
+        est, _ = judge(counts, np.zeros((2, 2)), (0, 1))
         assert np.abs(est.matrix + np.eye(2)).max() <= 1.0 / n
 
     def test_stat_vanishes_at_extreme_estimate(self):
-        alice = MeasurementFrame([Z])
-        bob = MeasurementFrame([Z])
         counts = np.array([[[1000, 0, 0, 0]]], dtype=np.int64)
-        u = alice.directions @ BlochState(werner_state(0.0)).t
-        est = estimate_correlation(counts, u, bob, sys_angle=0.0)
+        est, _ = judge(counts, np.zeros((1, 1)), (0, 1))
         assert_allclose(est.matrix, [[1.0]])
         assert_allclose(est.stat_component, [[0.0]])
 
@@ -328,32 +318,27 @@ class TestEstimateCorrelation:
         state = BlochState(werner_state(0.9))
         alice, bob = pair_in_plane(Y, 0.2), pair_in_plane(Y, 0.0)
         counts = simulate_counts(*full_data(state, alice, bob), 2000, seed=7)
-        est = estimate_correlation(counts, alice.directions @ state.t, bob, sys_angle=0.0)
+        est, _ = judge(counts, tilt_systematic(alice.directions @ state.t, bob, 0.0), (0, 1))
         assert_allclose(est.delta, est.stat_component)
         assert_allclose(est.sys_component, np.zeros((2, 2)))
 
     def test_quadrature_identity(self):
         state, triad = BlochState(werner_state(0.95)), standard_triad()
         counts = simulate_counts(*full_data(state, triad, triad), 2000, seed=9)
-        est = estimate_correlation(counts, triad.directions @ state.t, triad, math.radians(0.5))
+        est, _ = judge(counts, tilt_systematic(triad.directions @ state.t, triad), (0, 1))
         assert_allclose(est.delta**2, est.sys_component**2 + est.stat_component**2, atol=1e-15)
         assert np.all(est.delta >= 0.0)
 
     def test_sys_scales_with_angle(self):
-        state, triad = BlochState(werner_state(0.95)), standard_triad()
-        counts = simulate_counts(*full_data(state, triad, triad), 2000, seed=13)
-        u = triad.directions @ state.t
-        small = estimate_correlation(counts, u, triad, sys_angle=math.radians(0.1))
-        large = estimate_correlation(counts, u, triad, sys_angle=math.radians(1.0))
-        assert large.sys_component.max() > 5.0 * small.sys_component.max()
+        u = standard_triad().directions @ BlochState(werner_state(0.95)).t
+        small = tilt_systematic(u, standard_triad(), sys_angle=math.radians(0.1))
+        large = tilt_systematic(u, standard_triad(), sys_angle=math.radians(1.0))
+        assert large.max() > 5.0 * small.max()
 
     def test_rejects_zero_totals(self):
-        alice = MeasurementFrame([Z])
-        bob = MeasurementFrame([Z])
         counts = np.zeros((1, 1, 4), dtype=np.int64)
-        u = alice.directions @ BlochState(werner_state(0.5)).t
         with pytest.raises(ValueError, match="pairs_per_setting"):
-            estimate_correlation(counts, u, bob)
+            judge(counts, np.zeros((1, 1)), (0, 1))
 
     @pytest.mark.parametrize("u_rows, bob", [(1, standard_triad()), (2, MeasurementFrame([Z]))],
                              ids=["one-u-row", "one-bob-setting"])
@@ -361,9 +346,19 @@ class TestEstimateCorrelation:
         # one row of u, or one Bob setting, broadcast silently over a 2 x 3
         # run and gave every entry that row's or that setting's systematic
         counts = np.ones((2, 3, 4), dtype=np.int64)
-        u = np.ones((u_rows, 3))
-        with pytest.raises(ValueError, match="correlation vectors"):
-            estimate_correlation(counts, u, bob)
+        sys = tilt_systematic(np.ones((u_rows, 3)), bob)
+        with pytest.raises(ValueError, match="sys_component"):
+            judge(counts, sys, (0, 1))
+
+    @pytest.mark.parametrize("sys", [np.zeros((3, 2)), np.zeros(6), np.full((2, 3), -1e-3),
+                                     np.full((2, 3), np.nan), np.full((2, 3), np.inf)],
+                             ids=["transposed", "flat", "negative", "nan", "inf"])
+    def test_rejects_sys_component_no_model_gives(self, sys):
+        # the systematic is an input now: a NaN one stopped the bootstrap's SVD with a
+        # LinAlgError, and an infinite one clamped every draw to +-1
+        counts = np.ones((2, 3, 4), dtype=np.int64)
+        with pytest.raises(ValueError, match="sys_component"):
+            judge(counts, sys, (0, 1))
 
     @pytest.mark.parametrize("sys_angle", [math.nan, math.inf, -math.inf, -0.01,
                                            math.pi / 2.0 + 0.01, 2.0 * math.pi])
@@ -371,9 +366,8 @@ class TestEstimateCorrelation:
         # NaN used to drop the systematic silently (NaN > 0 is False); past a
         # right angle the closed form falls again, to 0 at a full turn
         state, triad = BlochState(werner_state(0.9)), standard_triad()
-        counts = simulate_counts(*full_data(state, triad, triad), 2000, seed=9)
         with pytest.raises(ValueError, match="sys_angle"):
-            estimate_correlation(counts, triad.directions @ state.t, triad, sys_angle=sys_angle)
+            tilt_systematic(triad.directions @ state.t, triad, sys_angle=sys_angle)
 
     def test_estimator_within_stat_bounds(self):
         # entrywise: the estimate should sit within 3 statistical standard
@@ -386,7 +380,7 @@ class TestEstimateCorrelation:
         total = 0
         for seed in range(100):
             counts = simulate_counts(*full_data(state, alice, bob), 10_000, seed=seed)
-            est = estimate_correlation(counts, alice.directions @ t, bob, sys_angle=0.0)
+            est, _ = judge(counts, np.zeros((3, 3)), (seed, 1))
             err = np.abs(est.matrix - t)
             inside += int(np.sum(err <= 3.0 * np.maximum(est.stat_component, 1e-12)))
             total += 9
@@ -398,57 +392,65 @@ class TestEstimateCorrelation:
         for pairs in (1_000, 10_000, 100_000):
             state = BlochState(werner_state(0.9))
             counts = simulate_counts(*full_data(state, *PAIRS), pairs, seed=17)
-            est = estimate_correlation(counts, PAIRS[0].directions @ t, PAIRS[1], sys_angle=0.0)
+            est, _ = judge(counts, np.zeros((2, 2)), (17, 1))
             m_model = pair_in_plane(Y, 0.0).directions @ t @ pair_in_plane(Y, 0.0).directions.T
             errors.append(np.abs(est.matrix - m_model).max())
         assert errors[2] < errors[0]
 
+    @pytest.mark.parametrize("golden, config", [
+        ("simulate_matrix_state.json", json.loads((DATA / "matrix_state.json").read_text())),
+        ("simulate_example.json", EXAMPLE_CONFIGS["simulate"]),
+    ], ids=["matrix_state", "example"])
+    def test_judge_reproduces_simulate_json(self, golden, config):
+        # simulate's own counts and systematic are all the judge needs
+        payload = json.loads((DATA / golden).read_text())
+        est, assessments = judge(np.array(payload["counts"]), np.array(payload["sys_component"]),
+                                 (config["seed"], 1))
+        assert est.matrix.tolist() == payload["correlation"]
+        assert est.delta.tolist() == payload["delta"]
+        assert est.stat_component.tolist() == payload["stat_component"]
+        assert {tag: asdict(a) for tag, a in assessments.items()} == payload["assessments"]
+
 
 class TestPropagateUncertainty:
-    def _estimate(self, seed=19, sys_angle=math.radians(0.5)):
+    def _judge(self, key):
         state = BlochState(werner_state(0.95))
-        counts = simulate_counts(*full_data(state, *PAIRS), 20_000, seed=seed)
-        return estimate_correlation(counts, PAIRS[0].directions @ state.t, PAIRS[1], sys_angle)
+        counts = simulate_counts(*full_data(state, *PAIRS), 20_000, seed=19)
+        return judge(counts, tilt_systematic(PAIRS[0].directions @ state.t, PAIRS[1]), key)
 
     def test_zero_delta_gives_zero_uncertainty(self):
-        est = self._estimate()
-        frozen = est.__class__(est.matrix, np.zeros_like(est.delta),
-                               np.zeros_like(est.delta), np.zeros_like(est.delta))
-        mean, std = propagate_uncertainty(frozen, "ris", seed=0)
-        assert_allclose(std, 0.0, atol=1e-15)
-        assert_allclose(mean, np.abs(np.linalg.svd(est.matrix, compute_uv=False)).sum(), atol=1e-12)
+        # every entry at |M_hat| = 1 has no statistical error, and the systematic is 0
+        counts = np.array([[[9, 0, 0, 0], [0, 9, 0, 0]], [[0, 0, 0, 9], [0, 0, 9, 0]]])
+        est, assessments = judge(counts, np.zeros((2, 2)), (0, 1))
+        assert np.array_equal(est.delta, np.zeros((2, 2)))
+        for assessment in assessments.values():
+            assert_allclose(assessment.uncertainty, 0.0, atol=1e-15)
 
     def test_deterministic_under_seed(self):
-        est = self._estimate()
-        assert propagate_uncertainty(est, "ris", seed=5) == propagate_uncertainty(est, "ris", seed=5)
-        assert propagate_uncertainty(est, "ris", seed=5) != propagate_uncertainty(est, "ris", seed=6)
+        assert self._judge((5, 0))[1] == self._judge((5, 0))[1]
+        assert self._judge((5, 0))[1] != self._judge((6, 0))[1]
 
     def test_uncertainty_positive_for_noisy_estimate(self):
-        est = self._estimate()
-        _, std_ris = propagate_uncertainty(est, "ris", seed=1)
-        _, std_nss = propagate_uncertainty(est, "nss", seed=1)
-        assert std_ris > 0.0
-        assert std_nss > 0.0
+        assessments = self._judge((1, 0))[1]
+        assert assessments["ris"].uncertainty > 0.0
+        assert assessments["nss"].uncertainty > 0.0
 
     @pytest.mark.parametrize("inequality, parameter", [
         ("ris", trace_norm),
         ("nss", nss_parameter),
     ])
     def test_matches_per_draw_loop(self, inequality, parameter):
-        est = self._estimate()
-        rng = np.random.default_rng(11)
+        # the tag of rank r draws on the key with its last entry advanced by r
+        est, assessments = self._judge((11, 0))
+        rng = np.random.default_rng((11, inequalities_for(2).index(inequality)))
         values = [
             parameter(np.clip(est.matrix + rng.standard_normal(est.matrix.shape) * est.delta,
                               -1.0, 1.0))
             for _ in range(DEFAULT_RESAMPLES)
         ]
-        mean, std = propagate_uncertainty(est, inequality, seed=11)
-        assert_allclose(mean, np.mean(values), rtol=0.0, atol=1e-12)
-        assert_allclose(std, np.std(values), rtol=0.0, atol=1e-12)
-
-    def test_rejects_unknown_inequality(self):
-        with pytest.raises(ValueError):
-            propagate_uncertainty(self._estimate(), "chsh")
+        got = assessments[inequality]
+        assert_allclose(got.uncertainty, np.std(values), rtol=0.0, atol=1e-12)
+        assert got == replace(assess(est.matrix, inequality), uncertainty=got.uncertainty)
 
 
 class TestSimulateRun:
@@ -459,13 +461,13 @@ class TestSimulateRun:
             state, *PAIRS, 20_000, math.radians(0.5), 19, (4, 2)
         )
         assert np.array_equal(counts, simulate_counts(*full_data(state, *PAIRS), 20_000, 19))
-        u = PAIRS[0].directions @ state.t
-        assert np.array_equal(est.matrix, estimate_correlation(counts, u, PAIRS[1]).matrix)
-        rank = inequalities_for(2).index(inequality)
-        _, std = propagate_uncertainty(est, inequality, seed=(4, 2 + rank))
+        sys = tilt_systematic(PAIRS[0].directions @ state.t, PAIRS[1])
+        judged, judged_assessments = judge(counts, sys, (4, 2))
+        for name, value in vars(judged).items():
+            assert np.array_equal(getattr(est, name), value)
         expected = assess(est.matrix)
         got = assessments[inequality]
-        assert got.uncertainty == std
+        assert got == judged_assessments[inequality]
         assert (got.inequality, got.parameter, got.bound, got.margin, got.violated) == (
             expected.inequality, expected.parameter, expected.bound, expected.margin,
             expected.violated,
@@ -494,15 +496,15 @@ class TestSimulateRun:
 LARGE_SEED = 2**100
 
 
-def reference_run(state, alice, bob, pairs, counts_seed, bootstrap_keys):
-    """Counts, estimate and {tag: (parameter, bootstrap std)} on literal stream keys."""
+def reference_run(state, alice, bob, pairs, counts_seed, bootstrap_key):
+    """Counts, estimate and {tag: (parameter, bootstrap std)} on literal stream keys.
+
+    The counts draw on counts_seed and the first tag's bootstrap on bootstrap_key.
+    """
     counts = simulate_counts(*full_data(state, alice, bob), pairs, seed=counts_seed)
-    est = estimate_correlation(counts, alice.directions @ state.t, bob, math.radians(0.5))
-    return counts, est, {
-        tag: (assess(est.matrix, tag).parameter,
-              propagate_uncertainty(est, tag, seed=key)[1])
-        for tag, key in bootstrap_keys.items()
-    }
+    est, assessments = judge(counts, tilt_systematic(alice.directions @ state.t, bob),
+                             bootstrap_key)
+    return counts, est, {tag: (a.parameter, a.uncertainty) for tag, a in assessments.items()}
 
 
 class TestSeedStreams:
@@ -514,10 +516,8 @@ class TestSeedStreams:
         assert main(["simulate", "--config", str(path), "--format", "json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         state, alice, bob = _state_and_frames(config)
-        counts, est, expected = reference_run(
-            state, alice, bob, 2000, LARGE_SEED,
-            {"ris": (LARGE_SEED, 1), "nss": (LARGE_SEED, 2)},
-        )
+        counts, est, expected = reference_run(state, alice, bob, 2000, LARGE_SEED,
+                                              (LARGE_SEED, 1))
         assert payload["counts"] == counts.tolist()
         assert payload["correlation"] == est.matrix.tolist()
         for tag, (parameter, std) in expected.items():
@@ -530,10 +530,8 @@ class TestSeedStreams:
         state, _, bob = _state_and_frames(config)
         for i, row in enumerate(run_scenario(config)):
             alice = frame_from_spec(config["alice_frame"] | {"alpha_deg": row.alpha_deg})
-            _, _, expected = reference_run(
-                state, alice, bob, 2000, (LARGE_SEED, i, 1),
-                {"ris": (LARGE_SEED, i, 2), "nss": (LARGE_SEED, i, 3)},
-            )
+            _, _, expected = reference_run(state, alice, bob, 2000, (LARGE_SEED, i, 1),
+                                           (LARGE_SEED, i, 2))
             assert (row.ris_sim, row.ris_err) == expected["ris"]
             assert (row.nss_sim, row.nss_err) == expected["nss"]
 
@@ -541,10 +539,8 @@ class TestSeedStreams:
         rows = build_report(pairs_per_setting=2000, seed=LARGE_SEED)
         checked = 0
         for i, case in enumerate(_cases()):
-            tags = inequalities_for(case.alice.size)
             _, _, expected = reference_run(
-                case.state, case.alice, case.bob, 2000, (LARGE_SEED, i),
-                {tag: (LARGE_SEED, i, 1 + rank) for rank, tag in enumerate(tags)},
+                case.state, case.alice, case.bob, 2000, (LARGE_SEED, i), (LARGE_SEED, i, 1),
             )
             for row in rows:
                 if row.case == case.name:
@@ -650,6 +646,11 @@ class TestRunScenario:
         quiet_spread = np.std([r.ris_sim for r in quiet])
         noisy_spread = np.std([r.ris_sim for r in noisy])
         assert noisy_spread > 2.0 * quiet_spread
+
+    @pytest.mark.parametrize("scenario", [[], None, "werner"], ids=["list", "null", "string"])
+    def test_rejects_non_mapping(self, scenario):
+        with pytest.raises(ValueError, match="scenario must be a mapping"):
+            run_scenario(scenario)
 
     def test_rejects_missing_keys(self):
         with pytest.raises(ValueError, match="state"):

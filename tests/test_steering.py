@@ -18,6 +18,7 @@ from steerkit.frames import (
 )
 from steerkit.states import BlochState, spin_correlation_matrix, werner_state
 from steerkit.steering import (
+    assess,
     assess_nss,
     assess_ris,
     min_nss_over_rotations,
@@ -109,6 +110,10 @@ class TestAssessments:
         assert assessment.violated
         assert assessment.margin > 0.18
 
+    def test_rejects_unknown_inequality(self):
+        with pytest.raises(ValueError, match="'chsh'"):
+            assess(-np.eye(2), "chsh")
+
     def test_ris_boundary_is_not_violation(self):
         assessment = assess_ris(-(1.0 / math.sqrt(3.0)) * np.eye(3))
         assert not assessment.violated
@@ -193,6 +198,11 @@ class TestPredictedParameters:
         t = -np.eye(3)
         with pytest.raises(ValueError, match="orthonormal"):
             ris_predicted(t, tetrahedron_frame(), standard_triad())
+
+    @pytest.mark.parametrize("t", [np.eye(2), np.eye(3)[:, :, None]], ids=["2x2", "3-d"])
+    def test_rejects_t_that_is_not_3x3(self, t):
+        with pytest.raises(ValueError, match=r"expected a \(3, 3\) spin-correlation"):
+            predicted_correlation(t, standard_triad(), standard_triad())
 
     def test_non_orthonormal_path_via_direct_correlation(self):
         # The tetrahedron frame has no projector form, but the direct
@@ -297,6 +307,15 @@ class TestMinOverRotations:
         p1 = np.outer(Y, Y)
         with pytest.raises(ValueError, match="rank"):
             min_nss_over_rotations(t, p1, pair_in_plane(Y, 0.0))
+
+    @pytest.mark.parametrize("plane, match", [
+        (np.eye(2), r"expected a \(3, 3\) projector"),
+        (np.diag([1.0, 1.0, 0.5]), "not a projector"),
+        (np.triu(np.ones((3, 3))), "not a projector"),
+    ], ids=["2x2", "not-idempotent", "not-symmetric"])
+    def test_rejects_plane_that_is_not_a_projector(self, plane, match):
+        with pytest.raises(ValueError, match=match):
+            min_nss_over_rotations(-np.eye(3), plane, pair_in_plane(Y, 0.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_plane(self, bad):
