@@ -804,15 +804,24 @@ class TestScalarKeys:
     @pytest.mark.parametrize("subcommand", sorted(EXAMPLE_CONFIGS))
     def test_unknown_key_exits_config(self, tmp_path, capsys, subcommand):
         # a misspelt key used to run on the default it meant to override; the
-        # removed keys exit at their old defaults and at other values too.
-        # phi_deg overrode the alice pair spec's, and inequalities chose among
-        # inequalities_for(m); only sweep read them, and predict and simulate
-        # ran with either one ignored.
+        # removed keys exit at their old defaults too
         for key, value in (("pair_per_setting", 50), ("n_resamples", 200),
-                           ("phi_deg", 0.0), ("phi_deg", 64.0),
-                           ("inequalities", ["ris", "nss"]), ("inequalities", ["ris"])):
+                           ("phi_deg", 0.0), ("inequalities", ["ris", "nss"])):
             config = write_config(tmp_path, EXAMPLE_CONFIGS[subcommand] | {key: value})
             assert main([subcommand, "--config", config]) == EXIT_CONFIG, key
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f'no subcommand reads config key "{key}"' in captured.err
+
+    @pytest.mark.parametrize("key, value", [("phi_deg", 64.0), ("inequalities", ["ris"])])
+    def test_removed_sweep_key_keeps_its_message(self, tmp_path, capsys, key, value):
+        # phi_deg overrode the alice pair spec's, and inequalities chose among
+        # inequalities_for(m); each now has that one home.  Only sweep read
+        # them, and predict and simulate ran with either one ignored.  They
+        # exit by the unknown-key rule, as any key no subcommand reads.
+        for subcommand, example in EXAMPLE_CONFIGS.items():
+            config = write_config(tmp_path, example | {key: value})
+            assert main([subcommand, "--config", config]) == EXIT_CONFIG, subcommand
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f'no subcommand reads config key "{key}"' in captured.err
