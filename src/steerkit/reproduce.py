@@ -1,10 +1,13 @@
 """Comparison table against the reference photonic steering experiment.
 
-Each row pairs a reported steering parameter from the benchmark
-experiment with the ideal-model prediction for the same geometry and a
-finite-statistics simulation.  Rows whose reported values stem from
-real-state asymmetry or source drift cannot be reproduced by the ideal
-isotropic-noise model and are annotated as such rather than fitted.
+Each case of CASES is a config of the form predict, lhs and simulate read:
+a state spec and Alice's and Bob's frame specs, built by the one spec
+reader config._state_and_frames.  Each row pairs a reported steering
+parameter from the benchmark experiment with the ideal-model prediction
+for the case and a finite-statistics simulation.  Rows whose reported
+values stem from real-state asymmetry or source drift cannot be
+reproduced by the ideal isotropic-noise model and are annotated as such
+rather than fitted.
 """
 
 from __future__ import annotations
@@ -12,20 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .frames import (
-    MeasurementFrame,
-    pair_in_plane,
-    standard_triad,
-    misaligned_triad,
-    tetrahedron_frame,
-    tilted_pair,
-)
+from .config import _state_and_frames
 from .simulate import (
     DEFAULT_PAIRS_PER_SETTING,
     DEFAULT_SYS_ANGLE,
     simulate_run,
 )
-from .states import BlochState, singlet_state, werner_state
 from .steering import assess, predicted_correlation
 
 DEFAULT_SEED = 1729
@@ -38,8 +33,6 @@ W_TILT_64 = 1.40 / (1.0 + math.cos(math.radians(64.0)))
 W_FIDELITY_96 = (4.0 * 0.96 - 1.0) / 3.0
 
 NOT_REPRODUCIBLE = "not reproducible from ideal model (real-state asymmetry)"
-
-Y_AXIS = (0.0, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -56,119 +49,106 @@ class ReportRow:
     note: str
 
 
-@dataclass(frozen=True)
-class _Case:
-    name: str
-    state: BlochState
-    alice: MeasurementFrame
-    bob: MeasurementFrame
-    # one entry per inequality: (tag, reported, reported_err, reproducible, note)
-    entries: tuple
+# Bob's pairs span the x-z plane, whose normal is the y axis; a tilted
+# Alice pair leaves it by phi_deg.
+_XZ_PAIR = {"kind": "pair", "normal": [0.0, 1.0, 0.0]}
+_TRIAD = {"kind": "named", "name": "standard_triad"}
+_PAIR_SUB = {"kind": "explicit", "directions": [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]}
 
-
-def _cases() -> list[_Case]:
-    pair_sub = MeasurementFrame([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    sixty_pair = MeasurementFrame([
-        [0.0, 0.0, 1.0],
-        [math.sqrt(3.0) / 2.0, 0.0, 0.5],
-    ])
-    return [
-        _Case(
-            "coplanar pairs, tilt 0 deg (W=0.985)",
-            BlochState(werner_state(0.985)),
-            pair_in_plane(Y_AXIS, 0.0),
-            pair_in_plane(Y_AXIS, 0.0),
-            (
-                ("ris", 1.97, None, True,
-                 "alpha-independent; the reported dip near alpha=70 deg is "
-                 "source drift, emulated qualitatively by the drift_sigma knob"),
-                ("nss", 1.97, None, True, "equals the ris value at this tilt"),
-            ),
+# One config per reference case, of the form predict, lhs and simulate
+# read: its name, its state and frame specs, and one entry per inequality:
+# (tag, reported, reported_err, reproducible, note).
+CASES = (
+    (
+        "coplanar pairs, tilt 0 deg (W=0.985)",
+        {"state": {"kind": "werner", "W": 0.985},
+         "alice_frame": _XZ_PAIR, "bob_frame": _XZ_PAIR},
+        (
+            ("ris", 1.97, None, True,
+             "alpha-independent; the reported dip near alpha=70 deg is "
+             "source drift, emulated qualitatively by the drift_sigma knob"),
+            ("nss", 1.97, None, True, "equals the ris value at this tilt"),
         ),
-        _Case(
-            f"tilted pairs, 64 deg (W={W_TILT_64:.4f})",
-            BlochState(werner_state(W_TILT_64)),
-            tilted_pair(math.radians(64.0), 0.0, Y_AXIS),
-            pair_in_plane(Y_AXIS, 0.0),
-            (
-                ("ris", 1.40, None, True,
-                 "werner weight back-solved from the reported prediction 1.40"),
-            ),
+    ),
+    (
+        f"tilted pairs, 64 deg (W={W_TILT_64:.4f})",
+        {"state": {"kind": "werner", "W": W_TILT_64},
+         "alice_frame": _XZ_PAIR | {"phi_deg": 64.0}, "bob_frame": _XZ_PAIR},
+        (
+            ("ris", 1.40, None, True,
+             "werner weight back-solved from the reported prediction 1.40"),
         ),
-        _Case(
-            f"orthogonal planes, 90 deg (W={W_TILT_64:.4f})",
-            BlochState(werner_state(W_TILT_64)),
-            tilted_pair(math.radians(90.0), 0.0, Y_AXIS),
-            pair_in_plane(Y_AXIS, 0.0),
-            (
-                ("ris", None, None, True,
-                 "below the bound at every alpha, matching the report of no violation"),
-            ),
+    ),
+    (
+        f"orthogonal planes, 90 deg (W={W_TILT_64:.4f})",
+        {"state": {"kind": "werner", "W": W_TILT_64},
+         "alice_frame": _XZ_PAIR | {"phi_deg": 90.0}, "bob_frame": _XZ_PAIR},
+        (
+            ("ris", None, None, True,
+             "below the bound at every alpha, matching the report of no violation"),
         ),
-        _Case(
-            "aligned triads (W=0.984)",
-            BlochState(werner_state(0.984)),
-            standard_triad(),
-            standard_triad(),
-            (
-                ("ris", 2.93, 0.01, False,
-                 f"{NOT_REPRODUCIBLE}; the ideal-model maximum is 2.952"),
-            ),
+    ),
+    (
+        "aligned triads (W=0.984)",
+        {"state": {"kind": "werner", "W": 0.984},
+         "alice_frame": _TRIAD, "bob_frame": _TRIAD},
+        (
+            ("ris", 2.93, 0.01, False,
+             f"{NOT_REPRODUCIBLE}; the ideal-model maximum is 2.952"),
         ),
-        _Case(
-            "pair subset of the triads, m=2 n=3 (W=0.984)",
-            BlochState(werner_state(0.984)),
-            pair_sub,
-            standard_triad(),
-            (
-                ("ris", 1.96, 0.01, True,
-                 "bound sqrt(m) = sqrt(2) for m=2; the source text quotes "
-                 "sqrt(3) for this subset"),
-            ),
+    ),
+    (
+        "pair subset of the triads, m=2 n=3 (W=0.984)",
+        {"state": {"kind": "werner", "W": 0.984},
+         "alice_frame": _PAIR_SUB, "bob_frame": _TRIAD},
+        (
+            ("ris", 1.96, 0.01, True,
+             "bound sqrt(m) = sqrt(2) for m=2; the source text quotes "
+             "sqrt(3) for this subset"),
         ),
-        _Case(
-            "triad vs pair subset, m=3 n=2 (W=0.984)",
-            BlochState(werner_state(0.984)),
-            standard_triad(),
-            pair_sub,
-            (
-                ("ris", 1.97, 0.01, True, ""),
-            ),
+    ),
+    (
+        "triad vs pair subset, m=3 n=2 (W=0.984)",
+        {"state": {"kind": "werner", "W": 0.984},
+         "alice_frame": _TRIAD, "bob_frame": _PAIR_SUB},
+        (
+            ("ris", 1.97, 0.01, True, ""),
         ),
-        _Case(
-            "misaligned triads (W=0.9467)",
-            BlochState(werner_state(W_FIDELITY_96)),
-            misaligned_triad(),
-            standard_triad(),
-            (
-                ("ris", 2.21, 0.01, False,
-                 f"{NOT_REPRODUCIBLE}; the ideal prediction is rotation-invariant"),
-            ),
+    ),
+    (
+        "misaligned triads (W=0.9467)",
+        {"state": {"kind": "werner", "W": W_FIDELITY_96},
+         "alice_frame": {"kind": "named", "name": "misaligned_triad"}, "bob_frame": _TRIAD},
+        (
+            ("ris", 2.21, 0.01, False,
+             f"{NOT_REPRODUCIBLE}; the ideal prediction is rotation-invariant"),
         ),
-        _Case(
-            "nonorthogonal 60 deg pair (singlet)",
-            BlochState(singlet_state()),
-            sixty_pair,
-            pair_sub,
-            (
-                ("ris", 1.85, 0.01, False,
-                 "state-limited (reported fidelity 97.2%); ideal-singlet "
-                 "prediction shown"),
-                ("nss", 1.96, 0.01, False,
-                 "state-limited (reported fidelity 97.2%); ideal-singlet "
-                 "prediction shown"),
-            ),
+    ),
+    (
+        "nonorthogonal 60 deg pair (singlet)",
+        # the singlet is the Werner state of weight 1
+        {"state": {"kind": "werner", "W": 1.0},
+         "alice_frame": {"kind": "explicit",
+                         "directions": [[0.0, 0.0, 1.0], [math.sqrt(3.0) / 2.0, 0.0, 0.5]]},
+         "bob_frame": _PAIR_SUB},
+        (
+            ("ris", 1.85, 0.01, False,
+             "state-limited (reported fidelity 97.2%); ideal-singlet "
+             "prediction shown"),
+            ("nss", 1.96, 0.01, False,
+             "state-limited (reported fidelity 97.2%); ideal-singlet "
+             "prediction shown"),
         ),
-        _Case(
-            "tetrahedron vs triad (W=0.97)",
-            BlochState(werner_state(0.97)),
-            tetrahedron_frame(),
-            standard_triad(),
-            (
-                ("ris", 2.74, 0.01, True, ""),
-            ),
+    ),
+    (
+        "tetrahedron vs triad (W=0.97)",
+        {"state": {"kind": "werner", "W": 0.97},
+         "alice_frame": {"kind": "named", "name": "tetrahedron"}, "bob_frame": _TRIAD},
+        (
+            ("ris", 2.74, 0.01, True, ""),
         ),
-    ]
+    ),
+)
 
 
 def build_report(
@@ -176,19 +156,22 @@ def build_report(
 ) -> list[ReportRow]:
     """Evaluate every reference case: prediction, simulation, annotation.
 
-    Each simulated parameter's uncertainty bootstraps over simulate's DEFAULT_RESAMPLES draws.
+    Each case's config is read by _state_and_frames on every call.  Each
+    simulated parameter's uncertainty bootstraps over simulate's
+    DEFAULT_RESAMPLES draws.
     """
     rows = []
-    for index, case in enumerate(_cases()):
-        m_pred = predicted_correlation(case.state.t, case.alice, case.bob)
+    for index, (name, config, entries) in enumerate(CASES):
+        state, alice, bob = _state_and_frames(config)
+        m_pred = predicted_correlation(state.t, alice, bob)
         _, _, assessments = simulate_run(
-            case.state, case.alice, case.bob, pairs_per_setting, DEFAULT_SYS_ANGLE,
+            state, alice, bob, pairs_per_setting, DEFAULT_SYS_ANGLE,
             (seed, index), (seed, index, 1),
         )
-        for tag, reported, reported_err, reproducible, note in case.entries:
+        for tag, reported, reported_err, reproducible, note in entries:
             assessment = assessments[tag]
             rows.append(ReportRow(
-                case=case.name,
+                case=name,
                 inequality=tag,
                 reported=reported,
                 reported_err=reported_err,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import _config_float, _config_int, _spec_keys, _state_and_frames
 from .frames import MeasurementFrame, frame_from_spec, require_orthonormal
-from .states import EIGENVALUE_TOL, BlochState, werner_state
+from .states import EIGENVALUE_TOL, BlochState, state_from_spec
 from .steering import (
     SteeringAssessment,
     _kernel,
@@ -81,8 +81,8 @@ def simulate_counts(
     counts = np.zeros((*correlation.shape, 4), dtype=np.int64)
     for j, k in np.ndindex(correlation.shape):
         total = rng.poisson(pairs_per_setting)
-        if total > 0:
-            counts[j, k] = rng.multinomial(total, probs[j, k] / probs[j, k].sum())
+        # a zero total draws nothing from the stream and gives zeros
+        counts[j, k] = rng.multinomial(total, probs[j, k] / probs[j, k].sum())
     counts.setflags(write=False)
     return counts
 
@@ -125,7 +125,8 @@ def judge(
 ) -> tuple[EstimatedCorrelation, dict[str, SteeringAssessment]]:
     """The estimate and an assessment per inequality, from counts and a systematic alone.
 
-    M_hat = (N++ + N-- - N+- - N-+)/N over the (m, n, 4) counts; its binomial
+    M_hat = (N++ + N-- - N+- - N-+)/N over the counts, a non-negative integer
+    (m, n, 4) array in the outcome order of simulate_counts; its binomial
     standard error stat and the (m, n) sys_component add in quadrature as
     delta.  Each tag of inequalities_for(m) is assessed on M_hat, with the
     standard deviation of DEFAULT_RESAMPLES parametric bootstrap draws (each
@@ -135,6 +136,12 @@ def judge(
     while it fits in four 32-bit words, so (seed, 0) and seed are different
     streams once seed >= 2**96.
     """
+    if counts.ndim != 3 or counts.shape[2] != 4 or counts.dtype.kind not in "iu":
+        raise ValueError(
+            f"counts must be an integer (m, n, 4) array, got {counts.dtype} of shape {counts.shape}"
+        )
+    if np.any(counts < 0):
+        raise ValueError("counts must be >= 0")
     m, n, _ = counts.shape
     sys = np.array(sys_component, dtype=np.float64)
     if sys.shape != (m, n):
@@ -144,7 +151,7 @@ def judge(
     totals = counts.sum(axis=2)
     if np.any(totals == 0):
         raise ValueError("every setting pair needs at least one count; raise pairs_per_setting")
-    mhat = (counts[:, :, 0] + counts[:, :, 3] - counts[:, :, 1] - counts[:, :, 2]) / totals
+    mhat = counts @ (_SIGN_A * _SIGN_B) / totals
     stat = np.sqrt(np.clip(1.0 - mhat**2, 0.0, None) / totals)
     delta = np.sqrt(sys**2 + stat**2)
     for arr in (mhat, delta, sys, stat):
@@ -234,7 +241,9 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
 
     "drift_sigma" models slow source drift: each point draws its own
     Werner weight from a normal around the config's W with that width,
-    clipped to [0, 1].  It needs a Werner state spec.
+    clipped to [0, 1], and builds its state from the config's state spec
+    with that W, as it builds its frame from the alice spec at its
+    alpha_deg.  It needs a Werner state spec.
     """
     if not isinstance(scenario, dict):
         raise ValueError(f"scenario must be a mapping, got {type(scenario).__name__}")
@@ -268,7 +277,7 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
         if drift > 0.0:
             jitter = np.random.default_rng((seed, index, 0)).normal(0.0, drift)
             w_eff = float(np.clip(_config_float(state_spec, "W") + jitter, 0.0, 1.0))
-            point_state = BlochState(werner_state(w_eff))
+            point_state = BlochState(state_from_spec(state_spec | {"W": w_eff}))
 
         m_pred = predicted_correlation(state.t, point_alice, bob)
         _, _, assessments = simulate_run(point_state, point_alice, bob, pairs, sys_angle,

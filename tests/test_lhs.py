@@ -448,3 +448,12 @@ class TestProperties:
         assert support <= 1.0 + 1e-12
         assert score > support
         assert_allclose(score, 1.0 + verdict.gap, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(correlation_matrices())
+    def test_infeasible_separator_attains_the_gauge(self, matrix):
+        # <G, M> = 1 + gap reaches the gauge, so the separator is the gauge's
+        # optimal dual, not only some functional that separates M
+        verdict = lhs_membership(matrix)
+        if verdict.status == "infeasible":
+            assert_allclose(1.0 + verdict.gap, lhs_gauge(matrix), rtol=1e-12, atol=0.0)

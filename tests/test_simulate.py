@@ -20,7 +20,7 @@ from steerkit.frames import (
     standard_triad,
 )
 from steerkit.lhs import LhsModel, evaluate_lhs_model
-from steerkit.reproduce import _cases, build_report
+from steerkit.reproduce import CASES, build_report
 from steerkit.simulate import (
     CSV_HEADER,
     DEFAULT_RESAMPLES,
@@ -232,10 +232,11 @@ def random_frame(rng, size):
 
 class TestEstimateCorrelation:
     def test_sys_matches_cone_grid_on_reproduce_frames(self):
-        for case in _cases():
-            u = case.alice.directions @ case.state.t
-            grid = cone_grid_sys_component(u, case.bob, math.radians(0.5))
-            assert_on_cone_grid(tilt_systematic(u, case.bob), grid, case.name)
+        for name, config, _ in CASES:
+            state, alice, bob = _state_and_frames(config)
+            u = alice.directions @ state.t
+            grid = cone_grid_sys_component(u, bob, math.radians(0.5))
+            assert_on_cone_grid(tilt_systematic(u, bob), grid, name)
 
     def test_sys_matches_cone_grid_on_random_frames(self):
         rng = np.random.default_rng(83)
@@ -339,6 +340,19 @@ class TestEstimateCorrelation:
         counts = np.zeros((1, 1, 4), dtype=np.int64)
         with pytest.raises(ValueError, match="pairs_per_setting"):
             judge(counts, np.zeros((1, 1)), (0, 1))
+
+    @pytest.mark.parametrize("counts", [
+        np.ones((2, 4), dtype=np.int64),
+        np.array([[[3, 0, 0, 0, 7]]]),
+        np.array([[[2.5, 0.0, 0.0, 0.5]]]),
+        np.array([[[5, -2, 0, 0]]]),
+    ], ids=["2-d", "five-outcomes", "float", "negative"])
+    def test_rejects_counts_no_source_gives(self, counts):
+        # unchecked, these fail to unpack, give M_hat = 0.3 with the fifth column
+        # counted in the total only, M_hat = 1 with stat 0, and M_hat = 2.33 with
+        # RIS violated at uncertainty 0
+        with pytest.raises(ValueError, match="counts must"):
+            judge(counts, np.zeros(counts.shape[:2]), (0, 1))
 
     @pytest.mark.parametrize("u_rows, bob", [(1, standard_triad()), (2, MeasurementFrame([Z]))],
                              ids=["one-u-row", "one-bob-setting"])
@@ -538,12 +552,13 @@ class TestSeedStreams:
     def test_reproduce_streams(self):
         rows = build_report(pairs_per_setting=2000, seed=LARGE_SEED)
         checked = 0
-        for i, case in enumerate(_cases()):
+        for i, (name, config, _) in enumerate(CASES):
+            state, alice, bob = _state_and_frames(config)
             _, _, expected = reference_run(
-                case.state, case.alice, case.bob, 2000, (LARGE_SEED, i), (LARGE_SEED, i, 1),
+                state, alice, bob, 2000, (LARGE_SEED, i), (LARGE_SEED, i, 1),
             )
             for row in rows:
-                if row.case == case.name:
+                if row.case == name:
                     assert (row.simulated, row.sim_err) == expected[row.inequality]
                     checked += 1
         assert checked == len(rows)
