@@ -46,7 +46,6 @@ EXAMPLE_CONFIGS = {
         "bob_frame": {"kind": "pair", "normal": [0.0, 1.0, 0.0], "alpha_deg": 0.0},
         "sweep": {"alpha_deg": [0, 10, 20, 30, 40, 45, 50, 60, 70, 80, 90]},
         "pairs_per_setting": 100000,
-        "sys_angle_deg": 0.5,
         "seed": 7,
         "drift_sigma": 0.0,
     },
@@ -56,7 +55,6 @@ EXAMPLE_CONFIGS = {
         "alice_frame": {"kind": "named", "name": "standard_triad"},
         "bob_frame": {"kind": "named", "name": "standard_triad"},
         "pairs_per_setting": 100000,
-        "sys_angle_deg": 0.5,
         "seed": 7,
     },
     # the defaults; a test holds them to simulate's and reproduce's constants
@@ -69,7 +67,6 @@ _KNOWN_KEYS = frozenset().union(*EXAMPLE_CONFIGS.values())
 _FLAGS = (
     ("--seed", "seed", int),
     ("--pairs", "pairs_per_setting", int),
-    ("--sys-angle-deg", "sys_angle_deg", float),
 )
 
 
@@ -182,8 +179,8 @@ def cmd_simulate(config: dict) -> tuple[dict, str]:
     from .simulate import _run_keys, simulate_run
 
     state, alice, bob = _state_and_frames(config)
-    pairs, seed, sys_angle = _run_keys(config)
-    counts, est, assessments = simulate_run(state, alice, bob, pairs, sys_angle, seed, (seed, 1))
+    pairs, seed = _run_keys(config)
+    counts, est, assessments = simulate_run(state, alice, bob, pairs, seed, (seed, 1))
 
     payload = {
         "counts": counts.tolist(),
@@ -205,9 +202,9 @@ def cmd_simulate(config: dict) -> tuple[dict, str]:
 
 def cmd_reproduce(config: dict) -> tuple[list, str]:
     from .reproduce import DEFAULT_SEED, build_report, format_report
-    from .simulate import _pairs_and_seed
+    from .simulate import _run_keys
 
-    pairs, seed = _pairs_and_seed(config, DEFAULT_SEED)
+    pairs, seed = _run_keys(config, DEFAULT_SEED)
     rows = build_report(pairs_per_setting=pairs, seed=seed)
     return [asdict(r) for r in rows], format_report(rows)
 

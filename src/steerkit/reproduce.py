@@ -16,11 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .config import _state_and_frames
-from .simulate import (
-    DEFAULT_PAIRS_PER_SETTING,
-    DEFAULT_SYS_ANGLE,
-    simulate_run,
-)
+from .simulate import DEFAULT_PAIRS_PER_SETTING, simulate_run
 from .steering import assess, predicted_correlation
 
 DEFAULT_SEED = 1729
@@ -165,8 +161,7 @@ def build_report(
         state, alice, bob = _state_and_frames(config)
         m_pred = predicted_correlation(state.t, alice, bob)
         _, _, assessments = simulate_run(
-            state, alice, bob, pairs_per_setting, DEFAULT_SYS_ANGLE,
-            (seed, index), (seed, index, 1),
+            state, alice, bob, pairs_per_setting, (seed, index), (seed, index, 1)
         )
         for tag, reported, reported_err, reproducible, note in entries:
             assessment = assessments[tag]

@@ -38,8 +38,8 @@ from .steering import (
 if TYPE_CHECKING:
     from numpy.typing import NDArray
 
-DEFAULT_SYS_ANGLE_DEG = 0.5
-DEFAULT_SYS_ANGLE = math.radians(DEFAULT_SYS_ANGLE_DEG)
+# The analyzer tilt every simulated run is judged at; tilt_systematic takes any other.
+DEFAULT_SYS_ANGLE = math.radians(0.5)
 DEFAULT_PAIRS_PER_SETTING = 100_000
 DEFAULT_RESAMPLES = 200
 # Cap on pairs_per_setting: Poisson means stay far below numpy's limit
@@ -172,7 +172,6 @@ def simulate_run(
     alice: MeasurementFrame,
     bob: MeasurementFrame,
     pairs_per_setting: int,
-    sys_angle: float,
     counts_seed,
     bootstrap_key: tuple,
 ) -> tuple[NDArray[np.int64], EstimatedCorrelation, dict[str, SteeringAssessment]]:
@@ -180,33 +179,25 @@ def simulate_run(
 
     The counts are drawn on counts_seed from the state's full data
     (a_j.r_A, b_k.r_B, a_j^T T b_k) and judged with the state's tilt
-    systematic on bootstrap_key.  Bob's frame must be orthonormal, as a
-    config's must.
+    systematic at DEFAULT_SYS_ANGLE on bootstrap_key.  Bob's frame must be
+    orthonormal, as a config's must.
     """
     if not isinstance(state, BlochState):
         raise TypeError(f"state must be a BlochState, got {type(state).__name__}")
+    # _state_and_frames checks a config's frame; this cheap repeat guards library callers
     require_orthonormal(bob, "bob_frame")
     a, b = alice.directions, bob.directions
     u = a @ state.t
     counts = simulate_counts(a @ state.r_a, b @ state.r_b, u @ b.T, pairs_per_setting, counts_seed)
-    return (counts, *judge(counts, tilt_systematic(u, bob, sys_angle), bootstrap_key))
+    return (counts, *judge(counts, tilt_systematic(u, bob), bootstrap_key))
 
 
-def _pairs_and_seed(config: dict, default_seed: int = 0) -> tuple[int, int]:
+def _run_keys(config: dict, default_seed: int = 0) -> tuple[int, int]:
     """The pairs_per_setting and seed of every subcommand that simulates counts."""
     return (
         _config_int(config, "pairs_per_setting", DEFAULT_PAIRS_PER_SETTING, 1,
                     MAX_PAIRS_PER_SETTING),
         _config_int(config, "seed", default_seed, 0),
-    )
-
-
-def _run_keys(config: dict) -> tuple[int, int, float]:
-    """A run's pairs_per_setting, seed and systematic tilt in radians."""
-    return (
-        *_pairs_and_seed(config),
-        # the tilt systematic's closed form grows with the tilt up to a right angle only
-        math.radians(_config_float(config, "sys_angle_deg", DEFAULT_SYS_ANGLE_DEG, 0.0, 90.0)),
     )
 
 
@@ -235,9 +226,8 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
 
     Required keys: "state", "alice_frame", "bob_frame".  Optional:
     "sweep" ({"alpha_deg": [...]}, pair frames only), "pairs_per_setting",
-    "sys_angle_deg", "seed", "drift_sigma".  Each point takes
-    the alice spec at its alpha_deg and reports every inequality of
-    inequalities_for(m).
+    "seed", "drift_sigma".  Each point takes the alice spec at its alpha_deg
+    and reports every inequality of inequalities_for(m).
 
     "drift_sigma" models slow source drift: each point draws its own
     Werner weight from a normal around the config's W with that width,
@@ -248,7 +238,7 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
     if not isinstance(scenario, dict):
         raise ValueError(f"scenario must be a mapping, got {type(scenario).__name__}")
     state, alice, bob = _state_and_frames(scenario)
-    pairs, seed, sys_angle = _run_keys(scenario)
+    pairs, seed = _run_keys(scenario)
     state_spec = scenario["state"]
     drift = _config_float(scenario, "drift_sigma", 0.0, 0.0)
     if drift > 0.0 and state_spec.get("kind") != "werner":
@@ -280,7 +270,7 @@ def run_scenario(scenario: dict) -> list[ScenarioRow]:
             point_state = BlochState(state_from_spec(state_spec | {"W": w_eff}))
 
         m_pred = predicted_correlation(state.t, point_alice, bob)
-        _, _, assessments = simulate_run(point_state, point_alice, bob, pairs, sys_angle,
+        _, _, assessments = simulate_run(point_state, point_alice, bob, pairs,
                                          (seed, index, 1), (seed, index, 2))
         cells = dict.fromkeys(f.name for f in fields(ScenarioRow)) | {"alpha_deg": alpha_deg}
         for tag, sim in assessments.items():

@@ -28,11 +28,13 @@ from steerkit.cli import (
     build_parser,
     main,
 )
+from steerkit.config import _state_and_frames
 from steerkit.frames import frame_from_spec
 from steerkit.lhs import MAX_ALICE_SETTINGS
 from steerkit.reproduce import DEFAULT_SEED
 from steerkit.simulate import (
     DEFAULT_PAIRS_PER_SETTING,
+    DEFAULT_SYS_ANGLE,
     MAX_PAIRS_PER_SETTING,
     judge,
     simulate_counts,
@@ -641,6 +643,20 @@ class TestSimulate:
             ]
             assert assessments[tag]["uncertainty"] == judged[tag].uncertainty
 
+    @pytest.mark.parametrize("golden, config", [
+        ("simulate_example.json", None), ("simulate_matrix_state.json", "matrix_state.json"),
+    ])
+    def test_golden_systematic_is_the_default_tilt(self, golden, config):
+        # the CLI judges at DEFAULT_SYS_ANGLE, the tilt of reproduce's table;
+        # a None config is the example config
+        data = Path(__file__).parent / "data"
+        config = EXAMPLE_CONFIGS["simulate"] if config is None else json.loads(
+            (data / config).read_text())
+        state, alice, bob = _state_and_frames(config)
+        sys_component = json.loads((data / golden).read_text())["sys_component"]
+        assert sys_component == tilt_systematic(
+            alice.directions @ state.t, bob, DEFAULT_SYS_ANGLE).tolist()
+
     def test_non_orthonormal_bob_frame_rejected(self, tmp_path, capsys):
         # reported a violated ris parameter with exit 0 before
         assert_bob_frame_rejected("simulate", tmp_path, capsys)
@@ -789,12 +805,15 @@ class TestScalarKeys:
         }
         assert flags == {
             "predict": set(), "lhs": set(), "reproduce": {"--seed", "--pairs"},
-            "sweep": {"--seed", "--pairs", "--sys-angle-deg"},
-            "simulate": {"--seed", "--pairs", "--sys-angle-deg"},
+            "sweep": {"--seed", "--pairs"}, "simulate": {"--seed", "--pairs"},
         }
 
-    @pytest.mark.parametrize("argv", [["predict", "--seed", "1"],
-                                      ["reproduce", "--sys-angle-deg", "1"]])
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--seed", "1"],
+        # every subcommand judges at DEFAULT_SYS_ANGLE; simulate and sweep took the flag before
+        *([subcommand, "--sys-angle-deg", "1"]
+          for subcommand in ("reproduce", "simulate", "sweep", "predict", "lhs")),
+    ])
     def test_flag_of_unread_key_exits_config(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -803,25 +822,18 @@ class TestScalarKeys:
 
     @pytest.mark.parametrize("subcommand", sorted(EXAMPLE_CONFIGS))
     def test_unknown_key_exits_config(self, tmp_path, capsys, subcommand):
-        # a misspelt key used to run on the default it meant to override; the
-        # removed keys exit at their old defaults too
+        # a misspelt key used to run on the default it meant to override.  The
+        # removed keys exit at their old defaults and at other values too:
+        # phi_deg overrode the alice pair spec's and inequalities chose among
+        # inequalities_for(m), each now with that one home; sys_angle_deg is
+        # DEFAULT_SYS_ANGLE on every run.  Only sweep read the first two, and
+        # predict and simulate ran with either one ignored.
         for key, value in (("pair_per_setting", 50), ("n_resamples", 200),
-                           ("phi_deg", 0.0), ("inequalities", ["ris", "nss"])):
+                           ("phi_deg", 0.0), ("phi_deg", 64.0),
+                           ("inequalities", ["ris", "nss"]), ("inequalities", ["ris"]),
+                           ("sys_angle_deg", 0.5)):
             config = write_config(tmp_path, EXAMPLE_CONFIGS[subcommand] | {key: value})
             assert main([subcommand, "--config", config]) == EXIT_CONFIG, key
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert f'no subcommand reads config key "{key}"' in captured.err
-
-    @pytest.mark.parametrize("key, value", [("phi_deg", 64.0), ("inequalities", ["ris"])])
-    def test_removed_sweep_key_keeps_its_message(self, tmp_path, capsys, key, value):
-        # phi_deg overrode the alice pair spec's, and inequalities chose among
-        # inequalities_for(m); each now has that one home.  Only sweep read
-        # them, and predict and simulate ran with either one ignored.  They
-        # exit by the unknown-key rule, as any key no subcommand reads.
-        for subcommand, example in EXAMPLE_CONFIGS.items():
-            config = write_config(tmp_path, example | {key: value})
-            assert main([subcommand, "--config", config]) == EXIT_CONFIG, subcommand
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f'no subcommand reads config key "{key}"' in captured.err
@@ -959,23 +971,11 @@ class TestNonFiniteSettings:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_simulate_sys_angle_config_exits_config(self, tmp_path, capsys, value):
         # NaN exited 0 with the systematic dropped; inf exited 2 with
-        # "math domain error"
+        # "math domain error".  No subcommand reads the key now.
         config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=200,
                                              sys_angle_deg=value))
         assert main(["simulate", "--config", config]) == EXIT_CONFIG
-        assert "sys_angle" in capsys.readouterr().err
-
-    def test_simulate_sys_angle_flag_exits_config(self, tmp_path, capsys):
-        config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=200))
-        assert main(["simulate", "--config", config, "--sys-angle-deg", "nan"]) == EXIT_CONFIG
-        assert "sys_angle" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value, code", [("90", EXIT_OK), ("90.5", EXIT_CONFIG)])
-    def test_simulate_sys_angle_capped_at_right_angle(self, tmp_path, capsys, value, code):
-        # past 90 degrees the systematic's closed form falls again: 360 read 2.4e-16
-        config = write_config(tmp_path, dict(TRIAD_PREDICT, pairs_per_setting=200))
-        assert main(["simulate", "--config", config, "--sys-angle-deg", value]) == code
-        assert ("sys_angle" in capsys.readouterr().err) == (code == EXIT_CONFIG)
+        assert 'no subcommand reads config key "sys_angle_deg"' in capsys.readouterr().err
 
     def test_sweep_nan_drift_exits_config(self, tmp_path, capsys):
         # exited 0 with no drift applied before
@@ -986,13 +986,16 @@ class TestNonFiniteSettings:
     @settings(max_examples=40, deadline=None)
     @given(sys_angle_deg=st.floats(), drift_sigma=st.floats())
     def test_any_sys_angle_and_drift_exit_ok_or_config(self, sys_angle_deg, drift_sigma):
+        # any drift_sigma runs or exits 2; any sys_angle_deg exits 2 as a key no
+        # subcommand reads
         config = dict(SWEEP_CONFIG, pairs_per_setting=50,
-                      sweep={"alpha_deg": [0.0, 45.0]},
-                      sys_angle_deg=sys_angle_deg, drift_sigma=drift_sigma)
+                      sweep={"alpha_deg": [0.0, 45.0]}, drift_sigma=drift_sigma)
         with tempfile.TemporaryDirectory() as tmp:
-            path = write_config(Path(tmp), config)
             out = str(Path(tmp) / "out.txt")
-            for subcommand in ("simulate", "sweep"):
-                with contextlib.redirect_stderr(io.StringIO()):
-                    code = main([subcommand, "--config", path, "--out", out])
-                assert code in (EXIT_OK, EXIT_CONFIG), (subcommand, config)
+            for extra, codes in (({}, (EXIT_OK, EXIT_CONFIG)),
+                                 ({"sys_angle_deg": sys_angle_deg}, (EXIT_CONFIG,))):
+                path = write_config(Path(tmp), config | extra)
+                for subcommand in ("simulate", "sweep"):
+                    with contextlib.redirect_stderr(io.StringIO()):
+                        code = main([subcommand, "--config", path, "--out", out])
+                    assert code in codes, (subcommand, config, extra)

@@ -471,9 +471,7 @@ class TestSimulateRun:
     @pytest.mark.parametrize("inequality, assess", [("ris", assess_ris), ("nss", assess_nss)])
     def test_is_assessment_plus_bootstrap_std(self, inequality, assess):
         state = BlochState(werner_state(0.95))
-        counts, est, assessments = simulate_run(
-            state, *PAIRS, 20_000, math.radians(0.5), 19, (4, 2)
-        )
+        counts, est, assessments = simulate_run(state, *PAIRS, 20_000, 19, (4, 2))
         assert np.array_equal(counts, simulate_counts(*full_data(state, *PAIRS), 20_000, 19))
         sys = tilt_systematic(PAIRS[0].directions @ state.t, PAIRS[1])
         judged, judged_assessments = judge(counts, sys, (4, 2))
@@ -491,7 +489,7 @@ class TestSimulateRun:
     def test_rejects_density_matrix(self):
         # a state is validated once, as a BlochState, before its full data is drawn
         with pytest.raises(TypeError, match="BlochState"):
-            simulate_run(werner_state(0.9), *PAIRS, 10, 0.0, 0, (0, 1))
+            simulate_run(werner_state(0.9), *PAIRS, 10, 0, (0, 1))
 
     def test_rejects_non_orthonormal_bob_frame(self):
         # |00> with both parties at (z, z) gave M_hat = [[1, 1], [1, 1]]: ris
@@ -500,7 +498,7 @@ class TestSimulateRun:
         product[0, 0] = 1.0
         both_z = MeasurementFrame([Z, Z])
         with pytest.raises(ValueError, match="bob_frame"):
-            simulate_run(BlochState(product), both_z, both_z, 2000, 0.0, 0, (0, 1))
+            simulate_run(BlochState(product), both_z, both_z, 2000, 0, (0, 1))
 
 
 # numpy's SeedSequence drops a trailing zero from a key only while the key fits
