@@ -18,3 +18,7 @@ __version__ = "0.1.0"
 # variables, 78 at m = 6 but 1506 at m = 10.  It lives here, where frames
 # and lhs both read it, so that building a frame does not load the oracle.
 MAX_ALICE_SETTINGS = 6
+# One boundary rule: assess's violated needs bound * (1 + BOUNDARY_MARGIN),
+# lhs's verdicts a gauge this far from 1.  RIS/sqrt(m) and NSS/sqrt(2) never
+# exceed the gauge; an accepted Bob frame stretches by <= 1 + ORTHONORMAL_TOL.
+BOUNDARY_MARGIN = 1e-9

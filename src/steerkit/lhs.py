@@ -28,8 +28,8 @@ the slack, and its reconstruction residual is re-checked.  An infeasible
 verdict carries the dual functional G = S^T U / K built from the unit
 directions u_a of the v_a, scaled so that its exact support max_a |G^T a|
 over the LHS set is 1, and it is issued only when <G, M> clears that
-support.  A matrix that neither certificate settles raises instead of
-guessing.
+support.  Both test the gauge against 1 + BOUNDARY_MARGIN, as steering.assess
+does; a matrix that neither certificate settles raises instead of guessing.
 """
 
 from __future__ import annotations
@@ -42,17 +42,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import MAX_ALICE_SETTINGS
+from . import BOUNDARY_MARGIN, MAX_ALICE_SETTINGS
 
 if TYPE_CHECKING:
     from numpy.typing import NDArray
 
 # A feasible certificate must reproduce M within this L1 residual.
 RESIDUAL_TOL = 1e-7
-# Both verdicts must clear the gauge's boundary value 1 by this margin:
-# mixtures of unit Bob vectors sit exactly on it, and rounding moves them
-# by a few ulps either way.
-BOUNDARY_MARGIN = 1e-9
 # Smoothing levels eps of the Newton continuation, relative to the
 # largest row length of V0, each LEVEL_RATIO times the last.  The solve at
 # each level stops once |grad f_eps| falls below max(eps, GRADIENT_TOL),

@@ -9,7 +9,8 @@ bounded by sqrt(2) and depends on the in-plane angle alpha; minimizing it
 over Alice's in-plane rotations recovers the trace-norm value.
 
 inequalities_for and assess are the one rule for which inequality applies
-to m Alice settings and how it is judged; every subcommand goes through them.
+to m Alice settings and how it is judged, by the package's relative
+BOUNDARY_MARGIN as in the LHS oracle; every subcommand goes through them.
 
 Sign conventions: the singlet gives negative correlations.  Both
 parameters are absolute norms, so signs never affect them; nothing is
@@ -24,6 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import BOUNDARY_MARGIN
 from .frames import MeasurementFrame, require_orthonormal
 
 if TYPE_CHECKING:
@@ -31,10 +33,6 @@ if TYPE_CHECKING:
 
 RIS = "ris"
 NSS = "nss"
-
-# A parameter within this distance of the bound counts as boundary, not
-# violation; keeps exact-boundary cases stable against roundoff.
-BOUNDARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -136,12 +134,14 @@ def assess(matrix, inequality: str) -> SteeringAssessment:
     """An inequality's parameter against its local-hidden-state bound sqrt(m).
 
     m is the number of Alice settings; nss takes only m = 2, so its bound is sqrt(2).
+    Violated only above bound * (1 + BOUNDARY_MARGIN), past any LHS matrix in an accepted frame.
     """
     m = np.asarray(matrix, dtype=float)
     parameter = _parameter(m, inequality)
     bound = math.sqrt(m.shape[0])
     margin = parameter - bound
-    return SteeringAssessment(inequality, parameter, bound, margin, margin > BOUNDARY_TOL)
+    violated = margin > bound * BOUNDARY_MARGIN
+    return SteeringAssessment(inequality, parameter, bound, margin, violated)
 
 
 def assess_ris(matrix) -> SteeringAssessment:

@@ -361,6 +361,45 @@ class TestConfigErrors:
         assert all(f'"{key}"' in captured.err for key in ("matrix", *keys))
 
 
+class TestBoundaryRule:
+    """predict and lhs agree within BOUNDARY_MARGIN of the boundary."""
+
+    def predict_and_lhs(self, tmp_path, capsys, config):
+        path = write_config(tmp_path, config)
+        assert main(["predict", "--config", path, "--format", "json"]) == EXIT_OK
+        predicted = json.loads(capsys.readouterr().out)
+        assert main(["lhs", "--config", path]) == EXIT_OK
+        return predicted, json.loads(capsys.readouterr().out)
+
+    def test_singlet_through_skewed_pair_is_not_violated(self, tmp_path, capsys):
+        # Bob's pair is 9e-11 off orthonormal, inside ORTHONORMAL_TOL, and
+        # Alice's one direction lies along its top right-singular vector: RIS
+        # exceeds 1 by 4.5e-11, and read violated before, while one setting
+        # can never witness steering
+        bob = [[1.0, 0.0, 0.0], [9e-11, 1.0, 0.0]]
+        frame = frame_from_spec({"kind": "explicit", "directions": bob})
+        top = np.linalg.svd(frame.directions)[2][0]
+        predicted, verdict = self.predict_and_lhs(tmp_path, capsys, {
+            "state": {"kind": "werner", "W": 1.0},
+            "alice_frame": {"kind": "explicit", "directions": [top.tolist()]},
+            "bob_frame": {"kind": "explicit", "directions": bob},
+        })
+        assert predicted["ris"]["margin"] > 0.0
+        assert predicted["ris"]["violated"] is False
+        assert verdict["status"] == "feasible"
+
+    def test_coplanar_pairs_just_past_the_threshold_agree(self, tmp_path, capsys):
+        # W exceeds 1/sqrt(2) by 2.3e-11, so RIS and NSS exceed sqrt(2) by
+        # 4.7e-11; both read violated before while lhs said feasible
+        predicted, verdict = self.predict_and_lhs(tmp_path, capsys, PAIR_PREDICT | {
+            "state": {"kind": "werner", "W": 0.70710678121},
+        })
+        for tag in ("ris", "nss"):
+            assert predicted[tag]["margin"] > 0.0
+            assert predicted[tag]["violated"] is False
+        assert verdict["status"] == "feasible"
+
+
 class TestSweep:
     def test_csv_output_and_determinism(self, tmp_path):
         config = write_config(tmp_path, SWEEP_CONFIG)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from steerkit import BOUNDARY_MARGIN
 from steerkit.frames import (
+    ORTHONORMAL_TOL,
     MeasurementFrame,
     frame_from_spec,
     in_plane_reference,
@@ -93,6 +95,22 @@ class TestRequireOrthonormal:
                 require_orthonormal(frame, "bob_frame")
             with pytest.raises(ValueError, match="bob_frame"):
                 ris_predicted(t, standard_triad(), frame)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_worst_accepted_frame_stretches_within_boundary_margin(self, n):
+        # rows e_i + (edge / 2) sum_{k != i} e_k put every Gram entry off the
+        # diagonal at edge, a hair under ORTHONORMAL_TOL, and sigma_max(B) at
+        # 1 + (n - 1) edge / 2, the largest the check accepts.  An LHS matrix
+        # seen through B grows by that factor, which must stay inside the
+        # margin that a violated verdict has to clear
+        edge = ORTHONORMAL_TOL * (1.0 - 1e-9)
+        rows = np.eye(n) + edge / 2.0 * (1.0 - np.eye(n))
+        frame = MeasurementFrame(np.pad(rows, ((0, 0), (0, 3 - n))))
+        require_orthonormal(frame, "bob_frame")
+        assert np.abs(frame.gram() - np.eye(n)).max() > ORTHONORMAL_TOL * (1.0 - 1e-6)
+        stretch = np.linalg.norm(frame.directions, 2) - 1.0
+        assert_allclose(stretch, (n - 1) * ORTHONORMAL_TOL / 2.0, rtol=1e-4)
+        assert stretch < BOUNDARY_MARGIN
 
 
 class TestRotations:

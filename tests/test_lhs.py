@@ -4,13 +4,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import _reference
 from steerkit import lhs
+from steerkit.frames import ORTHONORMAL_TOL, MeasurementFrame, require_orthonormal
 from steerkit.lhs import (
     MAX_ALICE_SETTINGS,
     LhsModel,
@@ -19,7 +20,14 @@ from steerkit.lhs import (
     lhs_gauge,
     lhs_membership,
 )
-from steerkit.steering import nss_parameter, trace_norm
+from steerkit.states import spin_correlation_matrix, werner_state
+from steerkit.steering import (
+    assess,
+    inequalities_for,
+    nss_parameter,
+    predicted_correlation,
+    trace_norm,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -294,6 +302,20 @@ class TestMembership:
         with pytest.raises(ArithmeticError, match="undecided"):
             lhs_membership(m)
 
+    def test_one_atom_model_through_skewed_pair_is_not_violated(self):
+        # Bob's pair is 9e-11 off orthonormal, inside ORTHONORMAL_TOL, and the
+        # atom's Bloch vector lies along its top right-singular vector, so RIS
+        # and NSS exceed sqrt(2) by 6.4e-11; both read violated before
+        bob = MeasurementFrame([[1.0, 0.0, 0.0], [9e-11, 1.0, 0.0]])
+        top = np.linalg.svd(bob.directions)[2][0]
+        model = LhsModel(np.ones(1), np.ones((1, 2)), top[None, :], n_settings=2)
+        matrix = evaluate_lhs_model(model, bob.directions)
+        for tag in inequalities_for(2):
+            assessment = assess(matrix, tag)
+            assert assessment.margin > 0.0
+            assert not assessment.violated
+        assert lhs_membership(matrix).status == "feasible"
+
     def test_single_setting_cases(self):
         verdict = lhs_membership(np.array([[0.7]]))
         assert verdict.status == "feasible"
@@ -457,3 +479,34 @@ class TestProperties:
         verdict = lhs_membership(matrix)
         if verdict.status == "infeasible":
             assert_allclose(1.0 + verdict.gap, lhs_gauge(matrix), rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # the shapes whose RIS threshold lies at W <= 1 for Haar frames; the
+        # others reach it only with Alice's rows in Bob's span
+        st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=-3e-9, max_value=3e-9),
+    )
+    def test_violated_werner_state_is_never_certified_feasible(self, shape, seed, offset):
+        # a Werner state within 3e-9 of its RIS threshold, seen by Haar frames
+        # whose Bob rows are perturbed within ORTHONORMAL_TOL: RIS and NSS may
+        # call it violated only where the oracle cannot certify a mixture
+        (m, n), rng = shape, np.random.default_rng(seed)
+        alice = MeasurementFrame(haar_rotation(rng)[:m])
+        skew = rng.uniform(-0.5, 0.5, size=(n, 3)) * ORTHONORMAL_TOL
+        bob = MeasurementFrame(haar_rotation(rng)[:n] + skew)
+        try:
+            require_orthonormal(bob, "bob_frame")
+        except ValueError:
+            reject()
+        threshold = math.sqrt(m) / trace_norm(alice.directions @ bob.directions.T)
+        w = threshold + offset
+        assume(w <= 1.0)
+        matrix = predicted_correlation(spin_correlation_matrix(werner_state(w)), alice, bob)
+        if any(assess(matrix, tag).violated for tag in inequalities_for(m)):
+            try:
+                status = lhs_membership(matrix).status
+            except ArithmeticError:
+                return
+            assert status != "feasible"

@@ -77,11 +77,13 @@ class TestLazyNamespace:
         assert "numpy.typing" not in loaded
 
     def test_root_binds_only_the_setting_cap(self):
-        # each public name has one import path: its submodule
+        # each public name has one import path: its submodule.  The root binds
+        # only the setting cap and the boundary margin, which frames and
+        # steering each share with lhs without loading it
         names = fresh_output(
             "import steerkit; print(' '.join(n for n in vars(steerkit) if not n.startswith('_')))"
         )
-        assert names == ["MAX_ALICE_SETTINGS"]
+        assert names == ["MAX_ALICE_SETTINGS", "BOUNDARY_MARGIN"]
         with pytest.raises(ImportError, match="trace_norm"):
             from steerkit import trace_norm  # noqa: F401
 
@@ -102,6 +104,7 @@ class TestLazyNamespace:
         ("simulate", "outcome_probabilities"),
         ("states", "closest_werner_parameter"),
         ("states", "fidelity_with_pure"),
+        ("steering", "BOUNDARY_TOL"),
         ("steering", "optimal_pair_planes"),
         ("steering", "werner_nss_closed_form"),
         ("steering", "werner_ris_closed_form"),
