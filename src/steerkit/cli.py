@@ -140,7 +140,6 @@ def _verdict_dict(verdict: MembershipVerdict) -> dict:
     payload: dict = {"status": verdict.status, "gap": verdict.gap}
     if verdict.model is not None:
         payload["model"] = {
-            "n_settings": verdict.model.n_settings,
             "atoms": [
                 {
                     "weight": float(w),

@@ -23,13 +23,17 @@ the gauge is a Fermat-Weber problem over four points (Vardi & Zhang,
 PNAS 97, 1423, 2000).
 
 Verdicts are certified.  A feasible verdict carries the mixture of atoms
-(a, v_a/|v_a|) with weights |v_a|, plus a zero-mean pair that takes up
-the slack, and its reconstruction residual is re-checked.  An infeasible
-verdict carries the dual functional G = S^T U / K built from the unit
-directions u_a of the v_a, scaled so that its exact support max_a |G^T a|
-over the LHS set is 1, and it is issued only when <G, M> clears that
-support.  Both test the gauge against 1 + BOUNDARY_MARGIN, as steering.assess
-does; a matrix that neither certificate settles raises instead of guessing.
+(a, v_a/|v_a|), each Bob state an n-vector in the coordinates of his
+settings, with weights |v_a|, plus a zero-mean pair that takes up the
+slack, and its reconstruction residual is re-checked.  For a gauge in
+(1, 1 + BOUNDARY_MARGIN] the weights are |v_a| divided by the gauge, so
+the mixture gives M / gauge and the residual can reach BOUNDARY_MARGIN
+times |M|_1.  An infeasible verdict carries the dual functional
+G = S^T U / K built from the unit directions u_a of the v_a, scaled so
+that its exact support max_a |G^T a| over the LHS set is 1, and it is
+issued only when <G, M> clears that support.  Both test the gauge against
+1 + BOUNDARY_MARGIN, as steering.assess does; a matrix that neither
+certificate settles raises instead of guessing.
 """
 
 from __future__ import annotations
@@ -75,15 +79,14 @@ def alice_sign_vectors(m: int) -> np.ndarray:
 class LhsModel:
     """Explicit local-hidden-state mixture.
 
-    bob_blochs holds full 3-vectors under the convention that Bob's k-th
-    measurement direction is the k-th coordinate axis; when his setting
-    space has fewer than three dimensions the trailing components are 0.
+    Row i of bob_blochs is Bob's hidden state in the coordinates of his
+    settings, one component per column of M, so a mixture of n-component
+    rows generates an m x n matrix.
     """
 
     weights: NDArray[np.float64]
     alice_responses: NDArray[np.float64]
     bob_blochs: NDArray[np.float64]
-    n_settings: int
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -97,8 +100,8 @@ class LhsModel:
             raise ValueError("model arrays have wrong dimensionality")
         if not (len(w) == len(a) == len(s)):
             raise ValueError("model arrays must share the leading length")
-        if s.shape[1] != 3:
-            raise ValueError("bob_blochs must be 3-vectors")
+        if not 1 <= s.shape[1] <= 3:
+            raise ValueError(f"bob_blochs must have 1 to 3 components, got {s.shape[1]}")
         if np.any(w < -1e-12):
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:
@@ -107,8 +110,6 @@ class LhsModel:
             raise ValueError("alice responses must lie in [-1, 1]")
         if np.any(np.linalg.norm(s, axis=1) > 1.0 + 1e-9):
             raise ValueError("bob bloch vectors must lie in the unit ball")
-        if not 1 <= self.n_settings <= 3:
-            raise ValueError(f"n_settings must be 1 to 3, got {self.n_settings}")
         for arr in (w, a, s):
             arr.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -116,21 +117,14 @@ class LhsModel:
         object.__setattr__(self, "bob_blochs", s)
 
 
-def evaluate_lhs_model(model: LhsModel, bob_directions=None) -> np.ndarray:
-    """Correlation matrix generated by a hidden-state mixture.
+def evaluate_lhs_model(model: LhsModel) -> np.ndarray:
+    """Correlation matrix M = sum_i w_i a_i s_i^T generated by a hidden-state mixture.
 
-    M_jk = sum_i w_i * a_ij * (s_i . b_k).  By default Bob's directions
-    are the first n_settings coordinate axes, matching how lhs_membership
-    stores certificates.
+    M's columns are Bob's settings, the coordinates of the rows s_i.  A
+    model of physical 3-vectors seen through Bob's frame B gives
+    evaluate_lhs_model(model) @ B.T.
     """
-    if bob_directions is None:
-        b = np.eye(3)[: model.n_settings]
-    else:
-        b = np.asarray(bob_directions, dtype=float)
-        if b.ndim != 2 or b.shape[1] != 3:
-            raise ValueError(f"bob directions must be (n, 3), got shape {b.shape}")
-    projected = model.bob_blochs @ b.T
-    return np.einsum("i,ij,ik->jk", model.weights, model.alice_responses, projected)
+    return np.einsum("i,ij,ik->jk", model.weights, model.alice_responses, model.bob_blochs)
 
 
 @dataclass(frozen=True)
@@ -286,18 +280,17 @@ def lhs_gauge(matrix) -> float:
 
 def _feasible(m_mat, signs, lengths, units) -> MembershipVerdict:
     """Mixture certificate from the rows v_a = lengths_a * units_a of V."""
-    n = m_mat.shape[1]
     keep = lengths > 0.0
     weights = list(lengths[keep] / max(lengths.sum(), 1.0))
     responses = list(signs[keep])
-    blochs = list(np.pad(units[keep], ((0, 0), (0, 3 - n))))
+    blochs = list(units[keep])
     slack = 1.0 - sum(weights)
     if slack > 0.0:
-        pole = np.eye(3)[0]
+        pole = np.eye(m_mat.shape[1])[0]
         weights += [slack / 2.0, slack / 2.0]
         responses += [signs[0], signs[0]]
         blochs += [pole, -pole]
-    model = LhsModel(np.array(weights), np.array(responses), np.array(blochs), n_settings=n)
+    model = LhsModel(np.array(weights), np.array(responses), np.array(blochs))
     residual = float(np.abs(evaluate_lhs_model(model) - m_mat).sum())
     if residual > RESIDUAL_TOL:
         raise ArithmeticError(

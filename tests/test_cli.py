@@ -41,7 +41,7 @@ from steerkit.simulate import (
     tilt_systematic,
 )
 from steerkit.states import BlochState, state_from_spec
-from steerkit.steering import inequalities_for
+from steerkit.steering import inequalities_for, predicted_correlation
 
 from _reference import full_data
 
@@ -530,13 +530,35 @@ class TestLhs:
         assert np.asarray(payload["separator"]).shape == (2, 2)
 
     def test_feasible_matrix_with_model(self, tmp_path, capsys):
-        config = write_config(tmp_path, {"matrix": [[-0.5, 0.0], [0.0, -0.5]]})
-        assert main(["lhs", "--config", config]) == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["status"] == "feasible"
-        atoms = payload["model"]["atoms"]
-        assert 1 <= len(atoms) <= 5
-        assert abs(sum(a["weight"] for a in atoms) - 1.0) < 1e-9
+        # each atom's bob_bloch has one entry per column of M, Bob's setting
+        # coordinates, and the atoms rebuild M
+        werner_on_pair = {
+            "state": {"kind": "werner", "W": 0.5},
+            "alice_frame": {"kind": "named", "name": "standard_triad"},
+            "bob_frame": {"kind": "pair", "normal": [0, 1, 0]},
+        }
+        for config in (
+            {"matrix": [[-0.5, 0.0], [0.0, -0.5]]},
+            {"matrix": [[-0.4, 0.1], [0.0, -0.4], [0.2, 0.1]]},
+            werner_on_pair,
+        ):
+            if "matrix" in config:
+                matrix = np.array(config["matrix"])
+            else:
+                state, alice, bob = _state_and_frames(config)
+                matrix = predicted_correlation(state.t, alice, bob)
+            m, n = matrix.shape
+            assert main(["lhs", "--config", write_config(tmp_path, config)]) == EXIT_OK
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["status"] == "feasible"
+            assert list(payload["model"]) == ["atoms"]
+            atoms = payload["model"]["atoms"]
+            assert 1 <= len(atoms) <= 2 ** (m - 1) + 2
+            assert abs(sum(a["weight"] for a in atoms) - 1.0) < 1e-9
+            assert all(len(a["alice_response"]) == m and len(a["bob_bloch"]) == n for a in atoms)
+            rebuilt = sum(a["weight"] * np.outer(a["alice_response"], a["bob_bloch"])
+                          for a in atoms)
+            assert np.abs(rebuilt - matrix).max() <= 1e-12
 
     def test_state_and_frames_route(self, tmp_path, capsys):
         config = write_config(tmp_path, {

@@ -103,7 +103,7 @@ class TestExtremePoints:
             count = len(model.weights)
             assert 1 <= count <= 2 ** (m - 1) + 2
             assert model.alice_responses.shape == (count, m)
-            assert model.bob_blochs.shape == (count, 3)
+            assert model.bob_blochs.shape == (count, n)
             assert_allclose(np.abs(model.alice_responses), 1.0)
             assert_allclose(np.linalg.norm(model.bob_blochs, axis=1), 1.0, atol=1e-12)
 
@@ -119,7 +119,7 @@ class TestExtremePoints:
             model = lhs_membership(point).model
             top = int(np.argmax(model.weights))
             assert model.weights[top] >= 1.0 - 1e-12
-            atom = np.outer(model.alice_responses[top], model.bob_blochs[top, :n])
+            atom = np.outer(model.alice_responses[top], model.bob_blochs[top])
             assert_allclose(atom, point, atol=1e-12)
 
     def test_trace_norm_bound_on_extreme_points(self):
@@ -133,31 +133,24 @@ class TestExtremePoints:
 
 class TestLhsModel:
     def test_single_atom_evaluation(self):
-        model = LhsModel(
-            weights=[1.0],
-            alice_responses=[[1.0, 1.0]],
-            bob_blochs=[[0.0, 0.0, 1.0]],
-            n_settings=2,
-        )
-        m = evaluate_lhs_model(model, bob_directions=[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        assert_allclose(m, [[0.0, 1.0], [0.0, 1.0]], atol=1e-15)
+        model = LhsModel(weights=[1.0], alice_responses=[[1.0, 1.0]], bob_blochs=[[0.0, 1.0]])
+        assert_allclose(evaluate_lhs_model(model), [[0.0, 1.0], [0.0, 1.0]], atol=1e-15)
 
     def test_uniform_sign_mixture_cancels(self):
         model = LhsModel(
             weights=[0.5, 0.5],
             alice_responses=[[1.0, 1.0], [-1.0, -1.0]],
-            bob_blochs=[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
-            n_settings=2,
+            bob_blochs=[[1.0, 0.0], [1.0, 0.0]],
         )
         assert_allclose(evaluate_lhs_model(model), np.zeros((2, 2)), atol=1e-15)
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
-            LhsModel([0.6, 0.6], [[1.0], [1.0]], [[0, 0, 1], [0, 0, 1]], n_settings=1)
+            LhsModel([0.6, 0.6], [[1.0], [1.0]], [[1.0], [1.0]])
         with pytest.raises(ValueError):
-            LhsModel([-0.1, 1.1], [[1.0], [1.0]], [[0, 0, 1], [0, 0, 1]], n_settings=1)
+            LhsModel([-0.1, 1.1], [[1.0], [1.0]], [[1.0], [1.0]])
         with pytest.raises(ValueError, match="weights must be finite"):
-            LhsModel([math.nan], [[1.0]], [[0, 0, 1]], n_settings=1)
+            LhsModel([math.nan], [[1.0]], [[1.0]])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["alice_responses", "bob_blochs"])
@@ -165,29 +158,21 @@ class TestLhsModel:
         arrays = {"alice_responses": [[1.0]], "bob_blochs": [[0.0, 0.0, 1.0]]}
         arrays[name][0][0] = bad
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            LhsModel([1.0], n_settings=1, **arrays)
+            LhsModel([1.0], **arrays)
 
-    @pytest.mark.parametrize("weights, alice_responses, bob_blochs, n_settings, match", [
-        ([[1.0]], [[1.0]], [[0.0, 0.0, 1.0]], 1, "dimensionality"),
-        ([0.5, 0.5], [[1.0]], [[0.0, 0.0, 1.0]], 1, "leading length"),
-        ([1.0], [[1.0]], [[0.0, 1.0]], 1, "3-vectors"),
-        ([1.0], [[1.5]], [[0.0, 0.0, 1.0]], 1, r"alice responses must lie in \[-1, 1\]"),
-        ([1.0], [[1.0]], [[0.0, 0.0, 1.0]], 4, "n_settings must be 1 to 3"),
-    ], ids=["2-d weights", "short responses", "2-vector bloch", "response 1.5", "4 settings"])
-    def test_rejects_malformed_model(self, weights, alice_responses, bob_blochs, n_settings,
-                                     match):
+    @pytest.mark.parametrize("weights, alice_responses, bob_blochs, match", [
+        ([[1.0]], [[1.0]], [[0.0, 0.0, 1.0]], "dimensionality"),
+        ([0.5, 0.5], [[1.0]], [[0.0, 0.0, 1.0]], "leading length"),
+        ([1.0], [[1.0]], [[0.0, 0.0, 0.0, 1.0]], "bob_blochs must have 1 to 3 components, got 4"),
+        ([1.0], [[1.5]], [[0.0, 0.0, 1.0]], r"alice responses must lie in \[-1, 1\]"),
+    ], ids=["2-d weights", "short responses", "4-vector bloch", "response 1.5"])
+    def test_rejects_malformed_model(self, weights, alice_responses, bob_blochs, match):
         with pytest.raises(ValueError, match=match):
-            LhsModel(weights, alice_responses, bob_blochs, n_settings)
-
-    @pytest.mark.parametrize("bob", [[[1.0, 0.0]], [1.0, 0.0, 0.0]], ids=["2-vector", "1-d"])
-    def test_evaluate_rejects_bob_directions_not_n_by_3(self, bob):
-        model = LhsModel([1.0], [[1.0]], [[0.0, 0.0, 1.0]], n_settings=1)
-        with pytest.raises(ValueError, match=r"bob directions must be \(n, 3\)"):
-            evaluate_lhs_model(model, bob_directions=bob)
+            LhsModel(weights, alice_responses, bob_blochs)
 
     def test_rejects_long_bloch_vector(self):
         with pytest.raises(ValueError):
-            LhsModel([1.0], [[1.0]], [[2.0, 0.0, 0.0]], n_settings=1)
+            LhsModel([1.0], [[1.0]], [[2.0, 0.0, 0.0]])
 
 
 class TestProjectiveCriterion:
@@ -308,8 +293,8 @@ class TestMembership:
         # and NSS exceed sqrt(2) by 6.4e-11; both read violated before
         bob = MeasurementFrame([[1.0, 0.0, 0.0], [9e-11, 1.0, 0.0]])
         top = np.linalg.svd(bob.directions)[2][0]
-        model = LhsModel(np.ones(1), np.ones((1, 2)), top[None, :], n_settings=2)
-        matrix = evaluate_lhs_model(model, bob.directions)
+        model = LhsModel(np.ones(1), np.ones((1, 2)), top[None, :])
+        matrix = evaluate_lhs_model(model) @ bob.directions.T
         for tag in inequalities_for(2):
             assessment = assess(matrix, tag)
             assert assessment.margin > 0.0
@@ -387,6 +372,7 @@ class TestProperties:
     def test_explicit_mixture_is_feasible(self, matrix):
         verdict = lhs_membership(matrix)
         assert verdict.status == "feasible"
+        assert verdict.model.bob_blochs.shape[1] == matrix.shape[1]
         assert np.abs(evaluate_lhs_model(verdict.model) - matrix).max() <= 1e-9
 
     @settings(deadline=None)

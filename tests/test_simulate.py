@@ -163,11 +163,11 @@ class TestSimulateCounts:
     def test_one_atom_lhs_model_counts(self):
         # Alice always answers +1 and Bob holds |0>: data no quantum state
         # on these frames gives, with every count of Bob's z setting in (++)
-        model = LhsModel(np.ones(1), np.ones((1, 3)), np.array([[0.0, 0.0, 1.0]]), 3)
+        model = LhsModel(np.ones(1), np.ones((1, 3)), np.array([[0.0, 0.0, 1.0]]))
         triad = standard_triad()
         alpha = model.weights @ model.alice_responses
         beta = model.weights @ model.bob_blochs @ triad.directions.T
-        correlation = evaluate_lhs_model(model, triad.directions)
+        correlation = evaluate_lhs_model(model) @ triad.directions.T
         counts = simulate_counts(alpha, beta, correlation, 1000, seed=0)
         est, _ = judge(counts, tilt_systematic(np.tile(Z, (3, 1)), triad), (0, 1))
         assert np.all(counts[:, :, 2:] == 0)
