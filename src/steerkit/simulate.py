@@ -126,9 +126,9 @@ def judge(
     """The estimate and an assessment per inequality, from counts and a systematic alone.
 
     M_hat = (N++ + N-- - N+- - N-+)/N over the counts, a non-negative integer
-    (m, n, 4) array in the outcome order of simulate_counts; its binomial
-    standard error stat and the (m, n) sys_component add in quadrature as
-    delta.  Each tag of inequalities_for(m) is assessed on M_hat, with the
+    (m, n, 4) array, m, n >= 1, in the outcome order of simulate_counts; its
+    binomial standard error stat and the (m, n) sys_component add in
+    quadrature as delta.  Each tag of inequalities_for(m) is assessed on M_hat, with the
     standard deviation of DEFAULT_RESAMPLES parametric bootstrap draws (each
     entry normal of width delta, clamped to [-1, 1]) as uncertainty; the tag
     of rank r draws on bootstrap_key with its last entry advanced by r.  Give
@@ -136,9 +136,11 @@ def judge(
     while it fits in four 32-bit words, so (seed, 0) and seed are different
     streams once seed >= 2**96.
     """
-    if counts.ndim != 3 or counts.shape[2] != 4 or counts.dtype.kind not in "iu":
+    if (counts.ndim != 3 or counts.shape[2] != 4 or 0 in counts.shape
+            or counts.dtype.kind not in "iu"):
         raise ValueError(
-            f"counts must be an integer (m, n, 4) array, got {counts.dtype} of shape {counts.shape}"
+            f"counts must be an integer (m, n, 4) array with m, n >= 1, "
+            f"got {counts.dtype} of shape {counts.shape}"
         )
     if np.any(counts < 0):
         raise ValueError("counts must be >= 0")

@@ -11,6 +11,8 @@ over Alice's in-plane rotations recovers the trace-norm value.
 inequalities_for and assess are the one rule for which inequality applies
 to m Alice settings and how it is judged, by the package's relative
 BOUNDARY_MARGIN as in the LHS oracle; every subcommand goes through them.
+assess is also the one checked evaluator of a single matrix: the
+predictions below return its parameter.
 
 Sign conventions: the singlet gives negative correlations.  Both
 parameters are absolute norms, so signs never affect them; nothing is
@@ -85,46 +87,6 @@ def _kernel(inequality: str):
     raise ValueError(f"inequality must be 'ris' or 'nss', got {inequality!r}")
 
 
-def _parameter(matrix, inequality: str) -> float:
-    """An inequality's parameter of one matrix, checked.
-
-    Raises:
-        ValueError: on an unknown inequality, on non-2d or non-finite
-            input, or if the parameter overflows.
-    """
-    kernel = _kernel(inequality)
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    with np.errstate(over="ignore"):
-        value = float(kernel(m))
-    if not math.isfinite(value):
-        raise ValueError(f"the {inequality} parameter overflows: matrix entries are too large")
-    return value
-
-
-def trace_norm(matrix) -> float:
-    """Sum of singular values.
-
-    Raises:
-        ValueError: on non-2d or non-finite input, or if the sum overflows.
-    """
-    return _parameter(matrix, RIS)
-
-
-def nss_parameter(matrix) -> float:
-    """Two-setting steering parameter |M^T u+| + |M^T u-|.
-
-    Defined only for m = 2 Alice settings.
-
-    Raises:
-        ValueError: on non-2d or non-finite input, or if the norms overflow.
-    """
-    return _parameter(matrix, NSS)
-
-
 def inequalities_for(m: int) -> tuple[str, ...]:
     """The inequalities that apply to m Alice settings: ris, plus nss when m = 2."""
     return (RIS, NSS) if m == 2 else (RIS,)
@@ -135,9 +97,23 @@ def assess(matrix, inequality: str) -> SteeringAssessment:
 
     m is the number of Alice settings; nss takes only m = 2, so its bound is sqrt(2).
     Violated only above bound * (1 + BOUNDARY_MARGIN), past any LHS matrix in an accepted frame.
+
+    Raises:
+        ValueError: on an unknown inequality, on input that is not 2-d, is
+            empty or has a non-finite entry, or if the parameter overflows.
     """
+    kernel = _kernel(inequality)
     m = np.asarray(matrix, dtype=float)
-    parameter = _parameter(m, inequality)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
+    if 0 in m.shape:
+        raise ValueError(f"expected at least one row and one column, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix contains non-finite entries")
+    with np.errstate(over="ignore"):
+        parameter = float(kernel(m))
+    if not math.isfinite(parameter):
+        raise ValueError(f"the {inequality} parameter overflows: matrix entries are too large")
     bound = math.sqrt(m.shape[0])
     margin = parameter - bound
     violated = margin > bound * BOUNDARY_MARGIN
@@ -163,7 +139,7 @@ def ris_predicted(
     """
     require_orthonormal(alice, "alice_frame")
     require_orthonormal(bob, "bob_frame")
-    return trace_norm(predicted_correlation(t, alice, bob))
+    return assess(predicted_correlation(t, alice, bob), RIS).parameter
 
 
 def nss_predicted(
@@ -172,7 +148,7 @@ def nss_predicted(
     """Predicted two-setting parameter of M = A T B^T for an orthonormal pair and frame."""
     require_orthonormal(alice, "alice_frame")
     require_orthonormal(bob, "bob_frame")
-    return nss_parameter(predicted_correlation(t, alice, bob))
+    return assess(predicted_correlation(t, alice, bob), NSS).parameter
 
 
 def min_nss_over_rotations(
@@ -198,4 +174,4 @@ def min_nss_over_rotations(
     if abs(trace - 2.0) > 0.5:
         raise ValueError(f"plane projector must have rank 2, its trace is {trace}")
     require_orthonormal(bob, "bob_frame")
-    return trace_norm(p_a @ np.asarray(t, dtype=float) @ bob.directions.T)
+    return assess(p_a @ np.asarray(t, dtype=float) @ bob.directions.T, RIS).parameter

@@ -58,6 +58,8 @@ COINCIDENT_TOL = 1e-12
 SMOOTHING_LEVELS = 10.0 ** -np.arange(1, 17)
 GRADIENT_TOL = 1e-14
 NEWTON_STEPS = 50
+# A relative fall in f_eps past this is progress, not rounding.
+ROUNDING = 8.0 * np.finfo(float).eps
 
 
 def ris_by_projectors(t, alice: MeasurementFrame, bob: MeasurementFrame) -> float:
@@ -295,7 +297,10 @@ def _smoothed_newton(points: np.ndarray) -> np.ndarray:
     optimum lies at or near a point, where plain Weiszfeld iteration
     stalls.  Steps backtrack on |grad f_eps|, which, unlike f_eps itself,
     still resolves progress once t is within sqrt(machine epsilon) of the
-    optimum.
+    optimum.  A step that lowers f_eps by more than rounding is taken too:
+    on nearly collinear points f_eps is nearly flat along the line, and a
+    full Newton step there can lower f_eps while |grad f_eps| grows, so
+    backtracking on the gradient alone crawls and stops short.
     """
     t = points.mean(axis=0)
     eye = np.eye(points.shape[1])
@@ -312,7 +317,8 @@ def _smoothed_newton(points: np.ndarray) -> np.ndarray:
                 trial = t - alpha * step
                 d_new, s_new, grad_new = _smoothed_gradient(points, trial, eps)
                 size_new = float(np.linalg.norm(grad_new))
-                if size_new <= (1.0 - 1e-4 * alpha) * size:
+                if (size_new <= (1.0 - 1e-4 * alpha) * size
+                        or s_new.sum() < (1.0 - ROUNDING) * s.sum()):
                     break
                 alpha *= 0.5
             else:

@@ -33,12 +33,11 @@ from steerkit.lhs import lhs_membership
 from steerkit.simulate import judge, simulate_counts, tilt_systematic
 from steerkit.states import BlochState, singlet_state, spin_correlation_matrix, werner_state
 from steerkit.steering import (
+    assess,
     min_nss_over_rotations,
-    nss_parameter,
     nss_predicted,
     predicted_correlation,
     ris_predicted,
-    trace_norm,
 )
 
 from _reference import (
@@ -146,14 +145,14 @@ class TestAcceptance:
         )
         checks.append(("pair subset", v, 1.968, 1e-9))
 
-        v = trace_norm(predicted_correlation(
+        v = assess(predicted_correlation(
             spin_correlation_matrix(werner_state(0.97)), tetrahedron_frame(), standard_triad()
-        ))
+        ), "ris").parameter
         checks.append(("tetrahedron", v, 2.744, 0.005))
 
-        v = trace_norm(predicted_correlation(
+        v = assess(predicted_correlation(
             spin_correlation_matrix(singlet_state()), sixty_pair, pair_sub
-        ))
+        ), "ris").parameter
         checks.append(("60 deg pair", v, 1.93185, 1e-5))
 
         elapsed = time.perf_counter() - start
@@ -220,17 +219,17 @@ class TestAcceptance:
         checked = 0
         while checked < 30:
             raw = rng.uniform(-1.0, 1.0, size=(2, 2))
-            m = raw * (rng.uniform(0.5, 1.41) / nss_parameter(raw))
+            m = raw * (rng.uniform(0.5, 1.41) / assess(raw, "nss").parameter)
             if np.abs(m).max() > 1.0:
                 continue
             verdict = lhs_membership(m)
             if verdict.status == "feasible":
-                feasible_norms.append((2, trace_norm(m)))
+                feasible_norms.append((2, np.linalg.norm(m, "nuc")))
             checked += 1
         for m3 in (np.zeros((3, 3)), -0.5 * np.eye(3)):
             verdict = lhs_membership(m3)
             assert verdict.status == "feasible"
-            feasible_norms.append((3, trace_norm(m3)))
+            feasible_norms.append((3, np.linalg.norm(m3, "nuc")))
 
         sound = all(norm <= math.sqrt(m) + 1e-6 for m, norm in feasible_norms)
 
@@ -240,7 +239,7 @@ class TestAcceptance:
             c = rng.standard_normal(m)
             point = np.outer(np.ones(m), c / np.linalg.norm(c))
             assert lhs_membership(point).status == "feasible"
-            return trace_norm(point)
+            return np.linalg.norm(point, "nuc")
 
         err2 = abs(extreme_point_norm(2) - SQRT2)
         err3 = abs(extreme_point_norm(3) - SQRT3)
@@ -263,7 +262,7 @@ class TestAcceptance:
         while checked < 200:
             raw = rng.uniform(-1.0, 1.0, size=(2, 2))
             target = rng.uniform(1.2, 1.6)
-            m = raw * (target / nss_parameter(raw))
+            m = raw * (target / assess(raw, "nss").parameter)
             if np.abs(m).max() > 1.0:
                 continue
             checked += 1
@@ -312,7 +311,8 @@ class TestAcceptance:
             for pairs in (10_000, 100_000, 1_000_000)
         }
         means = [float(np.mean([std for _, std in batch])) for batch in runs.values()]
-        spread = float(np.std([trace_norm(e.matrix) for e, _ in runs[100_000]], ddof=1))
+        ris = [assess(e.matrix, "ris").parameter for e, _ in runs[100_000]]
+        spread = float(np.std(ris, ddof=1))
         calibration_ratio = means[1] / spread
         calibration_ok = abs(calibration_ratio - 1.0) <= 0.3
         ratio_a = means[0] / means[1]

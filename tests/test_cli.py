@@ -346,6 +346,15 @@ class TestConfigErrors:
         path.write_text("[1, 2, 3]")
         assert main(["predict", "--config", str(path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("root", ["[]", "5"])
+    def test_root_without_keys_exits_config(self, tmp_path, capsys, root):
+        # an empty list holds no unknown key and a number cannot be iterated;
+        # unchecked, both crashed with TypeError
+        path = tmp_path / "root.json"
+        path.write_text(root)
+        assert main(["predict", "--config", str(path)]) == EXIT_CONFIG
+        assert "config root must be a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("keys", [
         ("state", "alice_frame", "bob_frame"),
         ("state",),
@@ -638,6 +647,24 @@ class TestLhs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "undecided" in captured.err
+
+    @pytest.mark.parametrize("matrix, tamper, message", [
+        # a decomposition that halves V leaves a mixture that rebuilds M / 2
+        ([[-0.4, 0.1], [0.0, -0.4]], lambda signs, v, u: (signs, v / 2.0, u),
+         "certificate residual"),
+        # zero dual directions leave a separator with no support on the LHS set
+        ([[-0.9, 0.0], [0.0, -0.9]], lambda signs, v, u: (signs, v, np.zeros_like(u)),
+         "degenerate separator"),
+    ], ids=["residual", "support"])
+    def test_certificate_recheck_exits_numeric(self, tmp_path, capsys, monkeypatch, matrix,
+                                               tamper, message):
+        decompose = lhs._optimal_decomposition
+        monkeypatch.setattr(lhs, "_optimal_decomposition", lambda m: tamper(*decompose(m)))
+        config = write_config(tmp_path, {"matrix": matrix})
+        assert main(["lhs", "--config", config]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     @pytest.mark.parametrize("matrix", [
         [[-0.5, 0.0], [0.0]],

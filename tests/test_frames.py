@@ -147,6 +147,9 @@ class TestRotations:
             rotate_frame(standard_triad(), 2.0 * np.eye(3))
         with pytest.raises(ValueError, match=r"expected a \(3, 3\) rotation"):
             rotate_frame(standard_triad(), np.eye(2))
+        # diag(1, 1, 2) keeps an x-y pair's directions and has determinant 2
+        with pytest.raises(ValueError, match="rotation matrix is not orthogonal"):
+            rotate_frame(pair_in_plane(Z, 0.0), np.diag([1.0, 1.0, 2.0]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rotate_frame_rejects_non_finite(self, bad):
@@ -222,6 +225,16 @@ class TestFrameFromSpec:
     def test_explicit_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="direction must be finite"):
             frame_from_spec({"kind": "explicit", "directions": [[bad, 0.0, 0.0], [0.0, 0.0, 1.0]]})
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "pair", "normal": [0, 1]}, r"expected a 3-vector, got shape \(2,\)"),
+        ({"kind": "explicit", "directions": [[1, 0]]}, r"expected a 3-vector, got shape \(2,\)"),
+        # the norm overflows to inf, and dividing by it gave the zero vector
+        ({"kind": "pair", "normal": [1e308, 1e308, 0]}, "too long to normalize"),
+    ], ids=["2-vector-normal", "2-vector-direction", "overflowing-normal"])
+    def test_rejects_vector_it_cannot_normalize(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            frame_from_spec(spec)
 
     def test_unknown_name_lists_choices(self):
         # a list or an object name raised TypeError (unhashable) before

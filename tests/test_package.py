@@ -76,7 +76,7 @@ class TestLazyNamespace:
         loaded = loaded_submodules("import steerkit.reproduce, steerkit.lhs", "numpy")
         assert "numpy.typing" not in loaded
 
-    def test_root_binds_only_the_setting_cap(self):
+    def test_root_binds_only_the_shared_constants(self):
         # each public name has one import path: its submodule.  The root binds
         # only the setting cap and the boundary margin, which frames and
         # steering each share with lhs without loading it
@@ -84,8 +84,8 @@ class TestLazyNamespace:
             "import steerkit; print(' '.join(n for n in vars(steerkit) if not n.startswith('_')))"
         )
         assert names == ["MAX_ALICE_SETTINGS", "BOUNDARY_MARGIN"]
-        with pytest.raises(ImportError, match="trace_norm"):
-            from steerkit import trace_norm  # noqa: F401
+        with pytest.raises(ImportError, match="lhs_membership"):
+            from steerkit import lhs_membership  # noqa: F401
 
     def test_from_import_still_gives_submodule(self):
         from steerkit import lhs
@@ -105,7 +105,9 @@ class TestLazyNamespace:
         ("states", "closest_werner_parameter"),
         ("states", "fidelity_with_pure"),
         ("steering", "BOUNDARY_TOL"),
+        ("steering", "nss_parameter"),
         ("steering", "optimal_pair_planes"),
+        ("steering", "trace_norm"),
         ("steering", "werner_nss_closed_form"),
         ("steering", "werner_ris_closed_form"),
     ])

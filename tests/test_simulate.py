@@ -33,14 +33,7 @@ from steerkit.simulate import (
     tilt_systematic,
 )
 from steerkit.states import BlochState, singlet_state, spin_correlation_matrix, werner_state
-from steerkit.steering import (
-    assess,
-    assess_nss,
-    assess_ris,
-    inequalities_for,
-    nss_parameter,
-    trace_norm,
-)
+from steerkit.steering import assess, assess_nss, assess_ris, inequalities_for
 
 from _reference import full_data, outcome_probabilities
 
@@ -346,11 +339,13 @@ class TestEstimateCorrelation:
         np.array([[[3, 0, 0, 0, 7]]]),
         np.array([[[2.5, 0.0, 0.0, 0.5]]]),
         np.array([[[5, -2, 0, 0]]]),
-    ], ids=["2-d", "five-outcomes", "float", "negative"])
+        np.zeros((0, 2, 4), dtype=np.int64),
+        np.zeros((2, 0, 4), dtype=np.int64),
+    ], ids=["2-d", "five-outcomes", "float", "negative", "no-alice-setting", "no-bob-setting"])
     def test_rejects_counts_no_source_gives(self, counts):
         # unchecked, these fail to unpack, give M_hat = 0.3 with the fifth column
-        # counted in the total only, M_hat = 1 with stat 0, and M_hat = 2.33 with
-        # RIS violated at uncertainty 0
+        # counted in the total only, M_hat = 1 with stat 0, M_hat = 2.33 with
+        # RIS violated at uncertainty 0, and an empty estimate
         with pytest.raises(ValueError, match="counts must"):
             judge(counts, np.zeros(counts.shape[:2]), (0, 1))
 
@@ -449,17 +444,14 @@ class TestPropagateUncertainty:
         assert assessments["ris"].uncertainty > 0.0
         assert assessments["nss"].uncertainty > 0.0
 
-    @pytest.mark.parametrize("inequality, parameter", [
-        ("ris", trace_norm),
-        ("nss", nss_parameter),
-    ])
-    def test_matches_per_draw_loop(self, inequality, parameter):
+    @pytest.mark.parametrize("inequality", ["ris", "nss"])
+    def test_matches_per_draw_loop(self, inequality):
         # the tag of rank r draws on the key with its last entry advanced by r
         est, assessments = self._judge((11, 0))
         rng = np.random.default_rng((11, inequalities_for(2).index(inequality)))
         values = [
-            parameter(np.clip(est.matrix + rng.standard_normal(est.matrix.shape) * est.delta,
-                              -1.0, 1.0))
+            assess(np.clip(est.matrix + rng.standard_normal(est.matrix.shape) * est.delta,
+                           -1.0, 1.0), inequality).parameter
             for _ in range(DEFAULT_RESAMPLES)
         ]
         got = assessments[inequality]

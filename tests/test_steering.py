@@ -21,12 +21,11 @@ from steerkit.steering import (
     assess,
     assess_nss,
     assess_ris,
+    inequalities_for,
     min_nss_over_rotations,
-    nss_parameter,
     nss_predicted,
     predicted_correlation,
     ris_predicted,
-    trace_norm,
 )
 
 from _reference import (
@@ -76,7 +75,7 @@ def haar_orthogonal(rng, dim):
 
 class TestTraceNorm:
     def test_two_paths_agree_on_random_matrices(self):
-        # trace_norm wraps numpy's SVD too, so this pins its input
+        # the ris parameter wraps numpy's SVD too, so this pins its input
         # handling and summation over every shape from 1x1 to 3x3.
         rng = np.random.default_rng(31)
         for _ in range(200):
@@ -84,21 +83,30 @@ class TestTraceNorm:
             n = int(rng.integers(1, 4))
             a = rng.normal(size=(m, n))
             ref = float(np.linalg.svd(a, compute_uv=False).sum())
-            assert_allclose(trace_norm(a), ref, atol=1e-10)
+            assert_allclose(assess(a, "ris").parameter, ref, atol=1e-10)
 
     def test_known_values(self):
-        assert_allclose(trace_norm(np.eye(3)), 3.0, atol=1e-14)
-        assert_allclose(trace_norm(-0.7 * np.eye(2)), 1.4, atol=1e-14)
+        assert_allclose(assess(np.eye(3), "ris").parameter, 3.0, atol=1e-14)
+        assert_allclose(assess(-0.7 * np.eye(2), "ris").parameter, 1.4, atol=1e-14)
 
     def test_rejects_nan_entry(self):
         m = np.eye(2)
         m[0, 1] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            trace_norm(m)
+        for tag in inequalities_for(2):
+            with pytest.raises(ValueError, match="non-finite"):
+                assess(m, tag)
 
     def test_rejects_non_2d_input(self):
-        with pytest.raises(ValueError, match="2-d"):
-            trace_norm(np.ones((2, 2, 2)))
+        for tag in inequalities_for(2):
+            with pytest.raises(ValueError, match="2-d"):
+                assess(np.ones((2, 2, 2)), tag)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)], ids=["no-row", "no-column", "0x0"])
+    def test_rejects_empty_input(self, shape):
+        # (0, 3) read parameter 0, bound 0, not violated
+        for tag in inequalities_for(2):
+            with pytest.raises(ValueError, match="at least one row and one column"):
+                assess(np.zeros(shape), tag)
 
 
 class TestAssessments:
@@ -121,14 +129,14 @@ class TestAssessments:
 
     def test_nss_parameter_hand_value(self):
         # M = -I2: both rotated rows have norm 1, so the parameter is 2.
-        assert_allclose(nss_parameter(-np.eye(2)), 2.0, atol=1e-14)
         assessment = assess_nss(-np.eye(2))
+        assert_allclose(assessment.parameter, 2.0, atol=1e-14)
         assert assessment.violated
         assert_allclose(assessment.bound, math.sqrt(2.0), atol=1e-15)
 
     def test_nss_rejects_three_settings(self):
-        with pytest.raises(ValueError):
-            nss_parameter(np.eye(3))
+        with pytest.raises(ValueError, match="requires m = 2"):
+            assess(np.eye(3), "nss")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_nss_rejects_non_finite_entry(self, value):
@@ -136,33 +144,29 @@ class TestAssessments:
         m = np.eye(2)
         m[0, 0] = value
         with pytest.raises(ValueError, match="non-finite"):
-            nss_parameter(m)
-        with pytest.raises(ValueError, match="non-finite"):
-            assess_nss(m)
+            assess(m, "nss")
 
     def test_nss_rejects_non_2d_input(self):
         with pytest.raises(ValueError, match="2-d"):
-            nss_parameter(np.ones((2, 2, 2)))
+            assess(np.ones((2, 2, 2)), "nss")
 
     @pytest.mark.parametrize("value", [1e200, -1e200])
     def test_nss_rejects_overflowing_entries(self, value):
-        # used to return inf with a RuntimeWarning; trace_norm stays finite there
+        # used to return inf with a RuntimeWarning; the ris parameter stays finite there
         m = np.array([[value, 0.0], [0.0, 1.0]])
-        assert math.isfinite(trace_norm(m))
+        assert math.isfinite(assess(m, "ris").parameter)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for evaluate in (nss_parameter, assess_nss):
-                with pytest.raises(ValueError, match="overflow"):
-                    evaluate(m)
+            with pytest.raises(ValueError, match="nss parameter overflows"):
+                assess(m, "nss")
 
-    @pytest.mark.parametrize("evaluate", [trace_norm, assess_ris])
-    def test_ris_rejects_overflowing_sum(self, evaluate):
+    def test_ris_rejects_overflowing_sum(self):
         # the trace norm overflows only when its singular values sum past the
         # float maximum; an inf parameter would read as a violation
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="overflow"):
-                evaluate(np.diag([1e308, 1e308]))
+            with pytest.raises(ValueError, match="ris parameter overflows"):
+                assess_ris(np.diag([1e308, 1e308]))
 
 
 class TestPredictedParameters:
@@ -191,7 +195,7 @@ class TestPredictedParameters:
             t = random_correlation_tensor(rng)
             alice = rotate_frame(pair_in_plane(Y, 0.3), random_rotation(rng))
             bob = rotate_frame(standard_triad(), random_rotation(rng))
-            direct = trace_norm(predicted_correlation(t, alice, bob))
+            direct = np.linalg.norm(predicted_correlation(t, alice, bob), "nuc")
             assert_allclose(ris_predicted(t, alice, bob), direct, atol=1e-10)
 
     def test_rejects_non_orthonormal_frames(self):
@@ -210,7 +214,7 @@ class TestPredictedParameters:
         w = 0.97
         t = spin_correlation_matrix(werner_state(w))
         m = predicted_correlation(t, tetrahedron_frame(), standard_triad())
-        assert_allclose(trace_norm(m), 2.0 * math.sqrt(2.0) * w, atol=1e-12)
+        assert_allclose(assess(m, "ris").parameter, 2.0 * math.sqrt(2.0) * w, atol=1e-12)
 
     def test_nss_dominates_ris(self):
         rng = np.random.default_rng(43)
@@ -375,7 +379,7 @@ class TestProperties:
     def test_nss_dominates_trace_norm(self, matrix):
         # roundoff scales with the entries; 1e-12 absolute for |M_jk| <= 1
         tol = 1e-12 * max(1.0, float(np.abs(matrix).max()))
-        assert nss_parameter(matrix) >= trace_norm(matrix) - tol
+        assert assess(matrix, "nss").parameter >= assess(matrix, "ris").parameter - tol
 
     @settings(deadline=None)
     @given(
@@ -387,9 +391,9 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         m, n = matrix.shape
         q_a, q_b = haar_orthogonal(rng, m), haar_orthogonal(rng, n)
-        value = trace_norm(matrix)
+        value = assess(matrix, "ris").parameter
         tol = 1e-12 * (1.0 + np.linalg.norm(matrix))
-        assert abs(trace_norm(q_a @ matrix @ q_b.T) - value) <= tol
+        assert abs(assess(q_a @ matrix @ q_b.T, "ris").parameter - value) <= tol
 
     @settings(deadline=None)
     @given(
