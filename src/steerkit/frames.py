@@ -16,15 +16,12 @@ about the stated axis.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import MAX_ALICE_SETTINGS
 from .config import _config_array, _config_float, _spec_keys
-
-if TYPE_CHECKING:
-    from numpy.typing import NDArray
 
 UNIT_TOL = 1e-6
 ORTHONORMAL_TOL = 1e-10
@@ -47,16 +44,19 @@ def unit(v) -> np.ndarray:
     return v / norm
 
 
+@dataclass(frozen=True, eq=False)
 class MeasurementFrame:
     """Ordered set of 1 to MAX_ALICE_SETTINGS unit measurement directions.
 
-    Directions are stored as rows of a read-only (m, 3) array.  Inputs
-    must already be unit length to within UNIT_TOL; they are then
+    Directions are stored as rows of a read-only (m, 3) float array.
+    Inputs must already be unit length to within UNIT_TOL; they are then
     renormalized exactly so downstream identities hold at full precision.
     """
 
-    def __init__(self, directions):
-        arr = np.atleast_2d(np.asarray(directions, dtype=float))
+    directions: np.ndarray
+
+    def __post_init__(self):
+        arr = np.atleast_2d(np.asarray(self.directions, dtype=float))
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ValueError(f"expected an (m, 3) array of directions, got shape {arr.shape}")
         m = arr.shape[0]
@@ -69,22 +69,14 @@ class MeasurementFrame:
             raise ValueError(f"directions must be unit vectors, got norms {norms}")
         arr = arr / norms[:, None]
         arr.setflags(write=False)
-        self._directions = arr
-
-    @property
-    def directions(self) -> NDArray[np.float64]:
-        return self._directions
+        object.__setattr__(self, "directions", arr)
 
     @property
     def size(self) -> int:
-        return self._directions.shape[0]
+        return self.directions.shape[0]
 
     def gram(self) -> np.ndarray:
-        return self._directions @ self._directions.T
-
-    def __repr__(self) -> str:
-        rows = ", ".join(np.array2string(d, precision=6) for d in self._directions)
-        return f"MeasurementFrame([{rows}])"
+        return self.directions @ self.directions.T
 
 
 def require_orthonormal(frame: MeasurementFrame, name: str) -> None:

@@ -32,8 +32,9 @@ times |M|_1.  An infeasible verdict carries the dual functional
 G = S^T U / K built from the unit directions u_a of the v_a, scaled so
 that its exact support max_a |G^T a| over the LHS set is 1, and it is
 issued only when <G, M> clears that support.  Both test the gauge against
-1 + BOUNDARY_MARGIN, as steering.assess does; a matrix that neither
-certificate settles raises instead of guessing.
+1 + BOUNDARY_MARGIN, as steering.assess does, and both report as gap the
+gauge their certificate attains, sum_a |v_a| or <G, M>, less 1; a matrix
+that neither certificate settles raises instead of guessing.
 """
 
 from __future__ import annotations
@@ -42,14 +43,10 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import BOUNDARY_MARGIN, MAX_ALICE_SETTINGS
-
-if TYPE_CHECKING:
-    from numpy.typing import NDArray
 
 # A feasible certificate must reproduce M within this L1 residual.
 RESIDUAL_TOL = 1e-7
@@ -84,9 +81,9 @@ class LhsModel:
     rows generates an m x n matrix.
     """
 
-    weights: NDArray[np.float64]
-    alice_responses: NDArray[np.float64]
-    bob_blochs: NDArray[np.float64]
+    weights: np.ndarray
+    alice_responses: np.ndarray
+    bob_blochs: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -129,18 +126,18 @@ def evaluate_lhs_model(model: LhsModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MembershipVerdict:
-    """Certified membership answer.
+    """Certified membership answer; 1 + gap is the gauge its certificate attains.
 
-    For feasible verdicts gap is the L1 reconstruction residual and model
-    holds the certifying mixture.  For infeasible verdicts separator holds
-    G normalized so its exact maximum max_a |G^T a| over the LHS set is 1,
-    and gap = <G, M> - 1 > 0.
+    For feasible verdicts model holds the certifying mixture and gap =
+    sum_a |v_a| - 1 <= BOUNDARY_MARGIN.  For infeasible verdicts separator
+    holds G normalized so its exact maximum max_a |G^T a| over the LHS set
+    is 1, and gap = <G, M> - 1 > BOUNDARY_MARGIN.
     """
 
     status: str
     gap: float
     model: LhsModel | None = None
-    separator: NDArray[np.float64] | None = None
+    separator: np.ndarray | None = None
 
 
 def _true_support(g: np.ndarray) -> float:
@@ -296,7 +293,7 @@ def _feasible(m_mat, signs, lengths, units) -> MembershipVerdict:
         raise ArithmeticError(
             f"certificate residual {residual:.3e} exceeds tolerance {RESIDUAL_TOL:.3e}"
         )
-    return MembershipVerdict(status=FEASIBLE, gap=residual, model=model)
+    return MembershipVerdict(status=FEASIBLE, gap=float(lengths.sum()) - 1.0, model=model)
 
 
 def lhs_membership(matrix) -> MembershipVerdict:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, fields, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,9 +33,6 @@ from .steering import (
     inequalities_for,
     predicted_correlation,
 )
-
-if TYPE_CHECKING:
-    from numpy.typing import NDArray
 
 # The analyzer tilt every simulated run is judged at; tilt_systematic takes any other.
 DEFAULT_SYS_ANGLE = math.radians(0.5)
@@ -53,17 +49,17 @@ _SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
 
 
 def simulate_counts(
-    alpha: NDArray[np.float64],
-    beta: NDArray[np.float64],
-    correlation: NDArray[np.float64],
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    correlation: np.ndarray,
     pairs_per_setting: int,
     seed,
-) -> NDArray[np.int64]:
+) -> np.ndarray:
     """Draw Poisson totals around pairs_per_setting and multinomial outcome splits.
 
     Any +-1 source's full data, Alice's mean outcomes alpha (m,), Bob's beta
     (n,) and their correlations M (m, n), give p(s, t | j, k) = (1 + s alpha_j
-    + t beta_k + s t M_jk)/4.  The read-only (m, n, 4) result holds
+    + t beta_k + s t M_jk)/4.  The read-only (m, n, 4) int64 result holds
     (N++, N+-, N-+, N--) at [j, k].
     """
     if alpha.ndim != 1 or beta.ndim != 1 or correlation.shape != (alpha.size, beta.size):
@@ -91,16 +87,16 @@ def simulate_counts(
 class EstimatedCorrelation:
     """Correlation estimate with entrywise uncertainty decomposition."""
 
-    matrix: NDArray[np.float64]
-    delta: NDArray[np.float64]
-    sys_component: NDArray[np.float64]
-    stat_component: NDArray[np.float64]
+    matrix: np.ndarray
+    delta: np.ndarray
+    sys_component: np.ndarray
+    stat_component: np.ndarray
 
 
 def tilt_systematic(
-    correlation_vectors: NDArray[np.float64], bob: MeasurementFrame,
+    correlation_vectors: np.ndarray, bob: MeasurementFrame,
     sys_angle: float = DEFAULT_SYS_ANGLE,
-) -> NDArray[np.float64]:
+) -> np.ndarray:
     """The model's worst-case entry error over every tilt of Bob's analyzer.
 
     The (m, n) result bounds how far the model correlation u_j.b_k, with the
@@ -121,7 +117,7 @@ def tilt_systematic(
 
 
 def judge(
-    counts: NDArray[np.int64], sys_component: NDArray[np.float64], bootstrap_key: tuple,
+    counts: np.ndarray, sys_component: np.ndarray, bootstrap_key: tuple,
 ) -> tuple[EstimatedCorrelation, dict[str, SteeringAssessment]]:
     """The estimate and an assessment per inequality, from counts and a systematic alone.
 
@@ -176,8 +172,8 @@ def simulate_run(
     pairs_per_setting: int,
     counts_seed,
     bootstrap_key: tuple,
-) -> tuple[NDArray[np.int64], EstimatedCorrelation, dict[str, SteeringAssessment]]:
-    """One simulated run: counts, then judge's estimate and assessments.
+) -> tuple[np.ndarray, EstimatedCorrelation, dict[str, SteeringAssessment]]:
+    """One simulated run: int64 counts, then judge's estimate and assessments.
 
     The counts are drawn on counts_seed from the state's full data
     (a_j.r_A, b_k.r_B, a_j^T T b_k) and judged with the state's tilt

@@ -13,14 +13,10 @@ checked once when it is built; no density matrix travels on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import _config_array, _config_float, _spec_keys
-
-if TYPE_CHECKING:
-    from numpy.typing import NDArray
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -37,13 +33,13 @@ _PAULI_BASIS = np.stack((np.eye(2, dtype=complex),) + PAULI)
 SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
 
-def singlet_state() -> NDArray[np.complex128]:
-    """Density matrix of the two-qubit singlet (HV - VH)/sqrt(2)."""
+def singlet_state() -> np.ndarray:
+    """Complex density matrix of the two-qubit singlet (HV - VH)/sqrt(2)."""
     return np.outer(SINGLET_KET, SINGLET_KET.conj())
 
 
-def werner_state(w: float) -> NDArray[np.complex128]:
-    """Singlet mixed with white noise: w * singlet + (1 - w) * I/4.
+def werner_state(w: float) -> np.ndarray:
+    """Singlet mixed with white noise: w * singlet + (1 - w) * I/4, a complex matrix.
 
     Args:
         w: singlet weight in [0, 1].
@@ -53,8 +49,8 @@ def werner_state(w: float) -> NDArray[np.complex128]:
     return w * singlet_state() + (1.0 - w) * np.eye(4, dtype=complex) / 4.0
 
 
-def validate_state(rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """rho's Hermitian part (rho + rho^H)/2, once rho passes the physicality checks.
+def validate_state(rho: np.ndarray) -> np.ndarray:
+    """rho's complex Hermitian part (rho + rho^H)/2, once rho passes the physicality checks.
 
     rho must be Hermitian within HERMITICITY_TOL, of unit trace within
     TRACE_TOL, and its Hermitian part's eigenvalues at least EIGENVALUE_TOL.
@@ -93,9 +89,9 @@ class BlochState:
     validate_state returns; their imaginary rounding residue is dropped.
     """
 
-    table: NDArray[np.float64]
+    table: np.ndarray
 
-    def __init__(self, rho: NDArray[np.complex128]):
+    def __init__(self, rho: np.ndarray):
         rho = validate_state(rho)
         # Tr[rho (A x B)] = sum rho[(i,k),(j,l)] A[j,i] B[l,k]
         table = np.einsum("ikjl,pji,qlk->pq", rho.reshape(2, 2, 2, 2), _PAULI_BASIS, _PAULI_BASIS)
@@ -104,28 +100,28 @@ class BlochState:
         object.__setattr__(self, "table", table)
 
     @property
-    def t(self) -> NDArray[np.float64]:
+    def t(self) -> np.ndarray:
         """Spin-correlation matrix T_pq = Tr[rho (sigma_p x sigma_q)]."""
         return self.table[1:, 1:]
 
     @property
-    def r_a(self) -> NDArray[np.float64]:
+    def r_a(self) -> np.ndarray:
         """Alice's Bloch vector <sigma_p x I>."""
         return self.table[1:, 0]
 
     @property
-    def r_b(self) -> NDArray[np.float64]:
+    def r_b(self) -> np.ndarray:
         """Bob's Bloch vector <I x sigma_q>."""
         return self.table[0, 1:]
 
 
-def spin_correlation_matrix(rho: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """Spin-correlation matrix T_pq = Tr[rho (sigma_p x sigma_q)] of a density matrix."""
+def spin_correlation_matrix(rho: np.ndarray) -> np.ndarray:
+    """Real spin-correlation matrix T_pq = Tr[rho (sigma_p x sigma_q)] of a density matrix."""
     return BlochState(rho).t
 
 
-def state_from_spec(spec: dict) -> NDArray[np.complex128]:
-    """Build a density matrix from a config mapping.
+def state_from_spec(spec: dict) -> np.ndarray:
+    """Build a complex density matrix from a config mapping.
 
     Supported forms:
         {"kind": "werner", "W": 0.985}

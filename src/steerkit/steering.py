@@ -23,15 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import BOUNDARY_MARGIN
 from .frames import MeasurementFrame, require_orthonormal
-
-if TYPE_CHECKING:
-    from numpy.typing import NDArray
 
 RIS = "ris"
 NSS = "nss"
@@ -50,7 +46,7 @@ class SteeringAssessment:
 
 
 def predicted_correlation(
-    t: NDArray[np.float64], alice: MeasurementFrame, bob: MeasurementFrame
+    t: np.ndarray, alice: MeasurementFrame, bob: MeasurementFrame
 ) -> np.ndarray:
     """Correlation matrix M_jk = a_j^T T b_k for the given frames.
 
@@ -130,9 +126,7 @@ def assess_nss(matrix) -> SteeringAssessment:
     return assess(matrix, NSS)
 
 
-def ris_predicted(
-    t: NDArray[np.float64], alice: MeasurementFrame, bob: MeasurementFrame
-) -> float:
+def ris_predicted(t: np.ndarray, alice: MeasurementFrame, bob: MeasurementFrame) -> float:
     """Predicted trace-norm parameter for orthonormal frames.
 
     ||M||_tr for M = A T B^T, which has the singular values of P_A T P_B.
@@ -142,18 +136,14 @@ def ris_predicted(
     return assess(predicted_correlation(t, alice, bob), RIS).parameter
 
 
-def nss_predicted(
-    t: NDArray[np.float64], alice: MeasurementFrame, bob: MeasurementFrame
-) -> float:
+def nss_predicted(t: np.ndarray, alice: MeasurementFrame, bob: MeasurementFrame) -> float:
     """Predicted two-setting parameter of M = A T B^T for an orthonormal pair and frame."""
     require_orthonormal(alice, "alice_frame")
     require_orthonormal(bob, "bob_frame")
     return assess(predicted_correlation(t, alice, bob), NSS).parameter
 
 
-def min_nss_over_rotations(
-    t: NDArray[np.float64], alice_plane, bob: MeasurementFrame
-) -> float:
+def min_nss_over_rotations(t: np.ndarray, alice_plane, bob: MeasurementFrame) -> float:
     """Minimum of the two-setting parameter over Alice's in-plane rotations.
 
     Alice's orthonormal pair lives in the plane given by a rank-2

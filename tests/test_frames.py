@@ -52,7 +52,8 @@ class TestMeasurementFrame:
 
     def test_repr_lists_directions(self):
         frame = MeasurementFrame([[0.6, 0.0, 0.8], [1.0, 0.0, 0.0]])
-        assert repr(frame) == "MeasurementFrame([[0.6 0.  0.8], [1. 0. 0.]])"
+        assert repr(frame) == f"MeasurementFrame(directions={frame.directions!r})"
+        assert "[0.6, 0. , 0.8]" in repr(frame)
 
     def test_rejects_too_many_rows(self):
         # one more than MAX_ALICE_SETTINGS
@@ -63,6 +64,8 @@ class TestMeasurementFrame:
         frame = standard_triad()
         with pytest.raises(ValueError):
             frame.directions[0, 0] = 2.0
+        with pytest.raises(AttributeError):
+            frame.directions = np.eye(3)
 
     def test_tetrahedron_gram(self):
         g = tetrahedron_frame().gram()

@@ -71,6 +71,22 @@ def verdict_status(matrix) -> str:
         return "undecided"
 
 
+def assert_certificate_holds(verdict, matrix):
+    """Re-check a verdict's certificate without the oracle's helpers."""
+    if verdict.status == "feasible":
+        assert np.abs(evaluate_lhs_model(verdict.model) - matrix).max() <= 1e-9
+        return
+    g = verdict.separator
+    support = max(
+        math.sqrt(sum(sum(a[j] * g[j, k] for j in range(len(a))) ** 2 for k in range(g.shape[1])))
+        for a in itertools.product((-1.0, 1.0), repeat=g.shape[0])
+    )
+    score = float(np.sum(g * matrix))
+    assert support <= 1.0 + 1e-12
+    assert score > support
+    assert_allclose(score, 1.0 + verdict.gap, atol=1e-12)
+
+
 def haar_rotation(rng):
     q, r = np.linalg.qr(rng.standard_normal((3, 3)))
     return q * np.sign(np.diag(r))
@@ -281,6 +297,39 @@ class TestMembership:
         with pytest.raises(ArithmeticError, match="undecided"):
             lhs_membership(m)
 
+    def test_line_search_without_a_step_ends_the_level(self, monkeypatch):
+        # the backtracking gives up, ending the Newton level, only when no trial
+        # lowers f_eps or |grad f_eps|; a gradient whose f and |grad| rise on
+        # every call forces that, and each verdict must still be certified
+        rng, matrices = np.random.default_rng(1), []
+        for shape, gauge in (((3, 3), 0.9), ((3, 3), 1.3), ((4, 3), 1.3)):
+            raw = rng.uniform(-1.0, 1.0, shape)
+            matrices.append(raw * gauge / lhs_gauge(raw))
+        real, last = lhs._smoothed_gradient, {}
+
+        def rising(null, r, eps):
+            s, grad, size = real(null, r, eps)
+            s = s * max(1.0, 1.001 * last["f"] / s.sum())
+            lift = max(1.0, 1.001 * last["size"] / size)
+            last.update(calls=last["calls"] + 1, f=s.sum(), size=lift * size)
+            return s, lift * grad, lift * size
+
+        monkeypatch.setattr(lhs, "_smoothed_gradient", rising)
+        starts = 2 * len(lhs.SMOOTHING_LEVELS)
+        for matrix in matrices:
+            last.update(calls=0, f=0.0, size=0.0)
+            try:
+                verdict = lhs_membership(matrix)
+            except ArithmeticError:
+                verdict = None
+            # no trial is accepted, so every call past the two starts of each
+            # level is a trial, and each search halves its step 40 times to
+            # 1e-12 before it breaks off the level
+            trials = last["calls"] - starts
+            assert trials > 0 and trials % 40 == 0
+            if verdict is not None:
+                assert_certificate_holds(verdict, matrix)
+
     def test_one_atom_model_through_skewed_pair_is_not_violated(self):
         # Bob's pair is 9e-11 off orthonormal, inside ORTHONORMAL_TOL, and the
         # atom's Bloch vector lies along its top right-singular vector, so RIS
@@ -443,26 +492,21 @@ class TestProperties:
     @given(correlation_matrices())
     def test_infeasible_separator_passes_independent_check(self, matrix):
         verdict = lhs_membership(matrix)
-        if verdict.status != "infeasible":
-            return
-        g = verdict.separator
-        support = max(
-            math.sqrt(sum(sum(a[j] * g[j, k] for j in range(len(a))) ** 2 for k in range(g.shape[1])))
-            for a in itertools.product((-1.0, 1.0), repeat=g.shape[0])
-        )
-        score = float(np.sum(g * matrix))
-        assert support <= 1.0 + 1e-12
-        assert score > support
-        assert_allclose(score, 1.0 + verdict.gap, atol=1e-12)
+        if verdict.status == "infeasible":
+            assert_certificate_holds(verdict, matrix)
 
     @settings(max_examples=100, deadline=None)
     @given(correlation_matrices())
-    def test_infeasible_separator_attains_the_gauge(self, matrix):
-        # <G, M> = 1 + gap reaches the gauge, so the separator is the gauge's
-        # optimal dual, not only some functional that separates M
+    def test_gap_is_the_certified_gauge_less_one(self, matrix):
+        # 1 + gap is the gauge under either status: <G, M> reaches it, so the
+        # separator is the gauge's optimal dual, not only some functional
+        # that separates M, and a mixture's weights sum_a |v_a| attain it
         verdict = lhs_membership(matrix)
         if verdict.status == "infeasible":
             assert_allclose(1.0 + verdict.gap, lhs_gauge(matrix), rtol=1e-12, atol=0.0)
+        else:
+            # gap is computed as sum_a |v_a| - 1, so it carries absolute rounding
+            assert_allclose(1.0 + verdict.gap, lhs_gauge(matrix), rtol=0.0, atol=1e-15)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -70,8 +70,8 @@ class TestLazyNamespace:
         )
 
     def test_annotations_do_not_load_numpy_typing(self):
-        # each module imported NDArray at run time for annotations that
-        # from __future__ import annotations never evaluates
+        # arrays are annotated np.ndarray, so nothing needs numpy.typing;
+        # a guard against its NDArray coming back at run time
         assert "numpy.typing" not in loaded_submodules("import numpy", "numpy")
         loaded = loaded_submodules("import steerkit.reproduce, steerkit.lhs", "numpy")
         assert "numpy.typing" not in loaded
