@@ -62,11 +62,11 @@ EXAMPLE_CONFIGS = {
 }
 # Every top-level key some subcommand reads.
 _KNOWN_KEYS = frozenset().union(*EXAMPLE_CONFIGS.values())
-# Each override flag, the config key it writes and its type.  A subcommand
+# Each integer override flag and the config key it writes.  A subcommand
 # takes the flags whose key its example config holds.
 _FLAGS = (
-    ("--seed", "seed", int),
-    ("--pairs", "pairs_per_setting", int),
+    ("--seed", "seed"),
+    ("--pairs", "pairs_per_setting"),
 )
 
 
@@ -230,9 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--example-config", action="store_true",
             help="print a valid config template and exit",
         )
-        for flag, key, type_ in _FLAGS:
+        for flag, key in _FLAGS:
             if key in EXAMPLE_CONFIGS[name]:
-                p.add_argument(flag, type=type_, dest=key, help=f'override config key "{key}"')
+                p.add_argument(flag, type=int, dest=key, help=f'override config key "{key}"')
         p.set_defaults(handler=handler)
 
     return parser

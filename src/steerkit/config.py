@@ -35,15 +35,12 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _config_float(
-    config: dict, key: str, default=None, minimum: float = -math.inf, maximum: float = math.inf
-) -> float:
+def _config_float(config: dict, key: str, default=None, minimum: float = -math.inf) -> float:
     value = config.get(key, default)
     if not _is_real(value) or not (
-        max(minimum, -sys.float_info.max) <= value <= min(maximum, sys.float_info.max)
+        max(minimum, -sys.float_info.max) <= value <= sys.float_info.max
     ):
         bound = "" if minimum == -math.inf else f" >= {minimum:g}"
-        bound = bound if maximum == math.inf else f" in [{minimum:g}, {maximum:g}]"
         raise ValueError(f'config key "{key}" must be a finite number{bound}, got {value!r}')
     return float(value)
 
@@ -74,7 +71,7 @@ def _config_array(config: dict, key: str, default=None) -> np.ndarray:
     )
 
 
-def _spec_keys(spec: dict, kind: str, keys: tuple, required: tuple = ()) -> None:
+def _spec_keys(spec: dict, kind: str, keys: tuple, required: tuple) -> None:
     """Raise naming the first key of spec not in keys, else the first of required it lacks."""
     for key in spec:
         if key not in keys:

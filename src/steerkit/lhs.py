@@ -72,7 +72,7 @@ def alice_sign_vectors(m: int) -> np.ndarray:
     return np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LhsModel:
     """Explicit local-hidden-state mixture.
 
@@ -124,7 +124,7 @@ def evaluate_lhs_model(model: LhsModel) -> np.ndarray:
     return np.einsum("i,ij,ik->jk", model.weights, model.alice_responses, model.bob_blochs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MembershipVerdict:
     """Certified membership answer; 1 + gap is the gauge its certificate attains.
 

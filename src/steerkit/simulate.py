@@ -83,7 +83,7 @@ def simulate_counts(
     return counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimatedCorrelation:
     """Correlation estimate with entrywise uncertainty decomposition."""
 

@@ -15,10 +15,10 @@ search to an interval of 1e-8.
 
 The Werner closed forms are criterion 5's reference for the predictions
 on pairs in two planes.  fidelity_with_pure, closest_werner_parameter,
-outcome_probabilities, optimal_pair_planes and random_rotation are helpers
-that no part of the package calls; their tests keep them here.  full_data
-gives a state's (alpha, beta, M) on two frames, the arguments
-simulate_counts draws from.
+outcome_probabilities, optimal_pair_planes, random_rotation, haar_orthogonal
+and random_correlation_tensor are helpers that no part of the package calls;
+their tests keep them here.  full_data gives a state's (alpha, beta, M) on
+two frames, the arguments simulate_counts draws from.
 
 _optimal_decomposition below is the LHS oracle's earlier decomposition for
 up to three Alice settings, kept as the reference for the oracle's one
@@ -39,7 +39,6 @@ import itertools
 import math
 
 import numpy as np
-from numpy.typing import NDArray
 
 from steerkit.frames import MeasurementFrame, unit
 from steerkit.states import BlochState
@@ -166,7 +165,7 @@ def _canonical_singular_vectors(u: np.ndarray, s: np.ndarray, vt: np.ndarray):
     return u[:, order], s[order], vt[order, :]
 
 
-def optimal_pair_planes(t: NDArray[np.float64]):
+def optimal_pair_planes(t: np.ndarray):
     """Plane pair maximizing the predicted trace-norm parameter.
 
     Returns (alice projector, bob projector, value): the spans of the top
@@ -182,7 +181,7 @@ def optimal_pair_planes(t: NDArray[np.float64]):
     return p_alice, p_bob, float(s[0] + s[1])
 
 
-def fidelity_with_pure(rho: NDArray[np.complex128], psi: NDArray[np.complex128]) -> float:
+def fidelity_with_pure(rho: np.ndarray, psi: np.ndarray) -> float:
     """Overlap <psi| rho |psi> with a normalized pure state."""
     rho = np.asarray(rho, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
@@ -236,6 +235,19 @@ def random_rotation(seed) -> np.ndarray:
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ])
+
+
+def haar_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-random element of O(dim), reflections included."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+def random_correlation_tensor(rng: np.random.Generator) -> np.ndarray:
+    """A physical-scale 3x3 spin-correlation matrix (singular values <= 1)."""
+    t = rng.uniform(-1.0, 1.0, size=(3, 3))
+    top = np.linalg.svd(t, compute_uv=False)[0]
+    return t / max(1.0, top / 0.95)
 
 
 def full_data(state: BlochState, alice: MeasurementFrame, bob: MeasurementFrame):

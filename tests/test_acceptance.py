@@ -43,6 +43,7 @@ from steerkit.steering import (
 from _reference import (
     full_data,
     min_nss_by_search,
+    random_correlation_tensor,
     random_rotation,
     werner_nss_closed_form,
     werner_ris_closed_form,
@@ -55,12 +56,6 @@ SQRT3 = math.sqrt(3.0)
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
     print(f"criterion {number} ({name}): {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-def random_physical_tensor(rng):
-    t = rng.uniform(-1.0, 1.0, size=(3, 3))
-    top = np.linalg.svd(t, compute_uv=False)[0]
-    return t / max(1.0, top / 0.95)
 
 
 class TestAcceptance:
@@ -170,7 +165,7 @@ class TestAcceptance:
         worst_search = 0.0
         worst_ref = 0.0
         for _ in range(50):
-            t = random_physical_tensor(rng)
+            t = random_correlation_tensor(rng)
             alice = rotate_frame(pair_in_plane(Y, rng.uniform(0, np.pi)), random_rotation(rng))
             bob = rotate_frame(pair_in_plane(Y, rng.uniform(0, np.pi)), random_rotation(rng))
             searched = min_nss_by_search(t, alice, bob)
@@ -348,7 +343,7 @@ class TestAcceptance:
         rng = np.random.default_rng(909)
         worst = 0.0
         for _ in range(1000):
-            t = random_physical_tensor(rng)
+            t = random_correlation_tensor(rng)
             alpha = rng.uniform(0.0, 2.0 * np.pi)
             alice = rotate_frame(pair_in_plane(Y, alpha), random_rotation(rng))
             bob = rotate_frame(pair_in_plane(Y, rng.uniform(0, 2.0 * np.pi)), random_rotation(rng))

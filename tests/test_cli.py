@@ -540,7 +540,8 @@ class TestLhs:
 
     def test_feasible_matrix_with_model(self, tmp_path, capsys):
         # each atom's bob_bloch has one entry per column of M, Bob's setting
-        # coordinates, and the atoms rebuild M
+        # coordinates, the atoms rebuild M, and gap, the certified gauge less
+        # 1, is negative
         werner_on_pair = {
             "state": {"kind": "werner", "W": 0.5},
             "alice_frame": {"kind": "named", "name": "standard_triad"},
@@ -560,6 +561,7 @@ class TestLhs:
             assert main(["lhs", "--config", write_config(tmp_path, config)]) == EXIT_OK
             payload = json.loads(capsys.readouterr().out)
             assert payload["status"] == "feasible"
+            assert payload["gap"] < 0
             assert list(payload["model"]) == ["atoms"]
             atoms = payload["model"]["atoms"]
             assert 1 <= len(atoms) <= 2 ** (m - 1) + 2
@@ -592,24 +594,6 @@ class TestLhs:
         assert payload["status"] == "feasible"
         assert payload["gap"] <= 1e-9
         assert "indeterminate" not in captured.err
-
-    def test_grid_degree_flag(self, tmp_path, capsys):
-        config = write_config(tmp_path, {"matrix": [[-0.5, 0.0], [0.0, -0.5]]})
-        with pytest.raises(SystemExit) as exit_info:
-            main(["lhs", "--config", config, "--grid-deg", "3.0"])
-        assert exit_info.value.code == EXIT_CONFIG
-        assert "unrecognized arguments: --grid-deg" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag, value", [
-        ("--sphere-points", "2000"),
-        ("--tol", "1e-7"),
-    ])
-    def test_removed_grid_flags_exit_config(self, tmp_path, capsys, flag, value):
-        config = write_config(tmp_path, {"matrix": [[-0.5, 0.0], [0.0, -0.5]]})
-        with pytest.raises(SystemExit) as exit_info:
-            main(["lhs", "--config", config, flag, value])
-        assert exit_info.value.code == EXIT_CONFIG
-        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_non_orthonormal_bob_frame_rejected(self, tmp_path, capsys):
         assert_bob_frame_rejected("lhs", tmp_path, capsys)
@@ -888,7 +872,7 @@ class TestScalarKeys:
         common = {"-h", "--help", "--config", "--out", "--format", "--example-config"}
         flags = {name: set(p._option_string_actions) - common for name, p in sub.choices.items()}
         assert flags == {
-            name: {flag for flag, key, _ in _FLAGS if key in example}
+            name: {flag for flag, key in _FLAGS if key in example}
             for name, example in EXAMPLE_CONFIGS.items()
         }
         assert flags == {
@@ -901,6 +885,10 @@ class TestScalarKeys:
         # every subcommand judges at DEFAULT_SYS_ANGLE; simulate and sweep took the flag before
         *([subcommand, "--sys-angle-deg", "1"]
           for subcommand in ("reproduce", "simulate", "sweep", "predict", "lhs")),
+        # the oracle's grid flags, gone with its grid search
+        ["lhs", "--grid-deg", "3.0"],
+        ["lhs", "--sphere-points", "2000"],
+        ["lhs", "--tol", "1e-7"],
     ])
     def test_flag_of_unread_key_exits_config(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -87,11 +87,6 @@ def assert_certificate_holds(verdict, matrix):
     assert_allclose(score, 1.0 + verdict.gap, atol=1e-12)
 
 
-def haar_rotation(rng):
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    return q * np.sign(np.diag(r))
-
-
 class TestExtremePoints:
     def test_sign_vector_order(self):
         signs = alice_sign_vectors(2)
@@ -459,7 +454,7 @@ class TestProperties:
         flips[min(flipped, m - 1)] = -1.0
         images = [(flips * matrix)[[i for i in order if i < m]]]
         if n == 3:
-            images.append(matrix @ haar_rotation(np.random.default_rng(seed)))
+            images.append(matrix @ _reference.haar_orthogonal(np.random.default_rng(seed), 3))
         for image in images:
             assert abs(lhs_gauge(image) - gauge) <= 1e-12 * max(1.0, gauge)
             if abs(gauge - 1.0) > 1e-8:
@@ -521,9 +516,9 @@ class TestProperties:
         # whose Bob rows are perturbed within ORTHONORMAL_TOL: RIS and NSS may
         # call it violated only where the oracle cannot certify a mixture
         (m, n), rng = shape, np.random.default_rng(seed)
-        alice = MeasurementFrame(haar_rotation(rng)[:m])
+        alice = MeasurementFrame(_reference.haar_orthogonal(rng, 3)[:m])
         skew = rng.uniform(-0.5, 0.5, size=(n, 3)) * ORTHONORMAL_TOL
-        bob = MeasurementFrame(haar_rotation(rng)[:n] + skew)
+        bob = MeasurementFrame(_reference.haar_orthogonal(rng, 3)[:n] + skew)
         try:
             require_orthonormal(bob, "bob_frame")
         except ValueError:

@@ -6,10 +6,15 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import steerkit
 from steerkit.cli import EXAMPLE_CONFIGS
+from steerkit.frames import standard_triad
+from steerkit.lhs import lhs_membership
+from steerkit.simulate import EstimatedCorrelation
+from steerkit.states import BlochState, werner_state
 
 
 def fresh_output(code: str) -> list[str]:
@@ -115,3 +120,22 @@ class TestLazyNamespace:
         with pytest.raises(AttributeError, match=name):
             getattr(steerkit, name)
         assert not hasattr(importlib.import_module(f"steerkit.{module}"), name)
+
+
+# a factory per record type with array fields; each call builds an equal-content instance
+RECORDS = {
+    "MeasurementFrame": standard_triad,
+    "BlochState": lambda: BlochState(werner_state(0.5)),
+    "LhsModel": lambda: lhs_membership(np.zeros((2, 2))).model,
+    "MembershipVerdict": lambda: lhs_membership(np.zeros((2, 2))),
+    "EstimatedCorrelation": lambda: EstimatedCorrelation(*np.zeros((4, 2, 2))),
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS)
+def test_record_compares_by_identity(make):
+    # a generated __eq__ over array fields raised ValueError, and its __hash__ TypeError
+    record, twin = make(), make()
+    assert record != twin
+    assert record == record
+    assert hash(record) == hash(record)

@@ -29,9 +29,11 @@ from steerkit.steering import (
 )
 
 from _reference import (
+    haar_orthogonal,
     min_nss_by_search,
     nss_by_projectors,
     optimal_pair_planes,
+    random_correlation_tensor,
     random_rotation,
     ris_by_projectors,
     werner_nss_closed_form,
@@ -54,23 +56,10 @@ STATE_TS = (
 ORTHONORMAL_FRAMES = st.sampled_from((pair_in_plane(Y, 0.0), standard_triad()))
 
 
-def random_correlation_tensor(rng):
-    """A physical-scale 3x3 spin-correlation matrix (singular values <= 1)."""
-    t = rng.uniform(-1.0, 1.0, size=(3, 3))
-    top = np.linalg.svd(t, compute_uv=False)[0]
-    return t / max(1.0, top / 0.95)
-
-
 def projector(frame):
     """D^T D, the projector onto an orthonormal frame's span."""
     d = frame.directions
     return d.T @ d
-
-
-def haar_orthogonal(rng, dim):
-    """Haar-random element of O(dim), reflections included."""
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q * np.sign(np.diag(r))
 
 
 class TestTraceNorm:
